@@ -27,7 +27,8 @@ note = mint(scheme, rng)
 print(f"minted note: label {label_bits(note.label, scheme.s)} "
       f"({note.support_size} strings in its class)")
 
-r = default_iteration_count(scheme, note.label) or 64
+analysis = component_analysis(scheme, note.label)
+r = default_iteration_count(analysis) or 64
 verifier = build_verifier(scheme, r)
 ok, prob = verify_money(verifier, note, rng)
 print(f"honest verification (r = {r}): accepted={ok}, "
@@ -39,7 +40,6 @@ forged = type(note)(wrong, note.state, note.support_size)
 ok, prob = verify_money(verifier, forged, rng)
 print(f"same state, wrong label:  accepted={ok}, probability {prob:.2e}\n")
 
-analysis = component_analysis(scheme, note.label)
 print(f"class structure: {len(analysis.components)} connected component(s) "
       f"under single-bit flips, top eigenvalues "
       f"{np.sort(analysis.eigenvalues)[-3:][::-1].round(6)}")

@@ -64,9 +64,7 @@ from .clique import (
     build_graph,
     degree_sort_clique,
     exact_max_clique,
-    forge_high_eps,
     max_eigenvalue_check,
-    recover_register,
     run_clique_attack,
     second_eigenvector,
     spectral_clique,
@@ -77,9 +75,7 @@ from .phase import (
     RegisterHamiltonian,
     accept_window,
     eigenvalue_phases,
-    forge_low_eps,
     forge_low_eps_with_records,
-    generate_rho,
     moments,
     pe_distribution,
     pe_sample,

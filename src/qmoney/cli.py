@@ -1,23 +1,20 @@
 """Command-line front end.
 
-Every subcommand is deterministic given --seed.  Exit code is 0 exactly
-when all requested trials completed; per-trial pass/fail lives in the
-emitted records, not the exit code.
+Every trial-running subcommand maps its arguments to one
+harness.ExperimentConfig and runs it with harness.run_experiment, so the
+CLI and the harness emit the same records.  Every subcommand is
+deterministic given --seed.  Exit code is 0 exactly when all requested
+trials completed; per-trial pass/fail lives in the emitted records, not
+the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-import numpy as np
-
-from . import harness, phase, postselect
-from .clique import max_eigenvalue_check
-from .money import SchemeParams, completely_mixed_money, gen_scheme, honest_money, verify
-from .pauli import commutation_matrix, random_pauli
-from .stabilizer import random_stabilizer_state
+from . import harness, postselect
+from .money import SchemeParams, gen_scheme
 
 
 def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
@@ -28,7 +25,8 @@ def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
 
-def _emit(records, args) -> None:
+def _run(args) -> int:
+    records = harness.run_experiment(args.config(args))
     if args.out:
         harness.emit_results(records, args.out, args.format)
     summary = harness.summarize(records)
@@ -39,145 +37,41 @@ def _emit(records, args) -> None:
                 f"  {key}: mean={stats['mean']:.6g} std={stats['std']:.3g}"
                 f" min={stats['min']:.6g} max={stats['max']:.6g}"
             )
+    return 0
 
 
-def _scheme_params(args) -> SchemeParams:
-    return SchemeParams(args.n, args.m, args.l, args.epsilon)
+def _verify_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig("honest-acceptance", args.trials, args.seed, source=args.scheme)
 
 
-def _cmd_gen_scheme(args) -> int:
-    if not args.out:
-        print("gen-scheme requires --out", file=sys.stderr)
-        return 2
-    rng = harness.setup_rng(args.seed)
-    secret, scheme = gen_scheme(_scheme_params(args), rng)
-    harness.save_scheme(
-        args.out, scheme, secret if args.include_secret else None, seed=args.seed
+def _attack_clique_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig("clique-attack", args.trials, args.seed, source=args.scheme)
+
+
+def _attack_low_eps_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
+        "low-eps-attack", args.trials, args.seed, source=args.scheme, options={"mode": args.mode}
     )
-    print(f"wrote scheme n={args.n} m={args.m} l={args.l} epsilon={args.epsilon} -> {args.out}")
-    return 0
 
 
-def _cmd_verify(args) -> int:
-    scheme, secret = harness.load_scheme(args.scheme)
-    if args.money == "honest":
-        if secret is None:
-            print("scheme file has no secret section; cannot build honest money", file=sys.stderr)
-            return 2
-        money = honest_money(secret)
-    else:
-        money = completely_mixed_money(scheme.params)
-    records = []
-    for trial in range(args.trials):
-        rng, seed = harness.trial_rng(args.seed, trial)
-        out = verify(scheme, money, rng)
-        records.append(
-            harness.ResultRecord(
-                "verify",
-                trial,
-                seed,
-                {"q_value": out.q_value, "accepted": int(out.accepted)},
-                out.accepted,
-            )
-        )
-    _emit(records, args)
-    return 0
+def _eig_check_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
+        "eigenvalue-check", args.trials, args.seed, scheme=SchemeParams(args.n, args.m, 1, 0.0)
+    )
 
 
-def _cmd_attack_clique(args) -> int:
-    # runs against the file's scheme, not a regenerated one
-    scheme, secret = harness.load_scheme(args.scheme)
-    from .clique import run_clique_attack
-
-    rng0 = harness.setup_rng(args.seed)
-    attack = run_clique_attack(scheme, secret, rng0)
-    records = []
-    for trial in range(args.trials):
-        rng, seed = harness.trial_rng(args.seed, trial)
-        out = verify(scheme, attack.money, rng)
-        metrics = {
-            "q_value": out.q_value,
-            "accepted": int(out.accepted),
-            "failed_registers": len(attack.failed_registers),
-        }
-        records.append(
-            harness.ResultRecord("clique-attack", trial, seed, metrics, out.accepted)
-        )
-    _emit(records, args)
-    return 0
-
-
-def _cmd_attack_low_eps(args) -> int:
-    scheme, _ = harness.load_scheme(args.scheme)
-    hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
-    records = []
-    for trial in range(args.trials):
-        rng, seed = harness.trial_rng(args.seed, trial)
-        money, recs = phase.forge_low_eps_with_records(
-            scheme, rng, args.mode, hamiltonians=hams
-        )
-        out = verify(scheme, money, rng)
-        metrics = {
-            "q_value": out.q_value,
-            "accepted": int(out.accepted),
-            "frac_fully_mixed": float(np.mean([r.fully_mixed for r in recs])),
-            "mean_trace_h_rho": float(np.mean([r.trace_h_rho for r in recs])),
-        }
-        records.append(harness.ResultRecord("low-eps-attack", trial, seed, metrics, out.accepted))
-    _emit(records, args)
-    return 0
-
-
-def _cmd_eig_check(args) -> int:
-    config = harness.ExperimentConfig(
-        "eigenvalue-check",
+def _verify_note_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
+        "postselect-suite",
         args.trials,
         args.seed,
-        scheme=SchemeParams(args.n, args.m, 1, 0.0),
+        source=args.note,
+        options={} if args.r is None else {"r": args.r},
     )
-    records = harness.run_experiment(config)
-    _emit(records, args)
-    return 0
 
 
-def _cmd_mint(args) -> int:
-    if not args.out:
-        print("mint requires --out", file=sys.stderr)
-        return 2
-    scheme = postselect.make_label_scheme(args.n, args.s, args.d, args.label_seed)
-    rng, _ = harness.trial_rng(args.seed, 0)
-    money = postselect.mint(scheme, rng)
-    harness.save_note(args.out, scheme, money)
-    print(
-        f"minted note label={postselect.label_bits(money.label, scheme.s)}"
-        f" support={money.support_size} -> {args.out}"
-    )
-    return 0
-
-
-def _cmd_verify_note(args) -> int:
-    scheme, money = harness.load_note(args.note)
-    r = args.r or postselect.default_iteration_count(scheme, money.label) or 64
-    verifier = postselect.build_verifier(scheme, r)
-    records = []
-    for trial in range(args.trials):
-        rng, seed = harness.trial_rng(args.seed, trial)
-        accepted, prob = postselect.verify_money(verifier, money, rng)
-        records.append(
-            harness.ResultRecord(
-                "verify-note",
-                trial,
-                seed,
-                {"accept_prob": prob, "accepted": int(accepted), "r": r},
-                accepted,
-            )
-        )
-    _emit(records, args)
-    return 0
-
-
-def _cmd_beta_mix(args) -> int:
-    config = harness.ExperimentConfig(
+def _beta_mix_config(args) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
         "beta-mixing",
         args.trials,
         args.seed,
@@ -189,46 +83,32 @@ def _cmd_beta_mix(args) -> int:
             "start_frozen": args.start_frozen,
         },
     )
-    records = harness.run_experiment(config)
-    _emit(records, args)
+
+
+def _cmd_gen_scheme(args) -> int:
+    if not args.out:
+        print("gen-scheme requires --out", file=sys.stderr)
+        return 2
+    rng = harness.setup_rng(args.seed)
+    secret, scheme = gen_scheme(SchemeParams(args.n, args.m, args.l, args.epsilon), rng)
+    harness.save_scheme(
+        args.out, scheme, secret if args.include_secret else None, seed=args.seed
+    )
+    print(f"wrote scheme n={args.n} m={args.m} l={args.l} epsilon={args.epsilon} -> {args.out}")
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    timings = {}
-
-    t0 = time.perf_counter()
-    ops = [random_pauli(64, rng, allow_identity=False) for _ in range(2000)]
-    commutation_matrix(ops)
-    timings["commutation_matrix(2000 ops, n=64)"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for _ in range(20):
-        random_stabilizer_state(40, rng)
-    timings["random_stabilizer_state(n=40) x20"] = time.perf_counter() - t0
-
-    params = SchemeParams(16, 256, 4, 0.25)
-    secret, scheme = gen_scheme(params, rng)
-    money = honest_money(secret)
-    t0 = time.perf_counter()
-    for _ in range(10):
-        verify(scheme, money, rng)
-    timings["verify(n=16, m=256, l=4) x10"] = time.perf_counter() - t0
-
-    _, small = gen_scheme(SchemeParams(10, 64, 1, 0.0), rng)
-    t0 = time.perf_counter()
-    phase.register_hamiltonian(small.table[0])
-    timings["register_hamiltonian(n=10, m=64)"] = time.perf_counter() - t0
-
-    pe = phase.PhaseEstimationParams.defaults_for(64)
-    t0 = time.perf_counter()
-    for _ in range(1000):
-        phase.pe_sample(0.3, pe, rng)
-    timings["pe_sample x1000 (q=%d)" % pe.q] = time.perf_counter() - t0
-
-    for name, dt in timings.items():
-        print(f"{name}: {dt * 1e3:.1f} ms")
+def _cmd_mint(args) -> int:
+    if not args.out:
+        print("mint requires --out", file=sys.stderr)
+        return 2
+    params = harness.LabelParams(args.n, args.s, args.d, args.label_seed)
+    scheme, money = harness.mint_note(params, args.seed)
+    harness.save_note(args.out, scheme, money)
+    print(
+        f"minted note label={postselect.label_bits(money.label, scheme.s)}"
+        f" support={money.support_size} -> {args.out}"
+    )
     return 0
 
 
@@ -247,28 +127,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=False)
     p.set_defaults(func=_cmd_gen_scheme)
 
-    p = sub.add_parser("verify", help="verify honest or mixed money against a scheme file")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--money", choices=("honest", "mixed"), default="honest")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("attack-clique", help="secret-recovery attack on a scheme file")
+    p = sub.add_parser(
+        "verify", help="honest-acceptance: verify honest and mixed money against a scheme file"
+    )
     p.add_argument("--scheme", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_attack_clique)
+    p.set_defaults(func=_run, config=_verify_config)
 
-    p = sub.add_parser("attack-low-eps", help="phase-estimation forgery on a scheme file")
+    p = sub.add_parser("attack-clique", help="clique-attack: secret recovery on a scheme file")
+    p.add_argument("--scheme", required=True)
+    _add_common(p)
+    p.set_defaults(func=_run, config=_attack_clique_config)
+
+    p = sub.add_parser(
+        "attack-low-eps", help="low-eps-attack: phase-estimation forgery on a scheme file"
+    )
     p.add_argument("--scheme", required=True)
     p.add_argument("--mode", choices=("sample", "analysis"), default="sample")
     _add_common(p)
-    p.set_defaults(func=_cmd_attack_low_eps)
+    p.set_defaults(func=_run, config=_attack_low_eps_config)
 
-    p = sub.add_parser("eig-check", help="max eigenvalue of random operator sums")
+    p = sub.add_parser(
+        "eig-check", help="eigenvalue-check: max eigenvalue of random operator sums"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_eig_check)
+    p.set_defaults(func=_run, config=_eig_check_config)
 
     p = sub.add_parser("mint", help="mint a postselection note")
     p.add_argument("--n", type=int, required=True)
@@ -278,13 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=False)
     p.set_defaults(func=_cmd_mint)
 
-    p = sub.add_parser("verify-note", help="verify a note file with the Markov verifier")
+    p = sub.add_parser(
+        "verify-note", help="postselect-suite: verify a note file with the Markov verifier"
+    )
     p.add_argument("--note", required=True)
     p.add_argument("--r", type=int, default=None, help="iteration count (default: auto)")
     _add_common(p)
-    p.set_defaults(func=_cmd_verify_note)
+    p.set_defaults(func=_run, config=_verify_note_config)
 
-    p = sub.add_parser("beta-mix", help="Metropolis chain mixing diagnostics")
+    p = sub.add_parser("beta-mix", help="beta-mixing: Metropolis chain mixing diagnostics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -294,11 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-label", type=int, default=None)
     p.add_argument("--start-frozen", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_beta_mix)
-
-    p = sub.add_parser("bench", help="timing of the hot kernels")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_run, config=_beta_mix_config)
 
     return parser
 

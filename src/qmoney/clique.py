@@ -52,9 +52,7 @@ __all__ = [
     "exact_max_clique",
     "max_eigenvalue_check",
     "attack_register",
-    "recover_register",
     "run_clique_attack",
-    "forge_high_eps",
 ]
 
 # Largest matrix handed to the dense symmetric eigensolver.
@@ -384,14 +382,6 @@ def attack_register(
     return CliqueResult(best.vertices, best.method, state, dropped)
 
 
-def recover_register(
-    ops: Sequence[PauliOp], expected_k: int | None = None
-) -> StabilizerState:
-    state = attack_register(ops, expected_k).recovered_state
-    assert state is not None
-    return state
-
-
 @dataclass(frozen=True)
 class CliqueAttackReport:
     register: int
@@ -453,9 +443,3 @@ def run_clique_attack(
             CliqueAttackReport(i, method, size, dropped, failed, p1, overlap)
         )
     return CliqueAttackResult(MoneyState(tuple(registers)), tuple(reports))
-
-
-def forge_high_eps(
-    scheme: MoneyScheme, rng: np.random.Generator | None = None
-) -> MoneyState:
-    return run_clique_attack(scheme, rng=rng).money

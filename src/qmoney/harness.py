@@ -47,6 +47,7 @@ __all__ = [
     "save_note",
     "load_note",
     "money_from_label",
+    "mint_note",
     "emit_results",
     "summarize",
 ]
@@ -72,20 +73,38 @@ class LabelParams:
         return postselect.make_label_scheme(self.n, self.s, self.d, self.seed)
 
 
+_SCHEME_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "eigenvalue-check")
+_SOURCE_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "postselect-suite")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: its kind, trial count, master seed and inputs.
+
+    The inputs are either generated from params (``scheme`` for the
+    stabilizer kinds, ``label`` for the postselection kinds) or read from
+    ``source``, the path of a scheme file or, for postselect-suite, a
+    note file.  Exactly one of the two is set.
+    """
+
     kind: str
     trials: int
     master_seed: int
     scheme: SchemeParams | None = None
     label: LabelParams | None = None
     options: dict = field(default_factory=dict)
+    source: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.source is not None and self.kind not in _SOURCE_KINDS:
+            raise ValueError(f"{self.kind} cannot run from a source file")
+        need = "scheme" if self.kind in _SCHEME_KINDS else "label"
+        if (getattr(self, need) is None) == (self.source is None):
+            raise ValueError(f"{self.kind} needs exactly one of {need} params and a source file")
 
 
 @dataclass(frozen=True)
@@ -116,30 +135,41 @@ def _record(config: ExperimentConfig, trial: int, seed: int, metrics: dict, pass
     return ResultRecord(config.kind, trial, seed, metrics, bool(passed))
 
 
+def _scheme_and_secret(
+    config: ExperimentConfig, rng: np.random.Generator
+) -> tuple[MoneyScheme, SecretKey | None]:
+    """The source file's scheme and secret, or a fresh pair drawn from rng."""
+    if config.source is not None:
+        return load_scheme(config.source)
+    secret, scheme = gen_scheme(config.scheme, rng)
+    return scheme, secret
+
+
 def _run_honest_acceptance(config: ExperimentConfig) -> list[ResultRecord]:
-    secret, scheme = gen_scheme(config.scheme, setup_rng(config.master_seed))
-    honest = honest_money(secret)
-    mixed = completely_mixed_money(config.scheme)
+    """Honest and mixed money per trial; a secret-less source checks only mixed."""
+    scheme, secret = _scheme_and_secret(config, setup_rng(config.master_seed))
+    honest = None if secret is None else honest_money(secret)
+    mixed = completely_mixed_money(scheme.params)
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
-        out_h = verify(scheme, honest, rng)
+        metrics = {}
+        passed = True
+        if honest is not None:
+            out_h = verify(scheme, honest, rng)
+            metrics["q_honest"] = out_h.q_value
+            metrics["accepted_honest"] = int(out_h.accepted)
+            passed = out_h.accepted
         out_m = verify(scheme, mixed, rng)
-        metrics = {
-            "q_honest": out_h.q_value,
-            "accepted_honest": int(out_h.accepted),
-            "q_mixed": out_m.q_value,
-            "accepted_mixed": int(out_m.accepted),
-        }
-        records.append(
-            _record(config, trial, seed, metrics, out_h.accepted and not out_m.accepted)
-        )
+        metrics["q_mixed"] = out_m.q_value
+        metrics["accepted_mixed"] = int(out_m.accepted)
+        records.append(_record(config, trial, seed, metrics, passed and not out_m.accepted))
     return records
 
 
 def _run_clique_attack(config: ExperimentConfig) -> list[ResultRecord]:
     rng0 = setup_rng(config.master_seed)
-    secret, scheme = gen_scheme(config.scheme, rng0)
+    scheme, secret = _scheme_and_secret(config, rng0)
     attack = clique.run_clique_attack(scheme, secret, rng0)
     sizes = [r.clique_size for r in attack.reports]
     overlaps = [r.planted_overlap for r in attack.reports if r.planted_overlap is not None]
@@ -160,11 +190,10 @@ def _run_clique_attack(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
-    secret, scheme = gen_scheme(config.scheme, setup_rng(config.master_seed))
-    del secret
+    scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
     hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
     mode = config.options.get("mode", "sample")
-    _, analysis_recs = phase.forge_low_eps_with_records(
+    analysis_money, analysis_recs = phase.forge_low_eps_with_records(
         scheme, mode="analysis", hamiltonians=hams
     )
     mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
@@ -172,9 +201,7 @@ def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
         if mode == "analysis":
-            money, recs = phase.forge_low_eps_with_records(
-                scheme, mode="analysis", hamiltonians=hams
-            )
+            money, recs = analysis_money, analysis_recs  # deterministic: forged once
         else:
             money, recs = phase.forge_low_eps_with_records(
                 scheme, rng, "sample", hamiltonians=hams
@@ -204,20 +231,27 @@ def _run_eigenvalue_check(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
-    scheme = config.label.build()
+    """Mint (or take the source note), verify, and check the class structure.
+
+    ``options["r"]`` fixes the verifier's iteration count; otherwise it is
+    chosen per label from the class spectrum, or 64 for a gapless class.
+    """
+    if config.source is None:
+        scheme, note = config.label.build(), None
+    else:
+        scheme, note = load_note(config.source)
+    fixed_r = config.options.get("r")
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
-        money = postselect.mint(scheme, rng)
-        r = postselect.default_iteration_count(scheme, money.label) or int(
-            config.options.get("fallback_r", 64)
-        )
+        money = postselect.mint(scheme, rng) if note is None else note
+        analysis = postselect.component_analysis(scheme, money.label)
+        r = fixed_r or postselect.default_iteration_count(analysis) or 64
         verifier = postselect.build_verifier(scheme, r)
         _, prob = postselect.verify_money(verifier, money, rng)
         mv_residual = float(
             np.linalg.norm(postselect.apply_M(verifier, money.state) - money.state)
         )
-        analysis = postselect.component_analysis(scheme, money.label)
         metrics = {
             "accept_prob": prob,
             "mv_residual": mv_residual,
@@ -245,14 +279,11 @@ def _run_beta_mixing(config: ExperimentConfig) -> list[ResultRecord]:
     )
     target = config.options.get("target_label")
     start_frozen = bool(config.options.get("start_frozen", False))
+    frozen = postselect.find_frozen_strings(scheme) if start_frozen else ()
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
-        start = None
-        if start_frozen:
-            frozen = postselect.find_frozen_strings(scheme)
-            if len(frozen):
-                start = int(frozen[trial % len(frozen)])
+        start = int(frozen[trial % len(frozen)]) if len(frozen) else None
         if target is not None:
             ell = int(target)
         elif start is not None:
@@ -290,13 +321,7 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
-    """Run all trials; fully determined by (config, master_seed)."""
-    if config.kind in ("honest-acceptance", "clique-attack", "low-eps-attack", "eigenvalue-check"):
-        if config.scheme is None:
-            raise ValueError(f"{config.kind} needs scheme params")
-    else:
-        if config.label is None:
-            raise ValueError(f"{config.kind} needs label params")
+    """Run all trials; fully determined by the config and its source file."""
     return _RUNNERS[config.kind](config)
 
 
@@ -341,15 +366,6 @@ class _LineReader:
             if text:
                 return self.pos, text
         raise SchemeFormatError("unexpected end of file", self.pos)
-
-    def peek(self) -> str | None:
-        save = self.pos
-        try:
-            _, text = self.next()
-        except SchemeFormatError:
-            return None
-        self.pos = save
-        return text
 
 
 def _read_register_block(reader: _LineReader, i: int, count: int, n: int) -> tuple[PauliOp, ...]:
@@ -424,6 +440,14 @@ def money_from_label(scheme: postselect.LabelScheme, ell: int) -> postselect.Lab
     state = np.zeros(1 << scheme.n, dtype=complex)
     state[support] = 1.0 / math.sqrt(len(support))
     return postselect.LabeledMoney(int(ell), state, len(support))
+
+
+def mint_note(
+    params: LabelParams, master_seed: int
+) -> tuple[postselect.LabelScheme, postselect.LabeledMoney]:
+    """The note that trial 0 of a postselect-suite run with these params and seed mints."""
+    scheme = params.build()
+    return scheme, postselect.mint(scheme, trial_rng(master_seed, 0)[0])
 
 
 def save_note(path: str | Path, scheme: postselect.LabelScheme, money: postselect.LabeledMoney) -> None:

@@ -185,8 +185,9 @@ def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
 
 
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:
-    nbytes = (nbits + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << nbits) - 1)
+    if nbits == 0:
+        return 0  # rng.bytes(0) still advances the generator
+    return int.from_bytes(rng.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
 
 
 def random_pauli(

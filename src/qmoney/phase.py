@@ -41,9 +41,7 @@ __all__ = [
     "window_probability",
     "accept_window",
     "eigenvalue_phases",
-    "generate_rho",
     "generate_rho_with_record",
-    "forge_low_eps",
     "forge_low_eps_with_records",
 ]
 
@@ -314,15 +312,6 @@ def generate_rho_with_record(
     return reg, RegisterForgeRecord(f, g, trace, expected_exit, p_cap)
 
 
-def generate_rho(
-    ham: RegisterHamiltonian,
-    m: int,
-    rng: np.random.Generator | None = None,
-    mode: str = "sample",
-) -> DenseMixedRegister:
-    return generate_rho_with_record(ham, m, rng, mode)[0]
-
-
 def forge_low_eps_with_records(
     scheme: MoneyScheme,
     rng: np.random.Generator | None = None,
@@ -343,11 +332,3 @@ def forge_low_eps_with_records(
         registers.append(reg)
         records.append(rec)
     return MoneyState(tuple(registers)), tuple(records)
-
-
-def forge_low_eps(
-    scheme: MoneyScheme,
-    rng: np.random.Generator | None = None,
-    mode: str = "sample",
-) -> MoneyState:
-    return forge_low_eps_with_records(scheme, rng, mode)[0]

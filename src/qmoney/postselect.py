@@ -127,6 +127,18 @@ class LabelScheme:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _rules(self) -> np.ndarray:
+        """Row i: the permutation P_i, flipping bit i where that keeps the label."""
+        table = self._table
+        x = np.arange(1 << self.n, dtype=np.int64)
+        perms = np.empty((self.n, 1 << self.n), dtype=np.int64)
+        for i in range(self.n):
+            flipped = x ^ (1 << i)
+            perms[i] = np.where(table[flipped] == table[x], flipped, x)
+        perms.setflags(write=False)
+        return perms
+
 
 def make_label_scheme(
     n: int, s: int, d: int, seed: int, *, trivial_hash: bool = False
@@ -245,15 +257,7 @@ class MarkovVerifier:
 def build_verifier(scheme: LabelScheme, r: int) -> MarkovVerifier:
     if r < 1:
         raise ValueError("need r >= 1 verification rounds")
-    table = label_table(scheme)
-    size = 1 << scheme.n
-    x = np.arange(size, dtype=np.int64)
-    perms = np.empty((scheme.n, size), dtype=np.int64)
-    for i in range(scheme.n):
-        flipped = x ^ (1 << i)
-        perms[i] = np.where(table[flipped] == table[x], flipped, x)
-    perms.setflags(write=False)
-    return MarkovVerifier(scheme, r, perms)
+    return MarkovVerifier(scheme, r, scheme._rules)
 
 
 def apply_M(verifier: MarkovVerifier, v: np.ndarray) -> np.ndarray:
@@ -323,11 +327,10 @@ def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.n
     members = np.flatnonzero(table == ell)
     if len(members) == 0:
         raise ValueError(f"label {ell} has empty preimage")
-    perms = build_verifier(scheme, 1).permutations
     k = len(members)
     mat = np.zeros((k, k))
     cols = np.arange(k)
-    for perm in perms:
+    for perm in scheme._rules:
         target = np.searchsorted(members, perm[members])
         mat[target, cols] += 1.0 / scheme.n
     return members, mat
@@ -349,7 +352,7 @@ def component_analysis(scheme: LabelScheme, ell: int) -> ComponentAnalysis:
     vectors of the components, so its dimension equals the component count.
     """
     members, mat = class_markov_matrix(scheme, ell)
-    perms = build_verifier(scheme, 1).permutations
+    perms = scheme._rules
     parent = list(range(len(members)))
 
     def find(i: int) -> int:
@@ -375,11 +378,8 @@ def component_analysis(scheme: LabelScheme, ell: int) -> ComponentAnalysis:
     return ComponentAnalysis(members, components, eigenvalues, plus_dim, second)
 
 
-def default_iteration_count(
-    scheme: LabelScheme, ell: int, tol: float = 1e-6
-) -> int | None:
+def default_iteration_count(analysis: ComponentAnalysis, tol: float = 1e-6) -> int | None:
     """Smallest r with (subdominant |eigenvalue|)**r <= tol, or None if gapless."""
-    analysis = component_analysis(scheme, ell)
     rest = analysis.eigenvalues[analysis.eigenvalues <= 1.0 - 1e-9]
     if len(rest) == 0:
         return 1

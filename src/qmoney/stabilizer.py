@@ -27,7 +27,7 @@ from .errors import (
     GroupContradictionError,
     InconsistentGeneratorsError,
 )
-from .pauli import DENSE_LIMIT, PauliOp, commutes, dense_matrix, pauli_mul
+from .pauli import DENSE_LIMIT, PauliOp, _random_bits, commutes, dense_matrix, pauli_mul
 
 __all__ = [
     "StabilizerState",
@@ -118,12 +118,6 @@ class StabilizerState:
 
     def group_equal(self, other: "StabilizerState") -> bool:
         return self.n == other.n and self.canonical_generators() == other.canonical_generators()
-
-
-def _random_bits(rng: np.random.Generator, nbits: int) -> int:
-    if nbits == 0:
-        return 0
-    return int.from_bytes(rng.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
 
 
 def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState:

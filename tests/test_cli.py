@@ -3,11 +3,17 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from qmoney.cli import main
-from qmoney.harness import load_scheme
+from qmoney.harness import (
+    ExperimentConfig,
+    LabelParams,
+    emit_results,
+    load_scheme,
+    run_experiment,
+)
+from qmoney.money import SchemeParams
 
 
 def test_gen_scheme_and_verify(tmp_path, capsys):
@@ -24,15 +30,14 @@ def test_gen_scheme_and_verify(tmp_path, capsys):
     assert scheme.params.m == 32
     assert secret is not None
 
-    rc = main(["verify", "--scheme", scheme_path, "--money", "honest", "--trials", "10", "--seed", "1"])
+    rc = main(["verify", "--scheme", scheme_path, "--trials", "10", "--seed", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "pass_fraction" in out
 
     csv_path = str(tmp_path / "v.csv")
     rc = main(
-        ["verify", "--scheme", scheme_path, "--money", "mixed",
-         "--trials", "5", "--seed", "1", "--out", csv_path]
+        ["verify", "--scheme", scheme_path, "--trials", "5", "--seed", "1", "--out", csv_path]
     )
     assert rc == 0
     rows = list(csv.reader(open(csv_path)))
@@ -40,11 +45,17 @@ def test_gen_scheme_and_verify(tmp_path, capsys):
     assert len(rows) == 6
 
 
-def test_verify_honest_needs_secret(tmp_path):
+def test_verify_without_secret_checks_mixed_money_only(tmp_path):
     scheme_path = str(tmp_path / "nosecret.scheme")
     assert main(["gen-scheme", "--n", "6", "--m", "16", "--l", "8",
                  "--epsilon", "0.5", "--out", scheme_path]) == 0
-    assert main(["verify", "--scheme", scheme_path, "--money", "honest"]) == 2
+    csv_path = str(tmp_path / "v.csv")
+    assert main(["verify", "--scheme", scheme_path, "--trials", "6", "--out", csv_path]) == 0
+    rows = list(csv.DictReader(open(csv_path)))
+    assert len(rows) == 6
+    assert set(rows[0]) == {"experiment", "trial", "seed", "q_mixed", "accepted_mixed", "passed"}
+    for row in rows:
+        assert row["passed"] == str(1 - int(row["accepted_mixed"]))
 
 
 def test_gen_scheme_requires_out():
@@ -100,12 +111,6 @@ def test_beta_mix_cli(capsys):
     assert "tv_distance" in capsys.readouterr().out
 
 
-def test_bench_cli_runs(capsys):
-    rc = main(["bench", "--seed", "0"])
-    assert rc == 0
-    assert "ms" in capsys.readouterr().out
-
-
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -119,3 +124,82 @@ def test_seed_determinism_across_invocations(tmp_path):
     main(["verify", "--scheme", scheme_path, "--trials", "6", "--seed", "11", "--out", a])
     main(["verify", "--scheme", scheme_path, "--trials", "6", "--seed", "11", "--out", b])
     assert open(a).read() == open(b).read()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    files = {"high": str(d / "high.scheme"), "low": str(d / "low.scheme"), "note": str(d / "n.note")}
+    main(["gen-scheme", "--n", "10", "--m", "100", "--l", "8", "--epsilon", "0.8",
+          "--seed", "5", "--include-secret", "--out", files["high"]])
+    main(["gen-scheme", "--n", "3", "--m", "32", "--l", "16", "--epsilon", "0.0078125",
+          "--seed", "6", "--out", files["low"]])
+    main(["mint", "--n", "8", "--s", "4", "--d", "2", "--label-seed", "1",
+          "--seed", "4", "--out", files["note"]])
+    return files
+
+
+# (CLI arguments, with input files as {placeholders}; the config they map to)
+CLI_CASES = {
+    "verify": (
+        ["verify", "--scheme", "{high}"],
+        lambda f: ExperimentConfig("honest-acceptance", 3, 7, source=f["high"]),
+    ),
+    "attack-clique": (
+        ["attack-clique", "--scheme", "{high}"],
+        lambda f: ExperimentConfig("clique-attack", 3, 7, source=f["high"]),
+    ),
+    "attack-low-eps": (
+        ["attack-low-eps", "--scheme", "{low}"],
+        lambda f: ExperimentConfig(
+            "low-eps-attack", 3, 7, source=f["low"], options={"mode": "sample"}
+        ),
+    ),
+    "attack-low-eps-analysis": (
+        ["attack-low-eps", "--scheme", "{low}", "--mode", "analysis"],
+        lambda f: ExperimentConfig(
+            "low-eps-attack", 3, 7, source=f["low"], options={"mode": "analysis"}
+        ),
+    ),
+    "eig-check": (
+        ["eig-check", "--n", "8", "--m", "40"],
+        lambda f: ExperimentConfig("eigenvalue-check", 3, 7, SchemeParams(8, 40, 1, 0.0)),
+    ),
+    "verify-note": (
+        ["verify-note", "--note", "{note}"],
+        lambda f: ExperimentConfig("postselect-suite", 3, 7, source=f["note"]),
+    ),
+    "verify-note-r": (
+        ["verify-note", "--note", "{note}", "--r", "5"],
+        lambda f: ExperimentConfig("postselect-suite", 3, 7, source=f["note"], options={"r": 5}),
+    ),
+    "beta-mix": (
+        ["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta", "12",
+         "--steps", "200", "--start-frozen"],
+        lambda f: ExperimentConfig(
+            "beta-mixing",
+            3,
+            7,
+            label=LabelParams(6, 3, 2, 0),
+            options={"beta": 12.0, "steps": 200, "start_frozen": True},
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_out_is_the_harness_run_of_its_config(case, input_files, tmp_path):
+    argv, config = CLI_CASES[case]
+    cli_out, harness_out = tmp_path / "cli", tmp_path / "harness"
+    argv = [arg.format(**input_files) for arg in argv]
+    assert main([*argv, "--trials", "3", "--seed", "7", "--out", str(cli_out)]) == 0
+    emit_results(run_experiment(config(input_files)), harness_out)
+    assert cli_out.read_bytes() == harness_out.read_bytes()
+
+
+def test_verify_note_fixed_r(input_files, tmp_path):
+    csv_path = tmp_path / "r.csv"
+    assert main(["verify-note", "--note", input_files["note"], "--r", "5",
+                 "--trials", "2", "--out", str(csv_path)]) == 0
+    rows = list(csv.DictReader(open(csv_path)))
+    assert [row["r"] for row in rows] == ["5", "5"]

@@ -16,14 +16,13 @@ from qmoney import (
     build_graph,
     commutes,
     degree_sort_clique,
+    attack_register,
     exact_max_clique,
-    forge_high_eps,
     gen_scheme,
     max_eigenvalue_check,
     random_pauli,
     random_stabilizer_element,
     random_stabilizer_state,
-    recover_register,
     run_clique_attack,
     second_eigenvector,
     spectral_clique,
@@ -238,7 +237,7 @@ def test_recover_register_epsilon_one():
         g = random_stabilizer_element(st, rng)
         if not g.is_identity:
             ops.append(g)
-    recovered = recover_register(ops, expected_k=120)
+    recovered = attack_register(ops, expected_k=120).recovered_state
     assert st.group_equal(recovered)
 
 
@@ -247,7 +246,7 @@ def test_attack_failure_on_structureless_register():
     ops = [random_pauli(12, rng, allow_identity=False) for _ in range(150)]
     # claiming a huge planted clique that is not there must fail loudly
     with pytest.raises(AttackFailure):
-        recover_register(ops, expected_k=140)
+        attack_register(ops, expected_k=140)
 
 
 def test_run_clique_attack_end_to_end_small():
@@ -280,7 +279,7 @@ def test_run_clique_attack_epsilon_zero_flags_failures():
 def test_forge_high_eps_epsilon_one_always_accepts():
     secret, scheme = gen_scheme(SchemeParams(8, 64, 8, 1.0), np.random.default_rng(47))
     rng = np.random.default_rng(48)
-    money = forge_high_eps(scheme, rng)
+    money = run_clique_attack(scheme, rng=rng).money
     for _ in range(20):
         out = verify(scheme, money, rng)
         assert out.accepted

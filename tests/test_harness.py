@@ -188,9 +188,17 @@ def test_run_experiment_validates_config():
     with pytest.raises(ValueError):
         ExperimentConfig("honest-acceptance", 0, 0)
     with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig("honest-acceptance", 1, 0))  # missing scheme
+        ExperimentConfig("honest-acceptance", 1, 0)  # neither scheme nor source
     with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig("beta-mixing", 1, 0))  # missing label
+        ExperimentConfig("beta-mixing", 1, 0)  # missing label
+    with pytest.raises(ValueError):  # both params and a source file
+        ExperimentConfig("clique-attack", 1, 0, SchemeParams(6, 16, 8, 0.5), source="s.scheme")
+    with pytest.raises(ValueError):
+        ExperimentConfig("postselect-suite", 1, 0, label=LabelParams(8, 4, 2, 0), source="n.note")
+    with pytest.raises(ValueError):  # kinds that read no file
+        ExperimentConfig("eigenvalue-check", 1, 0, source="s.scheme")
+    with pytest.raises(ValueError):
+        ExperimentConfig("beta-mixing", 1, 0, source="n.note")
 
 
 def test_emit_csv(tmp_path):

@@ -15,7 +15,6 @@ from qmoney import (
     accept_window,
     dense_matrix,
     eigenvalue_phases,
-    forge_low_eps,
     forge_low_eps_with_records,
     gen_scheme,
     moments,
@@ -241,7 +240,7 @@ def test_forge_low_eps_requires_m_at_least_8():
         warnings.simplefilter("ignore", SoundnessWarning)
         _, scheme = gen_scheme(SchemeParams(3, 4, 2, 0.25), np.random.default_rng(62))
     with pytest.raises(ValueError):
-        forge_low_eps(scheme, np.random.default_rng(0))
+        forge_low_eps_with_records(scheme, np.random.default_rng(0))
 
 
 def test_forge_low_eps_small_scheme_end_to_end():

@@ -263,9 +263,9 @@ def test_default_iteration_count():
     sch = make_label_scheme(10, 4, 2, 1)
     table = label_table(sch)
     ell = int(table[123])
-    r = default_iteration_count(sch, ell)
+    ca = component_analysis(sch, ell)
+    r = default_iteration_count(ca)
     if r is not None:
-        ca = component_analysis(sch, ell)
         rest = ca.eigenvalues[ca.eigenvalues <= 1 - 1e-9]
         lam = float(np.abs(rest).max())
         assert lam**r <= 1e-6
