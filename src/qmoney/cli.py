@@ -33,9 +33,10 @@ def _run(args) -> int:
     print(f"trials: {summary['trials']}  pass_fraction: {summary['pass_fraction']:.3f}")
     for key, stats in summary.items():
         if isinstance(stats, dict):
+            nonfinite = f" nonfinite={stats['nonfinite']}" if "nonfinite" in stats else ""
             print(
                 f"  {key}: mean={stats['mean']:.6g} std={stats['std']:.3g}"
-                f" min={stats['min']:.6g} max={stats['max']:.6g}"
+                f" min={stats['min']:.6g} max={stats['max']:.6g}{nonfinite}"
             )
     return 0
 

@@ -55,8 +55,8 @@ __all__ = [
     "run_clique_attack",
 ]
 
-# Largest matrix handed to the dense symmetric eigensolver.
-DENSE_EIG_LIMIT = 4096
+# Most seed sets bootstrap_clique tries before giving up.
+MAX_SEED_SUBSETS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,36 +154,11 @@ def degree_sort_clique(graph: MeasurementGraph) -> CliqueResult:
     return CliqueResult(tuple(sorted(selected)), "degree_sort")
 
 
-def _power_pair(mat: np.ndarray, deflate: tuple[float, np.ndarray] | None) -> tuple[float, np.ndarray]:
-    m = mat.shape[0]
-    shift = float(np.abs(mat).sum(axis=1).max()) + 1.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(20000):
-        w = mat @ v + shift * v
-        if deflate is not None:
-            dlam, dvec = deflate
-            w -= (dlam + shift) * dvec * (dvec @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        w /= norm
-        new_lam = float(w @ (mat @ w))
-        if abs(new_lam - lam) < 1e-12 * shift:
-            v = w
-            lam = new_lam
-            break
-        v, lam = w, new_lam
-    return lam, v
-
-
 def second_eigenvector(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Eigenpair of the second-largest eigenvalue of a symmetric matrix.
 
-    Dense solve up to DENSE_EIG_LIMIT, deflated power iteration above;
-    residual checked against 1e-8 * ||A||_F.
+    Dense symmetric solve of the top two eigenpairs; residual checked
+    against 1e-8 * ||A||_F.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -193,12 +168,8 @@ def second_eigenvector(a: np.ndarray) -> tuple[float, np.ndarray]:
     m = a.shape[0]
     if m < 2:
         raise ValueError("need at least a 2x2 matrix")
-    if m <= DENSE_EIG_LIMIT:
-        w, v = scipy.linalg.eigh(a, subset_by_index=(m - 2, m - 1))
-        lam, vec = float(w[0]), v[:, 0]
-    else:
-        top = _power_pair(a, None)
-        lam, vec = _power_pair(a, top)
+    w, v = scipy.linalg.eigh(a, subset_by_index=(m - 2, m - 1))
+    lam, vec = float(w[0]), v[:, 0]
     resid = float(np.linalg.norm(a @ vec - lam * vec))
     if resid > 1e-8 * float(np.linalg.norm(a)):
         raise ArithmeticError(f"eigensolver residual {resid:.3e} out of contract")
@@ -241,15 +212,13 @@ def spectral_clique(graph: MeasurementGraph, k: int) -> CliqueResult:
     return CliqueResult(tuple(sorted(best)), "spectral")
 
 
-def bootstrap_clique(
-    graph: MeasurementGraph, c: float, *, max_subsets: int = 2000
-) -> CliqueResult:
+def bootstrap_clique(graph: MeasurementGraph, c: float) -> CliqueResult:
     """Seed-set bootstrap for cliques of size c*sqrt(m) with small c.
 
     Iterates seed sets S of size ceil(log2(100/c)) in degree-sorted order
-    (capped); inside the common neighborhood of a seed set that lies in the
-    planted clique, the clique's relative size is boosted ~2**|S|-fold and
-    the spectral finder applies.  Early exit at a verified clique of size
+    (at most MAX_SEED_SUBSETS); inside the common neighborhood of a seed set
+    that lies in the planted clique, the clique's relative size is boosted
+    ~2**|S|-fold and the spectral finder applies.  Early exit at a verified clique of size
     >= c*sqrt(m).
     """
     if not 0 < c <= 100:
@@ -263,7 +232,7 @@ def bootstrap_clique(
     degrees = graph.degrees()
     order = sorted(range(m), key=lambda v: (-degrees[v], v))
     best: tuple[int, ...] = ()
-    for seed in islice(combinations(order, t), max_subsets):
+    for seed in islice(combinations(order, t), MAX_SEED_SUBSETS):
         if not graph.is_clique(seed):
             continue
         common_mask = np.all(graph.adjacency[list(seed)] == 1, axis=0)
@@ -325,11 +294,8 @@ def max_eigenvalue_check(ops: Sequence[PauliOp]) -> float:
     """Largest eigenvalue of the +-1 commutation sign matrix."""
     b = SignedMatrix.from_ops(ops).matrix.astype(float)
     m = b.shape[0]
-    if m <= DENSE_EIG_LIMIT:
-        w = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)
-        return float(w[0])
-    lam, _ = _power_pair(b, None)
-    return float(lam)
+    w = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)
+    return float(w[0])
 
 
 def _clique_floor(m: int, expected_k: int | None) -> int:

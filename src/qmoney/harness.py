@@ -241,11 +241,14 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
     else:
         scheme, note = load_note(config.source)
     fixed_r = config.options.get("r")
+    analyses: dict[int, postselect.ComponentAnalysis] = {}
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
         money = postselect.mint(scheme, rng) if note is None else note
-        analysis = postselect.component_analysis(scheme, money.label)
+        if money.label not in analyses:
+            analyses[money.label] = postselect.component_analysis(scheme, money.label)
+        analysis = analyses[money.label]
         r = fixed_r or postselect.default_iteration_count(analysis) or 64
         verifier = postselect.build_verifier(scheme, r)
         _, prob = postselect.verify_money(verifier, money, rng)
@@ -550,7 +553,11 @@ def emit_results(
 
 
 def summarize(records: Iterable[ResultRecord]) -> dict:
-    """Per-metric mean/std/min/max plus the overall pass fraction."""
+    """Per-metric mean/std/min/max plus the overall pass fraction.
+
+    The statistics cover the finite values only (NaN when there are none);
+    a metric with inf or NaN values also gets their count as ``nonfinite``.
+    """
     records = list(records)
     out: dict = {"trials": len(records)}
     if not records:
@@ -560,10 +567,12 @@ def summarize(records: Iterable[ResultRecord]) -> dict:
         vals = np.array(
             [rec.metrics[key] for rec in records if key in rec.metrics], dtype=float
         )
-        out[key] = {
-            "mean": float(vals.mean()),
-            "std": float(vals.std()),
-            "min": float(vals.min()),
-            "max": float(vals.max()),
+        finite = vals[np.isfinite(vals)]
+        stats = {
+            stat: float(getattr(finite, stat)()) if finite.size else math.nan
+            for stat in ("mean", "std", "min", "max")
         }
+        if finite.size < vals.size:
+            stats["nonfinite"] = int(vals.size - finite.size)
+        out[key] = stats
     return out

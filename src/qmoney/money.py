@@ -272,8 +272,9 @@ def verify(
     """Measure one uniformly chosen table operator per register and threshold.
 
     Accepts iff the outcome average is >= epsilon/2; the comparison is done
-    with Fractions (q_value is a multiple of 1/l) so float ties cannot flip
-    the decision.
+    with Fractions (q_value is a multiple of 1/l) against the decimal that
+    epsilon prints as, so a tie with the typed epsilon is accepted and not
+    flipped by the binary float's rounding.
     """
     p = scheme.params
     if money.l != p.l:
@@ -286,5 +287,5 @@ def verify(
         for i, j in enumerate(chosen)
     ]
     total = sum(outcomes)
-    accepted = Fraction(total, p.l) >= Fraction(p.epsilon) / 2
+    accepted = Fraction(total, p.l) >= Fraction(str(p.epsilon)) / 2
     return VerificationOutcome(total / p.l, bool(accepted), tuple(outcomes), tuple(chosen))

@@ -1,10 +1,16 @@
 """Stabilizer states as sets of n independent commuting signed Paulis.
 
-A state is stored by generators; the stabilizer group is their span.  All
-group queries reduce to GF(2) linear algebra on the 2n-bit rows [x | z],
-with signs tracked by multiplying the actual operators.  The symplectic
-inner product of rows v, w is popcount(v & swap_halves(w)) mod 2, so "all
-operators commuting with a set" is a GF(2) null space.
+A state is stored by generators; the stabilizer group is their span.  Group
+membership and sign are answered by one reduction (the standard form of
+Aaronson-Gottesman, quant-ph/0406196): the generators are reduced against
+each other once into a signed echelon, whose element j is zero at the
+lowest set bit (pivot) of every element before it.  Multiplying an
+operator by each echelon element whose pivot it holds, in order, leaves
+i**k * I exactly when the operator is +-(a group element), and the phase
+i**k gives the sign.  The echelon is built on the first query, so states
+that are never queried pay nothing.  The symplectic inner product of rows
+v, w is popcount(v & swap_halves(w)) mod 2, so "all operators commuting
+with a set" is a GF(2) null space.
 
 Sampling is uniform over the full stabilizer-state set: at each step the
 next generator is drawn uniformly from the symplectic complement of the
@@ -17,6 +23,7 @@ induced distribution is exactly uniform; the n=1 and n=2 state counts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +70,20 @@ def _subset_product(ops: list[PauliOp] | tuple[PauliOp, ...], mask: int, n: int)
     return out
 
 
+def _reduce(basis: list[tuple[int, PauliOp]], op: PauliOp) -> PauliOp:
+    """Multiply op, in basis order, by each echelon element whose pivot op holds.
+
+    ``basis`` holds (pivot, element) pairs.  The result is i**k * I iff op's
+    row is in the basis span; then op = i**k * (product of the used elements).
+    """
+    row = op.row
+    for piv, b in basis:
+        if (row >> piv) & 1:
+            op = pauli_mul(op, b)
+            row = op.row
+    return op
+
+
 @dataclass(frozen=True)
 class StabilizerState:
     """n independent, pairwise commuting, signed (Hermitian) generators."""
@@ -91,30 +112,26 @@ class StabilizerState:
     def rows(self) -> tuple[int, ...]:
         return tuple(g.row for g in self.generators)
 
-    def expectation(self, op: PauliOp) -> int:
-        return stab_expectation(self, op)
+    @cached_property
+    def _echelon(self) -> list[tuple[int, PauliOp]]:
+        """(pivot, element) pairs spanning the group; built on first query."""
+        basis: list[tuple[int, PauliOp]] = []
+        for g in self.generators:
+            r = _reduce(basis, g)
+            basis.append((gf2._lowest_bit(r.row), r))
+        return basis
 
     def canonical_generators(self) -> tuple[PauliOp, ...]:
-        """Sign-tracked RREF of the generator rows; unique per group.
+        """Signed RREF of the generator rows; unique per group.
 
         Two states are equal as states iff this tuple matches, regardless
         of which generating set they were built from.
         """
-        placed: list[PauliOp] = []
-        pivots: list[int] = []
-        for g in self.generators:
-            cur = g
-            for op, piv in zip(placed, pivots):
-                if (cur.row >> piv) & 1:
-                    cur = pauli_mul(cur, op)
-            piv = (cur.row & -cur.row).bit_length() - 1
-            for i, op in enumerate(placed):
-                if (op.row >> piv) & 1:
-                    placed[i] = pauli_mul(op, cur)
-            placed.append(cur)
-            pivots.append(piv)
-        order = sorted(range(len(placed)), key=lambda i: pivots[i])
-        return tuple(placed[i] for i in order)
+        rows, _ = gf2.rref(self.rows)
+        return tuple(
+            _op_from_row(r, self.n, _reduce(self._echelon, _op_from_row(r, self.n)).phase)
+            for r in rows
+        )
 
     def group_equal(self, other: "StabilizerState") -> bool:
         return self.n == other.n and self.canonical_generators() == other.canonical_generators()
@@ -157,11 +174,10 @@ def stab_expectation(state: StabilizerState, op: PauliOp) -> int:
         raise DimensionError(f"operator on {op.n} qubits vs state on {state.n}")
     if not op.is_hermitian:
         raise ValueError("expectation defined for Hermitian operators only")
-    combo = gf2.solve(state.rows, op.row)
-    if combo is None:
+    rest = _reduce(state._echelon, op)
+    if not rest.is_identity:
         return 0
-    implied = _subset_product(state.generators, combo, state.n)
-    return 1 if implied.phase == op.phase else -1
+    return 1 if rest.phase == 0 else -1
 
 
 def greedy_consistent_subset(
@@ -177,7 +193,7 @@ def greedy_consistent_subset(
         return [], []
     n = ops[0].n
     kept: list[int] = []
-    rows: list[int] = []
+    basis: list[tuple[int, PauliOp]] = []
     dropped: list[tuple[int, str]] = []
     for idx, op in enumerate(ops):
         if op.n != n:
@@ -187,14 +203,12 @@ def greedy_consistent_subset(
         if any(not commutes(op, ops[k]) for k in kept):
             dropped.append((idx, "anticommutes"))
             continue
-        combo = gf2.solve(rows, op.row)
-        if combo is None:
+        rest = _reduce(basis, op)
+        if not rest.is_identity:
             kept.append(idx)
-            rows.append(op.row)
-        else:
-            implied = _subset_product([ops[k] for k in kept], combo, n)
-            if implied.phase != op.phase:
-                dropped.append((idx, "sign"))
+            basis.append((gf2._lowest_bit(rest.row), rest))
+        elif rest.phase != 0:
+            dropped.append((idx, "sign"))
     return kept, dropped
 
 

@@ -111,6 +111,16 @@ def test_beta_mix_cli(capsys):
     assert "tv_distance" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_beta_mix_cli_reports_frozen_chains_as_nonfinite(capsys):
+    # a frozen chain's autocorrelation time is inf
+    rc = main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta", "12",
+               "--steps", "200", "--start-frozen", "--trials", "3", "--seed", "7"])
+    assert rc == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "autocorr_time" in ln)
+    assert "nonfinite=3" in line
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

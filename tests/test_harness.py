@@ -251,3 +251,16 @@ def test_summarize():
     assert out["x"]["std"] == 1.0  # population std
     assert out["x"]["min"] == 1.0 and out["x"]["max"] == 3.0
     assert summarize([]) == {"trials": 0}
+
+
+@pytest.mark.filterwarnings("error")
+def test_summarize_counts_nonfinite_values_apart():
+    records = [
+        ResultRecord("demo", i, i, {"x": x, "y": math.inf}, True)
+        for i, x in enumerate([1.0, math.inf, 3.0, math.nan])
+    ]
+    out = summarize(records)
+    assert out["x"] == {"mean": 2.0, "std": 1.0, "min": 1.0, "max": 3.0, "nonfinite": 2}
+    assert out["y"]["nonfinite"] == 4
+    assert all(math.isnan(out["y"][k]) for k in ("mean", "std", "min", "max"))
+    assert "nonfinite" not in summarize(records[:1])["x"]

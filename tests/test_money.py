@@ -15,6 +15,7 @@ from qmoney import (
     SchemeParams,
     SoundnessWarning,
     StabilizerRegister,
+    StabilizerState,
     VerificationOutcome,
     completely_mixed_money,
     dense_statevector,
@@ -98,6 +99,29 @@ def test_verify_threshold_is_exact_rational():
     rng = np.random.default_rng(0)
     out = verify(scheme, honest_money(secret), rng)
     assert out.accepted == (Fraction(sum(out.per_register_outcomes), 10) >= Fraction(1, 10))
+
+
+def tie_verify(epsilon, l, total):
+    """n=1 money stabilized by +Z, each register's table all +Z or all -Z.
+
+    Every outcome is deterministic, so the register sum equals ``total``.
+    """
+    plus, minus = PauliOp.from_string("+Z"), PauliOp.from_string("-Z")
+    table = tuple((plus if i < (l + total) // 2 else minus,) * 3 for i in range(l))
+    scheme = MoneyScheme(SchemeParams(1, 3, l, epsilon), table)
+    money = MoneyState((StabilizerRegister(StabilizerState(1, (plus,))),) * l)
+    out = verify(scheme, money, np.random.default_rng(0))
+    assert sum(out.per_register_outcomes) == total
+    return out
+
+
+@pytest.mark.parametrize("epsilon, l, tie", [(0.1, 40, 2), (0.2, 20, 2), (0.9, 40, 18)])
+def test_verify_accepts_a_tie_with_the_decimal_epsilon(epsilon, l, tie):
+    # total/l == epsilon/2 for the decimal epsilon, while the binary float
+    # of each epsilon here is slightly larger than the decimal
+    assert Fraction(tie, l) == Fraction(str(epsilon)) / 2 < Fraction(epsilon) / 2
+    assert tie_verify(epsilon, l, tie).accepted
+    assert not tie_verify(epsilon, l, tie - 2).accepted  # totals keep l's parity
 
 
 def test_honest_money_mean_q_tracks_epsilon():

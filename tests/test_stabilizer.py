@@ -1,13 +1,17 @@
 """Stabilizer groups and states against dense projectors and enumeration."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from qmoney import gf2
 from qmoney import (
     GroupContradictionError,
     InconsistentGeneratorsError,
     PauliOp,
     StabilizerState,
+    commutes,
     complete_to_stabilizer_state,
     dense_projector,
     dense_statevector,
@@ -166,8 +170,87 @@ def test_completion_of_full_set_is_identity_operation():
     assert st.group_equal(again)
 
 
-def test_expectation_convenience_method():
-    rng = np.random.default_rng(28)
-    st = random_stabilizer_state(3, rng)
-    op = random_pauli(3, rng)
-    assert st.expectation(op) == stab_expectation(st, op)
+
+# --- the signed echelon against the solve-then-multiply reference -----------
+
+
+def reference_expectation(state, op):
+    """Solve for the generator combination, multiply it out, compare signs."""
+    combo = gf2.solve(state.rows, op.row)
+    if combo is None:
+        return 0
+    implied = functools.reduce(
+        pauli_mul,
+        [g for j, g in enumerate(state.generators) if (combo >> j) & 1],
+        PauliOp.identity(state.n),
+    )
+    return 1 if implied.phase == op.phase else -1
+
+
+def reference_greedy(ops):
+    """Re-solve over all kept rows per operator, as greedy_consistent_subset once did."""
+    kept, dropped = [], []
+    for idx, op in enumerate(ops):
+        if any(not commutes(op, ops[k]) for k in kept):
+            dropped.append((idx, "anticommutes"))
+            continue
+        combo = gf2.solve([ops[k].row for k in kept], op.row)
+        if combo is None:
+            kept.append(idx)
+            continue
+        implied = functools.reduce(
+            pauli_mul,
+            [ops[k] for j, k in enumerate(kept) if (combo >> j) & 1],
+            PauliOp.identity(op.n),
+        )
+        if implied.phase != op.phase:
+            dropped.append((idx, "sign"))
+    return kept, dropped
+
+
+ECHELON_NS = [1, 2, 3, 4, 5, 6, 50]
+
+
+@pytest.mark.parametrize("n", ECHELON_NS)
+def test_stab_expectation_matches_solve_reference(n):
+    rng = np.random.default_rng(300 + n)
+    identity = PauliOp.identity(n)
+    for _ in range(10):
+        st = random_stabilizer_state(n, rng)
+        cases = [(identity, 1), (-identity, -1)]
+        for _ in range(10):
+            g = random_stabilizer_element(st, rng)
+            cases += [(g, 1), (-g, -1)]
+        nonmembers = 0
+        while nonmembers < 10:
+            op = random_pauli(n, rng)
+            if reference_expectation(st, op) == 0:
+                cases.append((op, 0))
+                nonmembers += 1
+        for op, want in cases:
+            assert reference_expectation(st, op) == want
+            assert stab_expectation(st, op) == want, (st, op)
+
+
+@pytest.mark.parametrize("n", ECHELON_NS)
+def test_greedy_consistent_subset_matches_reference(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(10):
+        st = random_stabilizer_state(n, rng)
+        elements = [random_stabilizer_element(st, rng) for _ in range(n + 3)]
+        flipped = [-random_stabilizer_element(st, rng) for _ in range(3)]
+        strays = [random_pauli(n, rng) for _ in range(4)]
+        ops = elements + flipped + strays
+        rng.shuffle(ops)
+        got = greedy_consistent_subset(ops)
+        assert got == reference_greedy(ops)
+
+
+@pytest.mark.parametrize("n", ECHELON_NS)
+def test_canonical_generators_are_the_signed_rref_rows(n):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(10):
+        st = random_stabilizer_state(n, rng)
+        canon = st.canonical_generators()
+        assert [g.row for g in canon] == gf2.rref(st.rows)[0]
+        assert all(reference_expectation(st, g) == 1 for g in canon)
