@@ -28,7 +28,7 @@ print(f"minted note: label {label_bits(note.label, scheme.s)} "
       f"({note.support_size} strings in its class)")
 
 analysis = component_analysis(scheme, note.label)
-r = default_iteration_count(analysis) or 64
+r = default_iteration_count(analysis)
 verifier = build_verifier(scheme, r)
 ok, prob = verify_money(verifier, note, rng)
 print(f"honest verification (r = {r}): accepted={ok}, "

@@ -79,7 +79,7 @@ def _beta_mix_config(args) -> harness.ExperimentConfig:
         label=harness.LabelParams(args.n, args.s, args.d, args.label_seed),
         options={
             "beta": args.beta,
-            **({"steps": args.steps} if args.steps else {}),
+            **({"steps": args.steps} if args.steps is not None else {}),
             **({"target_label": args.target_label} if args.target_label is not None else {}),
             "start_frozen": args.start_frozen,
         },

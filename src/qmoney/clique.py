@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AttackFailure
-from .money import MoneyScheme, MoneyState, StabilizerRegister
+from .money import MoneyScheme, MoneyState, SecretKey, StabilizerRegister
 from .pauli import PauliOp, commutation_matrix, commutes
 from .stabilizer import (
     StabilizerState,
@@ -218,17 +218,15 @@ def bootstrap_clique(graph: MeasurementGraph, c: float) -> CliqueResult:
     Iterates seed sets S of size ceil(log2(100/c)) in degree-sorted order
     (at most MAX_SEED_SUBSETS); inside the common neighborhood of a seed set
     that lies in the planted clique, the clique's relative size is boosted
-    ~2**|S|-fold and the spectral finder applies.  Early exit at a verified clique of size
-    >= c*sqrt(m).
+    ~2**|S|-fold and the spectral finder applies.  At c = 100 the one seed
+    set is empty and the spectral finder runs on the whole graph.  Early
+    exit at a verified clique of size >= c*sqrt(m).
     """
     if not 0 < c <= 100:
         raise ValueError(f"need 0 < c <= 100, got {c}")
     m = graph.m
     target = max(2, math.ceil(c * math.sqrt(m)))
-    t = math.ceil(math.log2(100.0 / c)) if c < 100 else 0
-    if t == 0:
-        inner = spectral_clique(graph, min(target, m))
-        return CliqueResult(inner.vertices, "bootstrap")
+    t = math.ceil(math.log2(100.0 / c))
     degrees = graph.degrees()
     order = sorted(range(m), key=lambda v: (-degrees[v], v))
     best: tuple[int, ...] = ()
@@ -254,9 +252,9 @@ def bootstrap_clique(graph: MeasurementGraph, c: float) -> CliqueResult:
     return CliqueResult(best, "bootstrap")
 
 
-def exact_max_clique(graph: MeasurementGraph | np.ndarray) -> tuple[int, ...]:
+def exact_max_clique(graph: MeasurementGraph) -> tuple[int, ...]:
     """Brute-force maximum clique (branch and bound with pivoting); m <= 48."""
-    a = graph.adjacency if isinstance(graph, MeasurementGraph) else np.asarray(graph)
+    a = graph.adjacency
     m = a.shape[0]
     if m == 0:
         return ()
@@ -298,34 +296,26 @@ def max_eigenvalue_check(ops: Sequence[PauliOp]) -> float:
     return float(w[0])
 
 
-def _clique_floor(m: int, expected_k: int | None) -> int:
+def _clique_floor(m: int, expected_k: int) -> int:
     root = math.ceil(math.sqrt(m))
-    if expected_k is not None and expected_k >= 2:
+    if expected_k >= 2:
         return max(2, min(root, expected_k // 2))
     return max(2, root)
 
 
-def attack_register(
-    ops: Sequence[PauliOp], expected_k: int | None = None
-) -> CliqueResult:
+def attack_register(ops: Sequence[PauliOp], expected_k: int) -> CliqueResult:
     """Full per-register pipeline: graph, clique, completion to a state.
 
     The finder is chosen by regime from the expected planted size
     (degree sort above 4*sqrt(m)*log10(m), spectral down to 10*sqrt(m),
-    bootstrap below; a grid scan when no hint is given).  A clique smaller
-    than the failure floor raises AttackFailure.
+    bootstrap below).  A clique smaller than the failure floor raises
+    AttackFailure.
     """
     ops = list(ops)
     m = len(ops)
     graph = build_graph(ops)
     results: list[CliqueResult] = []
-    if expected_k is None:
-        results.append(degree_sort_clique(graph))
-        k = math.ceil(math.sqrt(m))
-        while k <= m:
-            results.append(spectral_clique(graph, k))
-            k *= 2
-    elif expected_k >= 4.0 * math.sqrt(m) * math.log10(max(m, 10)):
+    if expected_k >= 4.0 * math.sqrt(m) * math.log10(max(m, 10)):
         results.append(degree_sort_clique(graph))
     elif expected_k >= 10.0 * math.sqrt(m):
         results.append(spectral_clique(graph, expected_k))
@@ -370,18 +360,15 @@ class CliqueAttackResult:
 
 
 def run_clique_attack(
-    scheme: MoneyScheme,
-    secret=None,
-    rng: np.random.Generator | None = None,
+    scheme: MoneyScheme, secret: SecretKey | None, rng: np.random.Generator
 ) -> CliqueAttackResult:
     """Attack every register and assemble forged stabilizer money.
 
-    Failed registers are replaced by fresh random states and flagged.  When
-    the secret is supplied (evaluation only), each report carries the
-    fraction of that register's planted entries inside the found clique.
+    Failed registers are replaced by fresh random states drawn from rng and
+    flagged.  When the secret is supplied (evaluation only), each report
+    carries the fraction of that register's planted entries inside the
+    found clique.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     params = scheme.params
     expected_k = round(params.epsilon * params.m)
     registers = []

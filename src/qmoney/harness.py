@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import clique, phase, postselect
-from .errors import SchemeFormatError
+from .errors import InconsistentGeneratorsError, SchemeFormatError
 from .money import (
     MoneyScheme,
     SchemeParams,
@@ -46,7 +46,6 @@ __all__ = [
     "load_scheme",
     "save_note",
     "load_note",
-    "money_from_label",
     "mint_note",
     "emit_results",
     "summarize",
@@ -75,6 +74,12 @@ class LabelParams:
 
 _SCHEME_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "eigenvalue-check")
 _SOURCE_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "postselect-suite")
+# The option keys each kind reads; every other kind reads none.
+_OPTION_KEYS = {
+    "low-eps-attack": {"mode"},
+    "postselect-suite": {"r"},
+    "beta-mixing": {"beta", "steps", "target_label", "start_frozen"},
+}
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,9 @@ class ExperimentConfig:
         need = "scheme" if self.kind in _SCHEME_KINDS else "label"
         if (getattr(self, need) is None) == (self.source is None):
             raise ValueError(f"{self.kind} needs exactly one of {need} params and a source file")
+        unknown = set(self.options) - _OPTION_KEYS.get(self.kind, set())
+        if unknown:
+            raise ValueError(f"{self.kind} reads no option {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,7 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
     """Mint (or take the source note), verify, and check the class structure.
 
     ``options["r"]`` fixes the verifier's iteration count; otherwise it is
-    chosen per label from the class spectrum, or 64 for a gapless class.
+    postselect.default_iteration_count of the label's class.
     """
     if config.source is None:
         scheme, note = config.label.build(), None
@@ -249,7 +257,7 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
         if money.label not in analyses:
             analyses[money.label] = postselect.component_analysis(scheme, money.label)
         analysis = analyses[money.label]
-        r = fixed_r or postselect.default_iteration_count(analysis) or 64
+        r = postselect.default_iteration_count(analysis) if fixed_r is None else fixed_r
         verifier = postselect.build_verifier(scheme, r)
         _, prob = postselect.verify_money(verifier, money, rng)
         mv_residual = float(
@@ -282,11 +290,13 @@ def _run_beta_mixing(config: ExperimentConfig) -> list[ResultRecord]:
     )
     target = config.options.get("target_label")
     start_frozen = bool(config.options.get("start_frozen", False))
-    frozen = postselect.find_frozen_strings(scheme) if start_frozen else ()
+    frozen = postselect.find_frozen_strings(scheme) if start_frozen else None
+    if frozen is not None and len(frozen) == 0:
+        raise ValueError("start_frozen: the label scheme has no frozen strings")
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
-        start = int(frozen[trial % len(frozen)]) if len(frozen) else None
+        start = None if frozen is None else int(frozen[trial % len(frozen)])
         if target is not None:
             ell = int(target)
         elif start is not None:
@@ -331,6 +341,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
 # --- scheme files -----------------------------------------------------------
 
 _SCHEME_MAGIC = "qmoney-scheme v1"
+_VALID_PARAMS = SchemeParams(1, 1, 1, 0.0)
 _NOTE_MAGIC = "qmoney-note v1"
 
 
@@ -371,10 +382,13 @@ class _LineReader:
         raise SchemeFormatError("unexpected end of file", self.pos)
 
 
-def _read_register_block(reader: _LineReader, i: int, count: int, n: int) -> tuple[PauliOp, ...]:
-    lineno, text = reader.next()
+def _read_register_block(
+    reader: _LineReader, i: int, count: int, n: int
+) -> tuple[int, tuple[PauliOp, ...]]:
+    """(line of the block's 'register i' header, its count operators)."""
+    block_line, text = reader.next()
     if text != f"register {i}":
-        raise SchemeFormatError(f"expected 'register {i}', got {text!r}", lineno)
+        raise SchemeFormatError(f"expected 'register {i}', got {text!r}", block_line)
     ops = []
     for _ in range(count):
         lineno, text = reader.next()
@@ -386,8 +400,10 @@ def _read_register_block(reader: _LineReader, i: int, count: int, n: int) -> tup
             raise SchemeFormatError(f"operator has {op.n} qubits, expected {n}", lineno)
         if not op.is_hermitian:
             raise SchemeFormatError("operators in files must carry a +/- sign", lineno)
+        if op.is_identity:
+            raise SchemeFormatError("operators in files may not be +-identity", lineno)
         ops.append(op)
-    return tuple(ops)
+    return block_line, tuple(ops)
 
 
 def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
@@ -396,7 +412,7 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
     lineno, text = reader.next()
     if text != _SCHEME_MAGIC:
         raise SchemeFormatError(f"unsupported header {text!r}", lineno)
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     while True:
         lineno, text = reader.next()
         if text == "table":
@@ -404,27 +420,35 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
         parts = text.split(maxsplit=1)
         if len(parts) != 2 or parts[0] not in ("n", "m", "l", "epsilon", "seed"):
             raise SchemeFormatError(f"bad header line {text!r}", lineno)
-        header[parts[0]] = parts[1]
-    try:
-        params = SchemeParams(
-            int(header["n"]), int(header["m"]), int(header["l"]), float(header["epsilon"])
-        )
-    except KeyError as exc:
-        raise SchemeFormatError(f"missing header field {exc.args[0]}", lineno) from exc
+        header[parts[0]] = (lineno, parts[1])
+    fields = {}
+    for key, parse in (("n", int), ("m", int), ("l", int), ("epsilon", float)):
+        if key not in header:
+            raise SchemeFormatError(f"missing header field {key}", lineno)
+        field_line, value = header[key]
+        try:
+            fields[key] = parse(value)
+            # SchemeParams checks each field on its own, so a valid
+            # instance with this one field swapped in checks only it.
+            replace(_VALID_PARAMS, **{key: fields[key]})
+        except ValueError as exc:
+            raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
+    params = SchemeParams(**fields)
     table = tuple(
-        _read_register_block(reader, i, params.m, params.n) for i in range(params.l)
+        _read_register_block(reader, i, params.m, params.n)[1] for i in range(params.l)
     )
     scheme = MoneyScheme(params, table)
     secret = None
     lineno, text = reader.next()
     if text == "secret":
-        states = tuple(
-            StabilizerState(
-                params.n, _read_register_block(reader, i, params.n, params.n)
-            )
-            for i in range(params.l)
-        )
-        secret = SecretKey(states)
+        states = []
+        for i in range(params.l):
+            block_line, generators = _read_register_block(reader, i, params.n, params.n)
+            try:
+                states.append(StabilizerState(params.n, generators))
+            except (ValueError, InconsistentGeneratorsError) as exc:
+                raise SchemeFormatError(f"secret register {i}: {exc}", block_line) from exc
+        secret = SecretKey(tuple(states))
         lineno, text = reader.next()
     if text != "end":
         raise SchemeFormatError(f"expected 'end', got {text!r}", lineno)
@@ -432,17 +456,6 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
 
 
 # --- note files --------------------------------------------------------------
-
-
-def money_from_label(scheme: postselect.LabelScheme, ell: int) -> postselect.LabeledMoney:
-    """Rebuild the uniform superposition for a label (exact at small n)."""
-    table = postselect.label_table(scheme)
-    support = np.flatnonzero(table == ell)
-    if len(support) == 0:
-        raise ValueError(f"label {ell} has empty preimage")
-    state = np.zeros(1 << scheme.n, dtype=complex)
-    state[support] = 1.0 / math.sqrt(len(support))
-    return postselect.LabeledMoney(int(ell), state, len(support))
 
 
 def mint_note(
@@ -489,7 +502,7 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
         raise SchemeFormatError(f"missing note field {exc.args[0]}", lineno) from exc
     except ValueError as exc:
         raise SchemeFormatError(str(exc), lineno) from exc
-    return scheme, money_from_label(scheme, ell)
+    return scheme, postselect.money_from_label(scheme, ell)
 
 
 # --- result emission ----------------------------------------------------------

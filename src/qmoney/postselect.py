@@ -38,6 +38,7 @@ __all__ = [
     "label_table",
     "label_bits",
     "parse_label_bits",
+    "money_from_label",
     "mint",
     "build_verifier",
     "apply_M",
@@ -63,7 +64,6 @@ class LabelScheme:
     d: int
     seed: int
     subsets: tuple[tuple[int, ...], ...]
-    trivial_hash: bool = False
 
     def __post_init__(self):
         if len(self.subsets) != self.s:
@@ -100,8 +100,6 @@ class LabelScheme:
         return tuple(out)
 
     def hash_bit(self, j: int, value: int) -> int:
-        if self.trivial_hash:
-            return 0
         lut = self._luts[j]
         if lut is not None:
             return int(lut[value])
@@ -115,15 +113,14 @@ class LabelScheme:
             raise CapacityError("label_table packs labels into uint32; need s <= 32")
         x = np.arange(1 << self.n, dtype=np.uint32)
         out = np.zeros(1 << self.n, dtype=np.uint32)
-        if not self.trivial_hash:
-            for j, sub in enumerate(self.subsets):
-                lut = self._luts[j]
-                if lut is None:
-                    raise CapacityError(f"subset {j} too large for a lookup table")
-                value = np.zeros(1 << self.n, dtype=np.uint32)
-                for t, b in enumerate(sub):
-                    value |= ((x >> np.uint32(b)) & np.uint32(1)) << np.uint32(t)
-                out |= lut[value].astype(np.uint32) << np.uint32(j)
+        for j, sub in enumerate(self.subsets):
+            lut = self._luts[j]
+            if lut is None:
+                raise CapacityError(f"subset {j} too large for a lookup table")
+            value = np.zeros(1 << self.n, dtype=np.uint32)
+            for t, b in enumerate(sub):
+                value |= ((x >> np.uint32(b)) & np.uint32(1)) << np.uint32(t)
+            out |= lut[value].astype(np.uint32) << np.uint32(j)
         out.setflags(write=False)
         return out
 
@@ -140,9 +137,7 @@ class LabelScheme:
         return perms
 
 
-def make_label_scheme(
-    n: int, s: int, d: int, seed: int, *, trivial_hash: bool = False
-) -> LabelScheme:
+def make_label_scheme(n: int, s: int, d: int, seed: int) -> LabelScheme:
     """Random d-regular assignment of bits to s subsets, sizes as equal as possible.
 
     Each bit draws d distinct subsets weighted by remaining capacity
@@ -171,7 +166,7 @@ def make_label_scheme(
                 remaining[t] -= 1
         else:
             subsets = tuple(tuple(sorted(sub)) for sub in members)
-            return LabelScheme(n, s, d, seed, subsets, trivial_hash)
+            return LabelScheme(n, s, d, seed, subsets)
     raise ValueError(f"could not realize a d-regular assignment for (n={n}, s={s}, d={d})")
 
 
@@ -228,17 +223,23 @@ class LabeledMoney:
         return self.state.shape[0].bit_length() - 1
 
 
-def mint(scheme: LabelScheme, rng: np.random.Generator) -> LabeledMoney:
-    """Measure L on the uniform superposition: label l w.p. N_l/2**n, then |psi_l>."""
+def money_from_label(scheme: LabelScheme, ell: int) -> LabeledMoney:
+    """|psi_l>, the uniform superposition over the class {x : L(x) = ell}."""
     if scheme.n > DENSE_LIMIT:
-        raise CapacityError(f"minting builds a dense state; need n <= {DENSE_LIMIT}")
+        raise CapacityError(f"a note is a dense state; need n <= {DENSE_LIMIT}")
     table = label_table(scheme)
-    x = int(rng.integers(1 << scheme.n))
-    ell = int(table[x])
     support = np.flatnonzero(table == ell)
+    if len(support) == 0:
+        raise ValueError(f"label {ell} has empty preimage")
     state = np.zeros(1 << scheme.n, dtype=complex)
     state[support] = 1.0 / math.sqrt(len(support))
-    return LabeledMoney(ell, state, len(support))
+    return LabeledMoney(int(ell), state, len(support))
+
+
+def mint(scheme: LabelScheme, rng: np.random.Generator) -> LabeledMoney:
+    """Measure L on a uniform x: label l w.p. N_l/2**n, then money_from_label(l)."""
+    x = int(rng.integers(1 << scheme.n))
+    return money_from_label(scheme, label(scheme, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,44 +352,32 @@ def component_analysis(scheme: LabelScheme, ell: int) -> ComponentAnalysis:
     The +1 eigenspace of the class-restricted M is spanned by the uniform
     vectors of the components, so its dimension equals the component count.
     """
+    # Imported here: at module level it adds ~40 ms to every package import.
+    from scipy.sparse.csgraph import connected_components
+
     members, mat = class_markov_matrix(scheme, ell)
-    perms = scheme._rules
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    index = {int(x): i for i, x in enumerate(members)}
-    for i, x in enumerate(members):
-        for perm in perms:
-            j = index[int(perm[x])]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    _, component_of = connected_components(mat, directed=False)
     groups: dict[int, list[int]] = {}
-    for i, x in enumerate(members):
-        groups.setdefault(find(i), []).append(int(x))
-    components = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    for x, c in zip(members.tolist(), component_of.tolist()):
+        groups.setdefault(c, []).append(x)
+    components = tuple(tuple(g) for g in sorted(groups.values()))
     eigenvalues = np.linalg.eigvalsh(mat)
     plus_dim = int(np.sum(eigenvalues > 1.0 - 1e-9))
     second = float(eigenvalues[-2]) if len(eigenvalues) >= 2 else None
     return ComponentAnalysis(members, components, eigenvalues, plus_dim, second)
 
 
-def default_iteration_count(analysis: ComponentAnalysis, tol: float = 1e-6) -> int | None:
-    """Smallest r with (subdominant |eigenvalue|)**r <= tol, or None if gapless."""
+def default_iteration_count(analysis: ComponentAnalysis) -> int:
+    """Smallest r with (subdominant |eigenvalue|)**r <= 1e-6, or 64 if gapless."""
     rest = analysis.eigenvalues[analysis.eigenvalues <= 1.0 - 1e-9]
     if len(rest) == 0:
         return 1
     lam = float(np.abs(rest).max())
     if lam >= 1.0 - 1e-9:
-        return None  # a -1 (bipartite component) never decays under powers
+        return 64  # a -1 (bipartite component) never decays under powers
     if lam <= 0.0:
         return 1
-    return max(1, math.ceil(math.log(tol) / math.log(lam)))
+    return max(1, math.ceil(math.log(1e-6) / math.log(lam)))
 
 
 def find_frozen_strings(scheme: LabelScheme) -> np.ndarray:

@@ -121,6 +121,11 @@ def test_beta_mix_cli_reports_frozen_chains_as_nonfinite(capsys):
     assert "nonfinite=3" in line
 
 
+def test_beta_mix_cli_steps_zero_is_rejected_not_the_default():
+    with pytest.raises(ValueError, match="steps >= 1"):
+        main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--steps", "0"])
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -163,8 +163,9 @@ def test_bootstrap_with_c_100_equals_spectral_path():
     k = 5 * 12
     planted = sorted(rng.choice(m, size=k, replace=False).tolist())
     g = MeasurementGraph(plant(gnp(rng, m), planted))
-    res = bootstrap_clique(g, 100.0)  # t = 0: plain spectral relabeled
+    res = bootstrap_clique(g, 100.0)  # t = 0: one empty seed set, spectral on all of g
     assert res.method == "bootstrap"
+    assert res.vertices == spectral_clique(g, m).vertices  # target 100*sqrt(m) caps at m
     assert g.is_clique(res.vertices)
     with pytest.raises(ValueError):
         bootstrap_clique(g, 0.0)
@@ -279,7 +280,7 @@ def test_run_clique_attack_epsilon_zero_flags_failures():
 def test_forge_high_eps_epsilon_one_always_accepts():
     secret, scheme = gen_scheme(SchemeParams(8, 64, 8, 1.0), np.random.default_rng(47))
     rng = np.random.default_rng(48)
-    money = run_clique_attack(scheme, rng=rng).money
+    money = run_clique_attack(scheme, None, rng).money
     for _ in range(20):
         out = verify(scheme, money, rng)
         assert out.accepted

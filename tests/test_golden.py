@@ -9,6 +9,7 @@ runner's output, regenerate them with
 and review the diff of tests/golden/ like any other code change.
 """
 
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,9 @@ from qmoney import (
     SoundnessWarning,
     emit_results,
     run_experiment,
+    save_note,
 )
+from qmoney.harness import mint_note
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -60,14 +63,25 @@ CONFIGS = {
 }
 
 
+# postselect-suite run from a note file, which pins the state load_note builds.
+NOTE = "postselect-suite-note"
+NAMES = sorted([*CONFIGS, NOTE])
+
+
 def emit(name: str, path: Path) -> None:
-    with warnings.catch_warnings():
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", SoundnessWarning)
-        records = run_experiment(CONFIGS[name])
+        if name == NOTE:
+            note = Path(tmp) / "golden.note"
+            save_note(note, *mint_note(LabelParams(8, 4, 2, 0), 5))
+            config = ExperimentConfig("postselect-suite", 3, 3, source=str(note))
+        else:
+            config = CONFIGS[name]
+        records = run_experiment(config)
     emit_results(records, path, "csv")
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", NAMES)
 def test_emitted_csv_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     emit(name, out)
@@ -76,5 +90,5 @@ def test_emitted_csv_matches_golden(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CONFIGS):
+    for name in NAMES:
         emit(name, GOLDEN / f"{name}.csv")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qmoney import (
+    CapacityError,
     ExperimentConfig,
     LabelParams,
     ResultRecord,
@@ -24,8 +25,14 @@ from qmoney import (
     save_scheme,
     summarize,
 )
-from qmoney.harness import money_from_label, setup_rng, trial_rng
-from qmoney.postselect import label_table, make_label_scheme, mint
+from qmoney.harness import setup_rng, trial_rng
+from qmoney.postselect import (
+    find_frozen_strings,
+    label_table,
+    make_label_scheme,
+    mint,
+    money_from_label,
+)
 
 
 def small_scheme(seed=0, n=16, m=32, l=8, eps=0.25):
@@ -66,14 +73,22 @@ def test_epsilon_survives_round_trip_exactly(tmp_path):
 
 
 def test_truncated_file_is_an_error_not_a_partial_object(tmp_path):
+    # every proper line-prefix of a scheme file with a secret, and of a note
     secret, scheme = small_scheme(seed=3)
     path = tmp_path / "d.scheme"
     save_scheme(path, scheme, secret)
     full = path.read_text().splitlines()
-    for cut in (1, 3, 10, len(full) // 2, len(full) - 1):
+    for cut in range(len(full)):
         path.write_text("\n".join(full[:cut]) + "\n")
         with pytest.raises(SchemeFormatError):
             load_scheme(path)
+    sch = make_label_scheme(8, 4, 2, 0)
+    save_note(path, sch, mint(sch, np.random.default_rng(6)))
+    full = path.read_text().splitlines()
+    for cut in range(len(full)):
+        path.write_text("\n".join(full[:cut]) + "\n")
+        with pytest.raises(SchemeFormatError):
+            load_note(path)
 
 
 def test_format_errors_carry_line_numbers(tmp_path):
@@ -92,6 +107,59 @@ def test_format_errors_carry_line_numbers(tmp_path):
     with pytest.raises(SchemeFormatError) as err:
         load_scheme(path)
     assert err.value.line == 8
+
+
+def _edited_scheme_file(path, edit):
+    """Save a small scheme with its secret, apply edit to the list of lines."""
+    secret, scheme = small_scheme(seed=4, n=4, m=6, l=3)
+    save_scheme(path, scheme, secret)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "header, value",
+    [("n", "x"), ("epsilon", "2"), ("n", "0")],
+)
+def test_bad_header_values_carry_their_line(tmp_path, header, value):
+    path = tmp_path / "h.scheme"
+
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.split()[0] == header)
+        lines[i] = f"{header} {value}"
+
+    lines = _edited_scheme_file(path, edit)
+    with pytest.raises(SchemeFormatError) as err:
+        load_scheme(path)
+    assert lines[err.value.line - 1] == f"{header} {value}"
+
+
+def test_identity_table_entry_carries_its_line(tmp_path):
+    path = tmp_path / "i.scheme"
+
+    def edit(lines):
+        lines[lines.index("register 1") + 2] = "+IIII"
+
+    lines = _edited_scheme_file(path, edit)
+    with pytest.raises(SchemeFormatError) as err:
+        load_scheme(path)
+    assert err.value.line == lines.index("register 1") + 3
+
+
+def test_dependent_secret_generators_carry_the_register_line(tmp_path):
+    path = tmp_path / "g.scheme"
+
+    def edit(lines):
+        block = lines.index("secret") + 1 + 2 * 5  # secret register 2's header
+        lines[block + 2] = lines[block + 1]  # a repeated generator
+
+    lines = _edited_scheme_file(path, edit)
+    with pytest.raises(SchemeFormatError) as err:
+        load_scheme(path)
+    assert lines[err.value.line - 1] == "register 2"
+    assert lines.index("secret") < err.value.line - 1
 
 
 def test_note_round_trip(tmp_path):
@@ -114,6 +182,18 @@ def test_money_from_label_rejects_empty_class():
     if len(empty):
         with pytest.raises(ValueError):
             money_from_label(sch, int(empty[0]))
+
+
+def test_notes_above_the_dense_limit_are_refused_like_mint(tmp_path):
+    sch = make_label_scheme(13, 4, 2, 0)
+    with pytest.raises(CapacityError):
+        mint(sch, np.random.default_rng(0))
+    path = tmp_path / "big.note"
+    path.write_text(
+        "qmoney-note v1\nn 13\ns 4\nd 2\nlabel_seed 0\nlabel 0000\nend\n"
+    )
+    with pytest.raises(CapacityError):
+        load_note(path)
 
 
 def test_trial_seeds_are_counter_based_and_order_free():
@@ -199,6 +279,42 @@ def test_run_experiment_validates_config():
         ExperimentConfig("eigenvalue-check", 1, 0, source="s.scheme")
     with pytest.raises(ValueError):
         ExperimentConfig("beta-mixing", 1, 0, source="n.note")
+
+
+def test_config_rejects_option_keys_its_kind_does_not_read():
+    with pytest.raises(ValueError, match="start-frozen"):  # hyphen, not underscore
+        ExperimentConfig(
+            "beta-mixing", 1, 0, label=LabelParams(8, 4, 2, 0), options={"start-frozen": True}
+        )
+    with pytest.raises(ValueError):
+        ExperimentConfig("postselect-suite", 1, 0, label=LabelParams(8, 4, 2, 0), options={"mode": "x"})
+    with pytest.raises(ValueError):
+        ExperimentConfig("clique-attack", 1, 0, SchemeParams(6, 16, 8, 0.5), options={"r": 3})
+    ExperimentConfig(
+        "beta-mixing",
+        1,
+        0,
+        label=LabelParams(8, 4, 2, 0),
+        options={"beta": 1.0, "steps": 10, "target_label": 0, "start_frozen": False},
+    )
+
+
+def test_postselect_suite_r_zero_is_rejected_not_automatic():
+    config = ExperimentConfig(
+        "postselect-suite", 1, 0, label=LabelParams(8, 4, 2, 0), options={"r": 0}
+    )
+    with pytest.raises(ValueError, match="r >= 1"):
+        run_experiment(config)
+
+
+def test_start_frozen_without_frozen_strings_is_an_error():
+    sch = LabelParams(4, 1, 1, 1)
+    assert len(find_frozen_strings(sch.build())) == 0
+    config = ExperimentConfig(
+        "beta-mixing", 1, 0, label=sch, options={"beta": 12.0, "start_frozen": True}
+    )
+    with pytest.raises(ValueError, match="no frozen strings"):
+        run_experiment(config)
 
 
 def test_emit_csv(tmp_path):

@@ -22,7 +22,37 @@ from qmoney import (
     parse_label_bits,
     verify_money,
 )
-from qmoney.postselect import MarkovVerifier, class_markov_matrix, matrix_M
+from qmoney.postselect import MarkovVerifier, class_markov_matrix, matrix_M, money_from_label
+
+
+@pytest.fixture
+def constant_scheme(monkeypatch):
+    """(8, 3, 2) scheme whose every hash bit is 0: all 256 strings have label 0."""
+    monkeypatch.setattr(LabelScheme, "_hash_raw", lambda self, j, value: 0)
+    return make_label_scheme(8, 3, 2, 0)
+
+
+def union_find_components(scheme, ell):
+    """Reference: rule-graph components of a class by union-find over the rules."""
+    members = np.flatnonzero(label_table(scheme) == ell)
+    parent = list(range(len(members)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    index = {int(x): i for i, x in enumerate(members)}
+    for i, x in enumerate(members):
+        for perm in scheme._rules:
+            ri, rj = find(i), find(index[int(perm[x])])
+            if ri != rj:
+                parent[ri] = rj
+    groups = {}
+    for i, x in enumerate(members):
+        groups.setdefault(find(i), []).append(int(x))
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
 def test_make_label_scheme_shapes():
@@ -61,12 +91,6 @@ def test_label_deterministic_and_local():
         outside = next(b for b in range(16) if b not in subset)
         a, b = label(sch, x), label(sch, x ^ (1 << outside))
         assert (a >> j) & 1 == (b >> j) & 1
-
-
-def test_trivial_hash_scheme():
-    sch = make_label_scheme(8, 3, 2, 0, trivial_hash=True)
-    table = label_table(sch)
-    assert (table == 0).all()
 
 
 def test_label_table_matches_scalar_label():
@@ -121,6 +145,16 @@ def test_minted_state_amplitudes():
     off[support] = False
     assert np.allclose(money.state[off], 0)
     assert abs(np.linalg.norm(money.state) - 1.0) < 1e-12
+
+
+def test_minted_note_is_money_from_label():
+    sch = make_label_scheme(10, 4, 2, 2)
+    rng = np.random.default_rng(72)
+    for _ in range(5):
+        money = mint(sch, rng)
+        rebuilt = money_from_label(sch, money.label)
+        assert np.array_equal(money.state, rebuilt.state)
+        assert money.support_size == rebuilt.support_size
 
 
 def test_verifier_permutations_are_label_preserving_involutions():
@@ -232,13 +266,27 @@ def test_single_rule_M_is_the_permutation_average():
     assert np.allclose(mat, want)
 
 
-def test_component_analysis_constant_scheme():
-    sch = make_label_scheme(8, 3, 2, 0, trivial_hash=True)
-    ca = component_analysis(sch, 0)
+def test_component_analysis_constant_scheme(constant_scheme):
+    assert (label_table(constant_scheme) == 0).all()
+    ca = component_analysis(constant_scheme, 0)
     assert len(ca.members) == 256
     assert len(ca.components) == 1  # all flips allowed: hypercube is connected
     assert ca.plus_dim == 1
     assert abs(ca.second_eigenvalue - (1 - 2 / 8)) < 1e-12  # lazy walk gap 2/n
+
+
+def test_constant_class_is_gapless_and_gets_64_rounds(constant_scheme):
+    # every flip keeps the label, so the parity vector has eigenvalue -1
+    ca = component_analysis(constant_scheme, 0)
+    assert abs(ca.eigenvalues[0] + 1.0) < 1e-12
+    assert default_iteration_count(ca) == 64
+
+
+@pytest.mark.parametrize("params", [(12, 4, 2, 0), (12, 8, 2, 0)])
+def test_components_match_union_find_oracle(params):
+    sch = make_label_scheme(*params)
+    for ell in sorted(set(label_table(sch).tolist())):
+        assert component_analysis(sch, ell).components == union_find_components(sch, ell), ell
 
 
 def test_component_analysis_plus_dim_equals_component_count():
@@ -265,12 +313,11 @@ def test_default_iteration_count():
     ell = int(table[123])
     ca = component_analysis(sch, ell)
     r = default_iteration_count(ca)
-    if r is not None:
-        rest = ca.eigenvalues[ca.eigenvalues <= 1 - 1e-9]
-        lam = float(np.abs(rest).max())
-        assert lam**r <= 1e-6
-        assert lam ** (r - 1) > 1e-6 or r == 1  # smallest such r
-        assert r >= 1
+    rest = ca.eigenvalues[ca.eigenvalues <= 1 - 1e-9]
+    lam = float(np.abs(rest).max())
+    assert lam**r <= 1e-6
+    assert lam ** (r - 1) > 1e-6 or r == 1  # smallest such r
+    assert r >= 1
 
 
 def test_chain_detailed_balance_at_positive_beta():
