@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .errors import AttackFailure
 from .money import MoneyScheme, MoneyState, SecretKey, StabilizerRegister
-from .pauli import PauliOp, commutation_matrix, commutes
+from .pauli import PauliOp, commutation_matrix
 from .stabilizer import (
     StabilizerState,
     complete_to_stabilizer_state,

@@ -480,11 +480,12 @@ def save_note(path: str | Path, scheme: postselect.LabelScheme, money: postselec
 
 
 def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.LabeledMoney]:
+    """Parse a note file; errors carry the offending line number."""
     reader = _LineReader(path)
     lineno, text = reader.next()
     if text != _NOTE_MAGIC:
         raise SchemeFormatError(f"unsupported header {text!r}", lineno)
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     while True:
         lineno, text = reader.next()
         if text == "end":
@@ -492,17 +493,32 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
         parts = text.split(maxsplit=1)
         if len(parts) != 2 or parts[0] not in ("n", "s", "d", "label_seed", "label"):
             raise SchemeFormatError(f"bad note line {text!r}", lineno)
-        header[parts[0]] = parts[1]
+        header[parts[0]] = (lineno, parts[1])
+    fields = {}
+    for key in ("n", "s", "d", "label_seed", "label"):
+        if key not in header:
+            raise SchemeFormatError(f"missing note field {key}", lineno)
+        field_line, value = header[key]
+        try:
+            fields[key] = value if key == "label" else int(value)
+        except ValueError as exc:
+            raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
     try:
         scheme = postselect.make_label_scheme(
-            int(header["n"]), int(header["s"]), int(header["d"]), int(header["label_seed"])
+            fields["n"], fields["s"], fields["d"], fields["label_seed"]
         )
-        ell = postselect.parse_label_bits(header["label"])
-    except KeyError as exc:
-        raise SchemeFormatError(f"missing note field {exc.args[0]}", lineno) from exc
     except ValueError as exc:
-        raise SchemeFormatError(str(exc), lineno) from exc
-    return scheme, postselect.money_from_label(scheme, ell)
+        # n, s and the seed can be wrong on their own; any other refusal involves d
+        lows = {"n": 1, "s": 1, "label_seed": 0}
+        bad = next((k for k, low in lows.items() if fields[k] < low), "d")
+        raise SchemeFormatError(f"{bad}: {exc}", header[bad][0]) from exc
+    try:
+        if len(fields["label"]) != scheme.s:
+            raise ValueError(f"need {scheme.s} label bits, got {fields['label']!r}")
+        money = postselect.money_from_label(scheme, postselect.parse_label_bits(fields["label"]))
+    except ValueError as exc:
+        raise SchemeFormatError(f"label: {exc}", header["label"][0]) from exc
+    return scheme, money
 
 
 # --- result emission ----------------------------------------------------------

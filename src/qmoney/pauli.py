@@ -173,15 +173,17 @@ def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
     qubits that is four popcounts.
     """
     _check_same_n(a, b)
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    g = (
-        (a.x & a.z).bit_count()
-        + (b.x & b.z).bit_count()
-        + 2 * (a.z & b.x).bit_count()
-        - (x & z).bit_count()
-    )
-    return PauliOp(a.n, x, z, a.phase + b.phase + g)
+    return PauliOp(a.n, *_mul((a.x, a.z, a.phase), (b.x, b.z, b.phase)))
+
+
+def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``pauli_mul`` on ``(x, z, phase)`` ints; the phase comes back mod 4."""
+    ax, az, ap = a
+    bx, bz, bp = b
+    x = ax ^ bx
+    z = az ^ bz
+    g = (ax & az).bit_count() + (bx & bz).bit_count() + 2 * (az & bx).bit_count()
+    return x, z, (ap + bp + g - (x & z).bit_count()) & 3
 
 
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:

@@ -1,23 +1,29 @@
 """Stabilizer states as sets of n independent commuting signed Paulis.
 
 A state is stored by generators; the stabilizer group is their span.  Group
-membership and sign are answered by one reduction (the standard form of
-Aaronson-Gottesman, quant-ph/0406196): the generators are reduced against
-each other once into a signed echelon, whose element j is zero at the
-lowest set bit (pivot) of every element before it.  Multiplying an
-operator by each echelon element whose pivot it holds, in order, leaves
-i**k * I exactly when the operator is +-(a group element), and the phase
-i**k gives the sign.  The echelon is built on the first query, so states
-that are never queried pay nothing.  The symplectic inner product of rows
-v, w is popcount(v & swap_halves(w)) mod 2, so "all operators commuting
-with a set" is a GF(2) null space.
+membership and sign are answered by one reduction (the rowsum of
+Aaronson-Gottesman, quant-ph/0406196), done on plain ints: the generators
+are reduced against each other once into a signed echelon, whose element j
+is zero at the lowest set bit (pivot) of every element before it.  An
+element is held as ``(x, z, q)`` with the folded phase ``q = phase +
+popcount(x & z)``, i.e. the operator i**q X**x Z**z with every X left of
+every Z, so multiplying by it costs one popcount.  Multiplying an operator
+by each echelon element whose pivot it holds, in order, leaves i**k * I
+exactly when the operator is +-(a group element), and the phase i**k gives
+the sign; no ``PauliOp`` is built on the way.  The echelon is built on the
+first query, so states that are never queried pay nothing.  The symplectic
+inner product of rows v, w is popcount(v & swap_halves(w)) mod 2, so "all
+operators commuting with a set" is a GF(2) null space.
 
 Sampling is uniform over the full stabilizer-state set: at each step the
 next generator is drawn uniformly from the symplectic complement of the
 rows so far (minus their span, by rejection), then given a uniform sign.
 Every state admits the same number of ordered generator sequences, so the
 induced distribution is exactly uniform; the n=1 and n=2 state counts
-(6 and 60) are checked in the tests by enumeration.
+(6 and 60) are checked in the tests by enumeration.  Sampling and
+completion keep the RREF of the swapped rows up to date as each row is
+added, so a step costs no fresh null space or solve; the RREF is
+canonical, so each draw is the null-space vector ``gf2.nullspace`` gives.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     GroupContradictionError,
     InconsistentGeneratorsError,
 )
-from .pauli import DENSE_LIMIT, PauliOp, _random_bits, commutes, dense_matrix, pauli_mul
+from .pauli import DENSE_LIMIT, PauliOp, _mul, _random_bits, dense_matrix
 
 __all__ = [
     "StabilizerState",
@@ -60,28 +66,98 @@ def _op_from_row(row: int, n: int, phase: int = 0) -> PauliOp:
 
 
 def _subset_product(ops: list[PauliOp] | tuple[PauliOp, ...], mask: int, n: int) -> PauliOp:
-    out = PauliOp.identity(n)
+    acc = (0, 0, 0)
     j = 0
     while mask:
         if mask & 1:
-            out = pauli_mul(out, ops[j])
+            acc = _mul(acc, (ops[j].x, ops[j].z, ops[j].phase))
         mask >>= 1
         j += 1
-    return out
+    return PauliOp(n, *acc)
 
 
-def _reduce(basis: list[tuple[int, PauliOp]], op: PauliOp) -> PauliOp:
-    """Multiply op, in basis order, by each echelon element whose pivot op holds.
+# An echelon element: pivot x mask, pivot z mask, x, z, folded phase.
+_Element = tuple[int, int, int, int, int]
 
-    ``basis`` holds (pivot, element) pairs.  The result is i**k * I iff op's
-    row is in the basis span; then op = i**k * (product of the used elements).
+
+def _reduce(basis: list[_Element], x: int, z: int, q: int) -> tuple[int, int, int]:
+    """Multiply i**q X**x Z**z, in basis order, by each echelon element whose pivot it holds.
+
+    The phase q is folded as in the module docstring, so multiplying by
+    i**bq X**bx Z**bz on the right adds bq + 2*popcount(z & bx), from
+    moving Z**z past X**bx.  The result is (0, 0, k) iff the row is in the
+    basis span; then the operator is i**k * (product of the used elements).
     """
-    row = op.row
-    for piv, b in basis:
-        if (row >> piv) & 1:
-            op = pauli_mul(op, b)
-            row = op.row
-    return op
+    for px, pz, bx, bz, bq in basis:
+        if x & px or z & pz:
+            q += bq + 2 * (z & bx).bit_count()
+            x ^= bx
+            z ^= bz
+    return x, z, q & 3
+
+
+def _element(x: int, z: int, q: int) -> _Element:
+    """Echelon entry of a nonzero remainder; its pivot is the lowest bit of [x | z]."""
+    if x:
+        return x & -x, 0, x, z, q
+    return 0, z & -z, x, z, q
+
+
+def _folded(op: PauliOp) -> tuple[int, int, int]:
+    return op.x, op.z, op.phase + (op.x & op.z).bit_count()
+
+
+def _anticommuting(x: int, z: int, others: list[tuple[int, int]]) -> int | None:
+    """Index of the first (x, z) pair in ``others`` that anticommutes with (x, z)."""
+    for i, (ox, oz) in enumerate(others):
+        if ((x & oz).bit_count() + (z & ox).bit_count()) & 1:
+            return i
+    return None
+
+
+class _Extension:
+    """Independent commuting rows, kept ready to be extended by one more.
+
+    Holds the RREF of the swapped rows as (pivot, row) pairs.  A vector
+    commutes with every row iff it has even overlap with each RREF row, and
+    lies in the rows' span iff its swap reduces to zero against them.  The
+    null-space basis vector of free column f is e_f plus e_p for each RREF
+    row (pivot p) holding bit f, as ``gf2.nullspace`` builds it, so the XOR
+    of those over a set F of free columns is F plus e_p for each row with
+    odd overlap with F.
+    """
+
+    def __init__(self, n: int, rows: list[int]):
+        self.n = n
+        self.rref: list[tuple[int, int]] = []
+        for row in rows:
+            self.add(row)
+
+    def _residue(self, row: int) -> int:
+        c = _swap_halves(row, self.n)
+        for p, r in self.rref:
+            if (c >> p) & 1:
+                c ^= r
+        return c
+
+    def add(self, row: int) -> None:
+        c = self._residue(row)
+        p = gf2._lowest_bit(c)
+        self.rref = [(q, r ^ c if (r >> p) & 1 else r) for q, r in self.rref] + [(p, c)]
+
+    def spans(self, row: int) -> bool:
+        return self._residue(row) == 0
+
+    def vector(self, mask: int) -> int:
+        """XOR of the null-space basis vectors that mask selects (bit j: the j-th free column)."""
+        pivots = {p for p, _ in self.rref}
+        free = [f for f in range(2 * self.n) if f not in pivots]
+        chosen = sum(1 << f for j, f in enumerate(free) if (mask >> j) & 1)
+        v = chosen
+        for p, r in self.rref:
+            if (r & chosen).bit_count() & 1:
+                v |= 1 << p
+        return v
 
 
 @dataclass(frozen=True)
@@ -101,10 +177,13 @@ class StabilizerState:
                 raise DimensionError(f"generator on {g.n} qubits in an n={self.n} state")
             if not g.is_hermitian:
                 raise ValueError(f"generator {g} is not Hermitian")
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1 :]:
-                if not commutes(a, b):
-                    raise InconsistentGeneratorsError(f"{a} and {b} anticommute")
+        xz = [(g.x, g.z) for g in self.generators]
+        for j, (x, z) in enumerate(xz):
+            i = _anticommuting(x, z, xz[:j])
+            if i is not None:
+                raise InconsistentGeneratorsError(
+                    f"{self.generators[i]} and {self.generators[j]} anticommute"
+                )
         if gf2.rank(self.rows) != self.n:
             raise ValueError("generators are not independent")
 
@@ -113,12 +192,11 @@ class StabilizerState:
         return tuple(g.row for g in self.generators)
 
     @cached_property
-    def _echelon(self) -> list[tuple[int, PauliOp]]:
-        """(pivot, element) pairs spanning the group; built on first query."""
-        basis: list[tuple[int, PauliOp]] = []
+    def _echelon(self) -> list[_Element]:
+        """Signed echelon spanning the group, as ``_reduce`` reads it; built on first query."""
+        basis: list[_Element] = []
         for g in self.generators:
-            r = _reduce(basis, g)
-            basis.append((gf2._lowest_bit(r.row), r))
+            basis.append(_element(*_reduce(basis, *_folded(g))))
         return basis
 
     def canonical_generators(self) -> tuple[PauliOp, ...]:
@@ -128,9 +206,9 @@ class StabilizerState:
         of which generating set they were built from.
         """
         rows, _ = gf2.rref(self.rows)
+        ops = [_op_from_row(r, self.n) for r in rows]
         return tuple(
-            _op_from_row(r, self.n, _reduce(self._echelon, _op_from_row(r, self.n)).phase)
-            for r in rows
+            PauliOp(self.n, op.x, op.z, _reduce(self._echelon, *_folded(op))[2]) for op in ops
         )
 
     def group_equal(self, other: "StabilizerState") -> bool:
@@ -145,20 +223,14 @@ def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState
     span succeeds with probability >= 3/4 per draw.
     """
     gens: list[PauliOp] = []
-    rows: list[int] = []
+    ext = _Extension(n, [])
     while len(gens) < n:
-        constraints = [_swap_halves(r, n) for r in rows]
-        basis = gf2.nullspace(constraints, 2 * n)
         while True:
-            mask = _random_bits(rng, len(basis))
-            v = 0
-            for j, b in enumerate(basis):
-                if (mask >> j) & 1:
-                    v ^= b
-            if v and not gf2.in_rowspan(rows, v):
+            v = ext.vector(_random_bits(rng, 2 * n - len(gens)))
+            if not ext.spans(v):
                 break
         gens.append(_op_from_row(v, n, 2 * _random_bits(rng, 1)))
-        rows.append(v)
+        ext.add(v)
     return StabilizerState(n, tuple(gens))
 
 
@@ -174,10 +246,10 @@ def stab_expectation(state: StabilizerState, op: PauliOp) -> int:
         raise DimensionError(f"operator on {op.n} qubits vs state on {state.n}")
     if not op.is_hermitian:
         raise ValueError("expectation defined for Hermitian operators only")
-    rest = _reduce(state._echelon, op)
-    if not rest.is_identity:
+    x, z, q = _reduce(state._echelon, *_folded(op))
+    if x or z:
         return 0
-    return 1 if rest.phase == 0 else -1
+    return 1 if q == 0 else -1
 
 
 def greedy_consistent_subset(
@@ -193,22 +265,26 @@ def greedy_consistent_subset(
         return [], []
     n = ops[0].n
     kept: list[int] = []
-    basis: list[tuple[int, PauliOp]] = []
+    kept_xz: list[tuple[int, int]] = []
+    basis: list[_Element] = []
     dropped: list[tuple[int, str]] = []
     for idx, op in enumerate(ops):
         if op.n != n:
             raise DimensionError("operators act on different qubit counts")
         if not op.is_hermitian:
             raise ValueError(f"operator {op} is not Hermitian")
-        if any(not commutes(op, ops[k]) for k in kept):
+        # A member of the kept span commutes with every kept op, so only
+        # the rest need the anticommutation scan.
+        x, z, q = _reduce(basis, *_folded(op))
+        if not (x or z):
+            if q:
+                dropped.append((idx, "sign"))
+        elif _anticommuting(op.x, op.z, kept_xz) is not None:
             dropped.append((idx, "anticommutes"))
-            continue
-        rest = _reduce(basis, op)
-        if not rest.is_identity:
+        else:
             kept.append(idx)
-            basis.append((gf2._lowest_bit(rest.row), rest))
-        elif rest.phase != 0:
-            dropped.append((idx, "sign"))
+            kept_xz.append((op.x, op.z))
+            basis.append(_element(x, z, q))
     return kept, dropped
 
 
@@ -229,13 +305,13 @@ def complete_to_stabilizer_state(ops: list[PauliOp] | tuple[PauliOp, ...]) -> St
             f"operator {idx} is implied with the opposite sign (-I in the group)"
         )
     gens = [ops[k] for k in kept]
-    rows = [g.row for g in gens]
+    ext = _Extension(n, [g.row for g in gens])
     while len(gens) < n:
-        constraints = [_swap_halves(r, n) for r in rows]
-        for v in gf2.nullspace(constraints, 2 * n):
-            if not gf2.in_rowspan(rows, v):
+        for j in range(2 * n - len(gens)):
+            v = ext.vector(1 << j)
+            if not ext.spans(v):
                 gens.append(_op_from_row(v, n))
-                rows.append(v)
+                ext.add(v)
                 break
         else:  # complement dim 2n-t always exceeds span dim t for t < n
             raise AssertionError("symplectic complement exhausted early")

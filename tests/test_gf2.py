@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmoney import gf2
 
@@ -108,3 +110,46 @@ def test_nullspace_empty_rows():
 
 def test_solve_rejects_out_of_span():
     assert gf2.solve([0b01, 0b10], 0b100) is None
+
+
+row_sets = st.integers(1, 12).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(0, (1 << width) - 1), max_size=8),
+        st.integers(0, (1 << width) - 1),
+        st.integers(0, 255),
+    )
+)
+
+
+def combine(rows, mask):
+    acc = 0
+    for i, r in enumerate(rows):
+        if (mask >> i) & 1:
+            acc ^= r
+    return acc
+
+
+@settings(deadline=None, max_examples=150)
+@given(row_sets)
+def test_solve_round_trip_property(case):
+    width, rows, target, mask = case
+    # a combination of the rows solves back to a combination that builds it
+    built = combine(rows, mask)
+    assert combine(rows, gf2.solve(rows, built)) == built
+    combo = gf2.solve(rows, target)
+    if combo is None:
+        assert brute_solve(rows, target) is None
+    else:
+        assert combine(rows, combo) == target
+
+
+@settings(deadline=None, max_examples=150)
+@given(row_sets)
+def test_nullspace_round_trip_property(case):
+    width, rows, _, _ = case
+    basis = gf2.nullspace(rows, width)
+    assert len(basis) == width - gf2.rank(rows)
+    assert all((v & r).bit_count() % 2 == 0 for v in basis for r in rows)
+    # the kernel's kernel is the row span again
+    assert gf2.rref(gf2.nullspace(basis, width))[0] == gf2.rref(rows)[0]

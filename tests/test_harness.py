@@ -175,6 +175,39 @@ def test_note_round_trip(tmp_path):
     assert "statevector" not in path.read_text()
 
 
+def edited_note(tmp_path, index, text):
+    """A minted (8,4,2,0) note file with line ``index`` replaced by ``text``."""
+    sch = make_label_scheme(8, 4, 2, 0)
+    path = tmp_path / "edited.note"
+    save_note(path, sch, mint(sch, np.random.default_rng(6)))
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "index, text",
+    [(1, "n x"), (5, "label 01x0"), (1, "n 0"), (3, "d 5"), (4, "label_seed -1")],
+)
+def test_bad_note_values_carry_their_line(tmp_path, index, text):
+    with pytest.raises(SchemeFormatError) as err:
+        load_note(edited_note(tmp_path, index, text))
+    assert err.value.line == index + 1
+
+
+def test_note_label_longer_than_s_is_refused_at_its_line(tmp_path):
+    with pytest.raises(SchemeFormatError) as err:
+        load_note(edited_note(tmp_path, 5, "label 00000000"))
+    assert err.value.line == 6
+
+
+def test_note_label_bit_beyond_s_is_refused_at_its_line(tmp_path):
+    with pytest.raises(SchemeFormatError) as err:
+        load_note(edited_note(tmp_path, 5, "label 00001"))
+    assert err.value.line == 6
+
+
 def test_money_from_label_rejects_empty_class():
     sch = make_label_scheme(10, 4, 2, 0)
     sizes = np.bincount(label_table(sch), minlength=16)

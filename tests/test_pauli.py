@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmoney import (
     DimensionError,
@@ -197,3 +199,20 @@ def test_identity_and_weight():
     assert op.weight == 2
     assert not op.is_identity
     assert PauliOp.from_string("-IIII").is_identity  # sign ignored for base test
+
+
+@st.composite
+def pauli_triples(draw):
+    """Three phased Paulis on the same n <= 3 qubits."""
+    n = draw(st.integers(1, 3))
+    op = st.builds(PauliOp, st.just(n), st.integers(0, (1 << n) - 1),
+                   st.integers(0, (1 << n) - 1), st.integers(0, 3))
+    return draw(op), draw(op), draw(op)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pauli_triples())
+def test_pauli_mul_is_associative_and_matches_dense_property(ops):
+    a, b, c = ops
+    assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
+    assert np.allclose(dense_matrix(pauli_mul(a, b)), dense_oracle(a) @ dense_oracle(b))

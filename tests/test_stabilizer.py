@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qmoney import gf2
 from qmoney import (
@@ -22,6 +23,7 @@ from qmoney import (
     random_stabilizer_state,
     stab_expectation,
 )
+from qmoney.pauli import _random_bits
 
 
 def P(s):
@@ -208,7 +210,7 @@ def reference_greedy(ops):
     return kept, dropped
 
 
-ECHELON_NS = [1, 2, 3, 4, 5, 6, 50]
+ECHELON_NS = [1, 2, 3, 4, 5, 6, 50, 64, 65, 128]
 
 
 @pytest.mark.parametrize("n", ECHELON_NS)
@@ -254,3 +256,79 @@ def test_canonical_generators_are_the_signed_rref_rows(n):
         canon = st.canonical_generators()
         assert [g.row for g in canon] == gf2.rref(st.rows)[0]
         assert all(reference_expectation(st, g) == 1 for g in canon)
+
+
+# --- the incremental sampler and completion against the per-step solves ------
+
+
+def _swap_halves(row, n):
+    return (row >> n) | ((row & ((1 << n) - 1)) << n)
+
+
+def reference_sampler(n, rng):
+    """Generators drawn with a fresh null space and span solve per step."""
+    gens, rows = [], []
+    while len(gens) < n:
+        basis = gf2.nullspace([_swap_halves(r, n) for r in rows], 2 * n)
+        while True:
+            mask = _random_bits(rng, len(basis))
+            v = 0
+            for j, b in enumerate(basis):
+                if (mask >> j) & 1:
+                    v ^= b
+            if v and not gf2.in_rowspan(rows, v):
+                break
+        gens.append(PauliOp(n, v & ((1 << n) - 1), v >> n, 2 * _random_bits(rng, 1)))
+        rows.append(v)
+    return tuple(gens)
+
+
+def reference_completion(ops):
+    """The first null-space vector outside the span, from a fresh solve per step."""
+    n = ops[0].n
+    kept, _ = greedy_consistent_subset(ops)
+    gens = [ops[k] for k in kept]
+    rows = [g.row for g in gens]
+    while len(gens) < n:
+        for v in gf2.nullspace([_swap_halves(r, n) for r in rows], 2 * n):
+            if not gf2.in_rowspan(rows, v):
+                gens.append(PauliOp(n, v & ((1 << n) - 1), v >> n))
+                rows.append(v)
+                break
+    return tuple(gens)
+
+
+SAMPLER_NS = [1, 2, 3, 4, 5, 6, 7, 8, 50, 65]
+
+
+@pytest.mark.parametrize("n", SAMPLER_NS)
+def test_sampler_draws_what_per_step_solves_draw(n):
+    rng, ref_rng = np.random.default_rng(600 + n), np.random.default_rng(600 + n)
+    for _ in range(5 if n > 8 else 20):
+        assert random_stabilizer_state(n, rng).generators == reference_sampler(n, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", SAMPLER_NS)
+def test_completion_picks_what_per_step_solves_pick(n):
+    rng = np.random.default_rng(700 + n)
+    for size in sorted({1, (n + 1) // 2, n}) if n <= 8 else (1, 3):
+        state = random_stabilizer_state(n, rng)
+        ops = [random_stabilizer_element(state, rng) for _ in range(size)]
+        assert complete_to_stabilizer_state(ops).generators == reference_completion(ops)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    strategies.integers(1, 8),
+    strategies.integers(0, 2**32 - 1),
+    strategies.booleans(),
+    strategies.booleans(),
+)
+def test_reduction_matches_solve_reference_property(n, seed, member, negate):
+    rng = np.random.default_rng(seed)
+    state = random_stabilizer_state(n, rng)
+    op = random_stabilizer_element(state, rng) if member else random_pauli(n, rng)
+    if negate:
+        op = -op
+    assert stab_expectation(state, op) == reference_expectation(state, op)
