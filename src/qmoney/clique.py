@@ -138,11 +138,14 @@ def build_graph(ops: Sequence[PauliOp]) -> MeasurementGraph:
 
 
 def _greedy_from_order(graph: MeasurementGraph, order: Sequence[int]) -> list[int]:
-    adjacency = graph.adjacency
+    # candidates[v]: v is adjacent to every vertex selected so far; the zero
+    # diagonal drops each vertex once it is selected.
+    candidates = np.ones(graph.m, dtype=bool)
     selected: list[int] = []
     for v in order:
-        if all(adjacency[v, u] for u in selected):
+        if candidates[v]:
             selected.append(v)
+            candidates &= graph.adjacency[v].astype(bool)
     return selected
 
 

@@ -370,7 +370,14 @@ def save_scheme(
 
 class _LineReader:
     def __init__(self, path: str | Path):
-        self.lines = Path(path).read_text(encoding="utf-8").splitlines()
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line holding the bad byte, numbered as splitlines numbers it
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise SchemeFormatError(f"not UTF-8 text: {exc.reason}", lineno) from exc
+        self.lines = text.splitlines()
         self.pos = 0
 
     def next(self) -> tuple[int, str]:

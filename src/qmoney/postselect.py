@@ -7,8 +7,11 @@ preimage, obtained exactly by sampling the postselection distribution
 N_l / 2**n.  Verification measures the label, then applies r rounds of
 M = (1/n) sum_i P_i, where rule P_i flips bit i iff that leaves the label
 unchanged — an involution, so M is symmetric and minted notes are +1
-eigenvectors.  component_analysis and the beta chain quantify how badly
-the walk fragments or freezes, which is the scheme's soundness slack.
+eigenvectors.  No rule changes the label, so verify_money runs the r
+rounds on the label's class vector alone, and takes the norm over the
+full 2**n vector; apply_M, on the full vector, stays as its oracle.
+component_analysis and the beta chain quantify how badly the walk
+fragments or freezes, which is the scheme's soundness slack.
 
 Cryptographic-scale parameters (s = ceil(sqrt(n)) subsets, d = 10) need
 n >= 100, far beyond dense vectors; (s, d) stay free so small instances
@@ -281,21 +284,46 @@ def matrix_M(verifier: MarkovVerifier) -> np.ndarray:
     return m
 
 
+def _class_rules(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, local): the sorted class {x : L(x) = ell}, and row i of
+    local holds P_i on that class as positions in members."""
+    members = np.flatnonzero(label_table(scheme) == ell)
+    return members, np.searchsorted(members, scheme._rules[:, members])
+
+
+def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> np.ndarray:
+    """M^r applied to the note's label projection, as a 2**n vector.
+
+    Every rule keeps the label, so the r rounds run on the class vector
+    only.  Each round adds the gathered rows in rule order, as apply_M
+    does on the full vector, so the entries equal apply_M's exactly.
+    """
+    if money.state.shape != (1 << verifier.scheme.n,):
+        raise DimensionError("money and verifier act on different string lengths")
+    members, local = _class_rules(verifier.scheme, money.label)
+    # A zero slot that every rule maps to itself keeps each gather at least
+    # two wide: numpy sums an (n, 1) gather pairwise, not row by row.
+    local = np.hstack([local, np.full((len(local), 1), len(members))])
+    w = np.append(money.state[members], 0.0)
+    for _ in range(verifier.r):
+        w = w[local].mean(axis=0)
+    full = np.zeros(money.state.shape, dtype=w.dtype)
+    full[members] = w[:-1]
+    return full
+
+
 def verify_money(
     verifier: MarkovVerifier, money: LabeledMoney, rng: np.random.Generator
 ) -> tuple[bool, float]:
     """Label projection, then acceptance probability ||M^r v||**2.
 
-    The probability is computed exactly from the vector (simulation
+    The r rounds walk the label's class vector only (see _walk).  The
+    probability is computed exactly from the vector (simulation
     privilege); the returned boolean samples it, mirroring the protocol.
     """
-    table = label_table(verifier.scheme)
-    if money.state.shape != table.shape:
-        raise DimensionError("money and verifier act on different string lengths")
-    w = np.where(table == money.label, money.state, 0.0)
-    for _ in range(verifier.r):
-        w = apply_M(verifier, w)
-    prob = float(min(1.0, np.linalg.norm(w) ** 2))
+    # The norm runs over the full 2**n vector: BLAS blocks the dot product
+    # by length, so a class-length norm can differ in the last bit.
+    prob = float(min(1.0, np.linalg.norm(_walk(verifier, money)) ** 2))
     return bool(rng.random() < prob), prob
 
 
@@ -324,15 +352,13 @@ def kraus_equivalence_check(verifier: MarkovVerifier) -> float:
 
 def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """(members, M restricted to the class {x : L(x) = ell}); rules never leave it."""
-    table = label_table(scheme)
-    members = np.flatnonzero(table == ell)
+    members, local = _class_rules(scheme, ell)
     if len(members) == 0:
         raise ValueError(f"label {ell} has empty preimage")
     k = len(members)
     mat = np.zeros((k, k))
     cols = np.arange(k)
-    for perm in scheme._rules:
-        target = np.searchsorted(members, perm[members])
+    for target in local:
         mat[target, cols] += 1.0 / scheme.n
     return members, mat
 

@@ -29,6 +29,7 @@ from qmoney import (
     stab_expectation,
     verify,
 )
+from qmoney.clique import _greedy_from_order
 
 
 def gnp(rng, m, p=0.5):
@@ -93,6 +94,30 @@ def test_degree_sort_finds_large_planted_clique():
         g = MeasurementGraph(plant(gnp(rng, m), planted))
         found = degree_sort_clique(g)
         assert set(planted) <= set(found.vertices)
+
+
+def reference_greedy_from_order(adjacency, order):
+    """Reference: keep v when it is adjacent to every vertex kept so far."""
+    selected = []
+    for v in order:
+        if all(adjacency[v, u] for u in selected):
+            selected.append(v)
+    return selected
+
+
+def test_greedy_from_order_matches_pairwise_reference():
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        g = MeasurementGraph(gnp(rng, m, p=rng.uniform(0.1, 0.95)))
+        size = int(rng.integers(0, 2 * m))
+        # orders as the finders pass them, plus subsets and repeated vertices
+        for order in (
+            rng.permutation(m).tolist(),
+            rng.choice(m, size=min(size, m), replace=False).tolist(),
+            rng.choice(m, size=size).tolist(),
+        ):
+            assert _greedy_from_order(g, order) == reference_greedy_from_order(g.adjacency, order)
 
 
 def test_second_eigenvector_on_known_matrices():

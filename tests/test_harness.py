@@ -7,11 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qmoney import (
     CapacityError,
     ExperimentConfig,
     LabelParams,
+    QMoneyError,
     ResultRecord,
     SchemeFormatError,
     SchemeParams,
@@ -208,6 +211,16 @@ def test_note_label_bit_beyond_s_is_refused_at_its_line(tmp_path):
     assert err.value.line == 6
 
 
+def test_non_utf8_bytes_are_refused_at_their_line(tmp_path):
+    path = edited_note(tmp_path, 3, "d 2")
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = b"d \xff2"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemeFormatError) as err:
+        load_note(path)
+    assert err.value.line == 4
+
+
 def test_money_from_label_rejects_empty_class():
     sch = make_label_scheme(10, 4, 2, 0)
     sizes = np.bincount(label_table(sch), minlength=16)
@@ -227,6 +240,63 @@ def test_notes_above_the_dense_limit_are_refused_like_mint(tmp_path):
     )
     with pytest.raises(CapacityError):
         load_note(path)
+
+
+_KEYS = ["n", "m", "l", "epsilon", "seed", "s", "d", "label_seed", "label"]
+_GARBAGE = st.text(st.characters(codec="utf-8"), max_size=12)
+_LINE = _GARBAGE | st.tuples(
+    st.sampled_from(_KEYS), st.integers(-3, 300).map(str) | _GARBAGE
+).map(" ".join)
+
+
+def garbled(data, lines):
+    """A few random edits of a file's lines, then raw bytes spliced in."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete", "swap", "swap values", "end"]))
+        i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if kind == "replace":
+            lines[i] = data.draw(_LINE)
+        elif kind == "insert":
+            lines.insert(i, data.draw(_LINE))
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "swap values" and " " in lines[i] and " " in lines[j]:
+            (a, va), (b, vb) = lines[i].split(" ", 1), lines[j].split(" ", 1)
+            lines[i], lines[j] = f"{a} {vb}", f"{b} {va}"
+        elif kind == "end":
+            lines.insert(i, "end")
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=6)) + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Lines of a small scheme file with its secret and seed, and of a note."""
+    path = tmp_path_factory.mktemp("valid") / "f"
+    secret, scheme = small_scheme(seed=4, n=4, m=6, l=3)
+    save_scheme(path, scheme, secret, seed=99)
+    scheme_lines = path.read_text().splitlines()
+    sch = make_label_scheme(8, 4, 2, 0)
+    save_note(path, sch, mint(sch, np.random.default_rng(6)))
+    return {load_scheme: scheme_lines, load_note: path.read_text().splitlines()}
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("loader", [load_scheme, load_note], ids=["scheme", "note"])
+def test_garbled_files_raise_only_package_errors(tmp_path, valid_files, loader, data):
+    path = tmp_path / "garbled"
+    path.write_bytes(garbled(data, valid_files[loader]))
+    try:
+        loader(path)
+    except QMoneyError:
+        pass
 
 
 def test_trial_seeds_are_counter_based_and_order_free():

@@ -22,7 +22,14 @@ from qmoney import (
     parse_label_bits,
     verify_money,
 )
-from qmoney.postselect import MarkovVerifier, class_markov_matrix, matrix_M, money_from_label
+from qmoney.postselect import (
+    LabeledMoney,
+    MarkovVerifier,
+    _walk,
+    class_markov_matrix,
+    matrix_M,
+    money_from_label,
+)
 
 
 @pytest.fixture
@@ -200,13 +207,97 @@ def test_wrong_label_projects_to_zero():
     other = int(np.argmax(sizes == sizes[sizes > 0].min()))
     if other == money.label:
         other = int(np.flatnonzero(sizes > 0)[-1])
-    from qmoney.postselect import LabeledMoney
-
     wrong = LabeledMoney(other, money.state, money.support_size)
     ver = build_verifier(sch, 3)
     accepted, prob = verify_money(ver, wrong, rng)
     assert prob < 1e-12
     assert not accepted
+
+
+def full_vector_walk(verifier, money):
+    """Reference: the verifier's r rounds as apply_M on the full 2**n vector."""
+    w = np.where(label_table(verifier.scheme) == money.label, money.state, 0.0)
+    for _ in range(verifier.r):
+        w = apply_M(verifier, w)
+    return w
+
+
+def reference_prob(w):
+    return float(min(1.0, np.linalg.norm(w) ** 2))
+
+
+def forged_note(scheme, seed):
+    """A state uniform over a random half of all 2**n strings: inside a
+    class its entries are uneven, so the walk's summation order shows."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(1 << scheme.n, size=1 << (scheme.n - 1), replace=False)
+    state = np.zeros(1 << scheme.n, dtype=complex)
+    state[support] = 1.0 / math.sqrt(len(support))
+    return state, len(support)
+
+
+def all_class_walks(scheme, start, rounds):
+    """{t: full-vector walk of start after t rounds} for t in rounds.  No
+    rule leaves a class, so each class's entries take exactly the steps of
+    full_vector_walk on that class's projection of start."""
+    one_round = build_verifier(scheme, 1)
+    w, out = start, {}
+    for t in range(1, max(rounds) + 1):
+        w = apply_M(one_round, w)
+        if t in rounds:
+            out[t] = w
+    return out
+
+
+@pytest.mark.parametrize("params", [(12, 4, 2, 0), (12, 8, 2, 0)])
+def test_class_walk_is_byte_identical_to_full_vector_walk(params):
+    sch = make_label_scheme(*params)
+    table = label_table(sch)
+    labels = sorted(set(table.tolist()))
+    rounds = {ell: {50} for ell in labels}
+    for ell in labels:
+        r = default_iteration_count(component_analysis(sch, ell))
+        if r <= 2000:
+            rounds[ell].add(r)
+    all_rounds = set().union(*rounds.values())
+    minted = sum(money_from_label(sch, ell).state for ell in labels)
+    forged, forged_size = forged_note(sch, 81)
+    rng = np.random.default_rng(0)
+    for start, note_of in (
+        (minted, lambda ell: money_from_label(sch, ell)),
+        (forged, lambda ell: LabeledMoney(ell, forged, forged_size)),
+    ):
+        walks = all_class_walks(sch, start, all_rounds)
+        for ell in labels:
+            note = note_of(ell)
+            for r in rounds[ell]:
+                ver = build_verifier(sch, r)
+                want = np.where(table == ell, walks[r], 0.0)
+                assert _walk(ver, note).tobytes() == want.tobytes(), (ell, r)
+                assert verify_money(ver, note, rng)[1] == reference_prob(want), (ell, r)
+        # the shared walk stands in for each label's own full-vector walk
+        sizes = np.bincount(table)
+        for ell in (labels[0], int(np.argmax(sizes)), max(labels, key=lambda e: max(rounds[e]))):
+            r = max(rounds[ell])
+            want = full_vector_walk(build_verifier(sch, r), note_of(ell))
+            assert want.tobytes() == np.where(table == ell, walks[r], 0.0).tobytes(), ell
+
+
+def test_class_walk_of_empty_class_and_wrong_label_is_zero():
+    sch = make_label_scheme(12, 8, 2, 0)
+    table = label_table(sch)
+    sizes = np.bincount(table, minlength=1 << sch.s)
+    note = money_from_label(sch, int(table[0]))
+    empty = int(np.flatnonzero(sizes == 0)[0])
+    wrong = int(np.flatnonzero(sizes > 0)[-1])
+    assert wrong != note.label
+    rng = np.random.default_rng(0)
+    for ell in (empty, wrong):
+        bad = LabeledMoney(ell, note.state, note.support_size)
+        ver = build_verifier(sch, 50)
+        want = full_vector_walk(ver, bad)
+        assert _walk(ver, bad).tobytes() == want.tobytes()
+        assert verify_money(ver, bad, rng) == (False, 0.0) and reference_prob(want) == 0.0
 
 
 def test_random_in_class_vector_acceptance_matches_eigendecomposition():

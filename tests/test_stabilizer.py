@@ -332,3 +332,15 @@ def test_reduction_matches_solve_reference_property(n, seed, member, negate):
     if negate:
         op = -op
     assert stab_expectation(state, op) == reference_expectation(state, op)
+
+
+@settings(deadline=None, max_examples=100)
+@given(strategies.integers(1, 8), strategies.integers(0, 2**32 - 1), strategies.data())
+def test_canonical_generators_invariant_under_shuffles_and_products(n, seed, data):
+    state = random_stabilizer_state(n, np.random.default_rng(seed))
+    gens = data.draw(strategies.permutations(state.generators))
+    if n >= 2:
+        i, j = data.draw(strategies.lists(strategies.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        gens[i] = pauli_mul(gens[i], gens[j])
+    other = StabilizerState(n, tuple(gens))
+    assert other.canonical_generators() == state.canonical_generators()
