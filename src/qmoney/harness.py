@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import clique, phase, postselect
-from .errors import InconsistentGeneratorsError, SchemeFormatError
+from .errors import CapacityError, InconsistentGeneratorsError, SchemeFormatError
 from .money import (
     MoneyScheme,
     SchemeParams,
@@ -31,7 +31,7 @@ from .money import (
     honest_money,
     verify,
 )
-from .pauli import PauliOp, random_pauli
+from .pauli import DENSE_LIMIT, PauliOp, random_pauli
 from .stabilizer import StabilizerState
 
 __all__ = [
@@ -389,6 +389,18 @@ class _LineReader:
         raise SchemeFormatError("unexpected end of file", self.pos)
 
 
+def _parse_count(value: str) -> int:
+    """A non-negative integer written in ASCII digits only.
+
+    Python's int also takes other scripts' digits, underscores and signs,
+    so files outside the written format would load, and several files
+    would name one value.
+    """
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"not a number in digits 0-9: {value!r}")
+    return int(value)
+
+
 def _read_register_block(
     reader: _LineReader, i: int, count: int, n: int
 ) -> tuple[int, tuple[PauliOp, ...]]:
@@ -429,7 +441,12 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
             raise SchemeFormatError(f"bad header line {text!r}", lineno)
         header[parts[0]] = (lineno, parts[1])
     fields = {}
-    for key, parse in (("n", int), ("m", int), ("l", int), ("epsilon", float)):
+    for key, parse in (
+        ("n", _parse_count),
+        ("m", _parse_count),
+        ("l", _parse_count),
+        ("epsilon", float),
+    ):
         if key not in header:
             raise SchemeFormatError(f"missing header field {key}", lineno)
         field_line, value = header[key]
@@ -507,17 +524,23 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
             raise SchemeFormatError(f"missing note field {key}", lineno)
         field_line, value = header[key]
         try:
-            fields[key] = value if key == "label" else int(value)
+            fields[key] = value if key == "label" else _parse_count(value)
         except ValueError as exc:
             raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
+    # before make_label_scheme, which allocates per bit and per subset
+    for key, limit, why in (
+        ("n", DENSE_LIMIT, "a note is a dense state"),
+        ("s", postselect.MAX_LABEL_BITS, "labels are packed into uint32"),
+    ):
+        if fields[key] > limit:
+            raise CapacityError(f"line {header[key][0]}: {key}: {why}; need {key} <= {limit}")
     try:
         scheme = postselect.make_label_scheme(
             fields["n"], fields["s"], fields["d"], fields["label_seed"]
         )
     except ValueError as exc:
-        # n, s and the seed can be wrong on their own; any other refusal involves d
-        lows = {"n": 1, "s": 1, "label_seed": 0}
-        bad = next((k for k, low in lows.items() if fields[k] < low), "d")
+        # n and s can be wrong on their own; any other refusal involves d
+        bad = next((k for k in ("n", "s") if fields[k] < 1), "d")
         raise SchemeFormatError(f"{bad}: {exc}", header[bad][0]) from exc
     try:
         if len(fields["label"]) != scheme.s:

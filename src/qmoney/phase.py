@@ -14,16 +14,23 @@ kernel into a sum over integer offsets d with mass proportional to
 1/(theta - d)^2 (theta the fractional part of a), which gives both an
 exact sampler that never enumerates the 2**q outcomes and exact window
 probabilities via trigamma sums.
+
+The kernel runs once per drawn eigenstate and once per eigenphase, so a
+call costs a few numpy operations: one zeta(2, .) = psi1 call per window
+sum, and a direct kernel sum for windows shorter than the image sum.  H
+is built in one scatter, and each register's accept-loop constants are
+computed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import zeta
 
 from .errors import CapacityError, DimensionError
 from .money import DenseMixedRegister, MoneyScheme, MoneyState
@@ -52,13 +59,21 @@ class RegisterHamiltonian:
     h_matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    # the accept loop's constants per table size m, filled by _accept_loop
+    _loops: dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
     """Dense H = (1/m) sum of the ops, with its eigendecomposition.
 
-    Built by scattering each operator's single nonzero per column, so the
-    cost is O(m * 2**n) plus one eigensolve.
+    Operator j has one nonzero per column c, i**k_j * (-1)**popcount(c & z_j)
+    at row c ^ x_j, and i**k_j is real or imaginary.  One bincount over H's
+    interleaved real and imaginary parts scatters all m * 2**n of them.
+    Entries of m*H are sums of integers, so their order cannot matter, and
+    no complex arithmetic can turn a zero negative.  Cost O(m * 2**n) time
+    and temporaries, plus one eigensolve.
     """
     ops = list(ops)
     if not ops:
@@ -66,17 +81,21 @@ def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
     n = ops[0].n
     if n > DENSE_LIMIT:
         raise CapacityError(f"dense Hamiltonians limited to {DENSE_LIMIT} qubits")
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    h = np.zeros((dim, dim), dtype=complex)
     for op in ops:
         if op.n != n:
             raise DimensionError("operators act on different qubit counts")
         if not op.is_hermitian:
             raise ValueError(f"operator {op} is not Hermitian")
-        coeff = 1j ** ((op.phase + (op.x & op.z).bit_count()) % 4)
-        signs = 1 - 2 * (np.bitwise_count(idx & np.uint64(op.z)).astype(np.int8) & 1)
-        h[idx ^ np.uint64(op.x), idx] += coeff * signs
+    dim = 1 << n
+    col = np.arange(dim, dtype=np.int64)
+    x = np.array([op.x for op in ops], dtype=np.int64)[:, None]
+    z = np.array([op.z for op in ops], dtype=np.int64)[:, None]
+    k = np.array([(op.phase + (op.x & op.z).bit_count()) % 4 for op in ops])[:, None]
+    # i**k is +1, +i, -1, -i: imaginary for odd k, negative for k >= 2
+    slot = ((((col ^ x) << n) | col) << 1) | (k & 1)
+    weights = 1 - 2 * ((k >> 1) ^ (np.bitwise_count(col & z) & 1))
+    h = np.bincount(slot.ravel(), weights.ravel(), minlength=2 * dim * dim)
+    h = h.view(complex).reshape(dim, dim)
     h /= len(ops)
     if np.abs(h - h.conj().T).max() > 1e-10:
         raise ArithmeticError("Hamiltonian lost Hermiticity")
@@ -138,11 +157,15 @@ def pe_distribution(phi: float, q: int) -> np.ndarray:
         raise CapacityError("pe_distribution enumerates 2**q outcomes; use q <= 20")
     size = 1 << q
     a = phi * size
-    z = np.arange(size)
     if a == round(a):
         out = np.zeros(size)
         out[int(a) % size] = 1.0
         return out
+    return _kernel(a, np.arange(size), size)
+
+
+def _kernel(a: float, z: np.ndarray, size: int) -> np.ndarray:
+    """Pr(z | phi) at the outcomes z, a = phi * size not an integer."""
     return np.sin(np.pi * a) ** 2 / (size * np.sin(np.pi * (a - z) / size)) ** 2
 
 
@@ -155,6 +178,8 @@ def _offset_order():
         d += 1
 
 
+# Walk steps before the sampler's tail inversion; by then the walk has
+# visited every offset |d| <= _WALK_CAP // 2.
 _WALK_CAP = 20000
 
 
@@ -164,9 +189,12 @@ def pe_sample(phi: float, params: PhaseEstimationParams, rng: np.random.Generato
     Sampling the integer offset d with mass (sin^2(pi*theta)/pi^2) /
     (theta - d)^2 and reducing z0 + d mod 2**q reproduces Pr(z | phi)
     exactly, because the kernel is the sum of that mass over each residue
-    class.  The walk visits offsets 0, 1, -1, 2, -2, ...; total mass is
-    exactly 1, and a safety cap (never hit in practice, probability
-    ~1e-5 per draw) falls back to the modal outcome z0.
+    class.  One uniform u picks d: the walk visits offsets 0, 1, -1, 2,
+    -2, ... and stops where the accumulated mass passes u.  A walk that
+    has not stopped by |d| = _WALK_CAP // 2 (probability at most about
+    2e-5 per draw) places the same u in the tail |d| > _WALK_CAP // 2 by
+    the tail's closed-form trigamma masses (_tail_offset); there is no
+    fallback outcome and no second draw.
     """
     size = 1 << params.q
     a = phi * size
@@ -180,50 +208,118 @@ def pe_sample(phi: float, params: PhaseEstimationParams, rng: np.random.Generato
     d = 0
     for step, d in enumerate(_offset_order()):
         acc += scale / (theta - d) ** 2
-        if acc > u or step >= _WALK_CAP:
+        if acc > u:
+            break
+        if step == _WALK_CAP:
+            d = _tail_offset(1.0 - u, theta, scale)
             break
     return (z0 + d) % size
 
 
-def _inv_square_window(alphas: np.ndarray, lo_z: int, hi_z: int) -> float:
-    """sum over z in [lo_z, hi_z] and given alphas of 1/(alpha - z)**2, exact."""
-    total = 0.0
-    floors = np.floor(alphas).astype(np.int64)
-    below_hi = np.minimum(hi_z, floors)
-    sel = below_hi >= lo_z
-    if np.any(sel):
-        al, bh = alphas[sel], below_hi[sel]
-        total += float(np.sum(polygamma(1, al - bh) - polygamma(1, al - lo_z + 1)))
-    above_lo = np.maximum(lo_z, floors + 1)
-    sel = above_lo <= hi_z
-    if np.any(sel):
-        al, alz = alphas[sel], above_lo[sel]
-        total += float(np.sum(polygamma(1, alz - al) - polygamma(1, hi_z - al + 1)))
-    return total
+def _tail_offset(v: float, theta: float, scale: float) -> int:
+    """The offset |d| > D = _WALK_CAP // 2 of a draw leaving mass v = 1 - u above it.
+
+    Above the walk's mass the tail is laid out as D+1, D+2, ..., then
+    ..., -D-2, -D-1 at the top of the CDF.  The offsets beyond t weigh
+    scale * psi1(t + 1 + theta) on the negative side and
+    scale * psi1(t + 1 - theta) on the positive side, so the draw is the
+    smallest t > D whose mass beyond falls below v (negative side), or
+    below v less the whole negative tail (positive side).  1 - u is exact
+    for every u that reaches the tail.
+    """
+    limit = _WALK_CAP // 2
+    negative = scale * zeta(2, limit + 1 + theta)
+    if v <= negative:
+        sign, shift = -1, theta
+    else:
+        sign, shift, v = 1, -theta, v - negative
+
+    def beyond(t: int) -> float:
+        return scale * zeta(2, t + 1 + shift)
+
+    # the smallest t > limit with beyond(t) < v: double, then bisect.  This
+    # ends for any v > 0, even where t + 1 + shift no longer moves in floats.
+    lo, hi = limit, limit + 1
+    while beyond(hi) >= v:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if beyond(mid) >= v:
+            lo = mid
+        else:
+            hi = mid
+    return sign * hi
+
+
+@cache
+def _image_shifts(size: int, n_images: int) -> np.ndarray:
+    """size * k for k = -n_images..n_images, the shifts of the window's images."""
+    shifts = size * np.arange(-n_images, n_images + 1, dtype=float)
+    shifts.setflags(write=False)
+    return shifts
+
+
+def _image_sum(a: float, z0: int, lo_z: int, hi_z: int, shifts: np.ndarray) -> float:
+    """Sum over the images alpha = a + shift and z in [lo_z, hi_z] of 1/(alpha - z)**2.
+
+    For one image, the outcomes z <= alpha give psi1(alpha - top) -
+    psi1(alpha - lo_z + 1) with top = min(hi_z, floor(alpha)), and the
+    outcomes z > alpha give psi1(bottom - alpha) - psi1(hi_z - alpha + 1)
+    with bottom = max(lo_z, floor(alpha) + 1).  With 0 <= a < 2**q every
+    image k >= 1 lies above the whole window and every k <= -1 below it,
+    so only k = 0 (alpha = a) can fall on both sides.  All trigamma values
+    come from one zeta(2, .) call, and each side is summed in image order.
+    """
+    k = len(shifts) // 2
+    alphas = a + shifts
+    top, bottom = min(hi_z, z0), max(lo_z, z0 + 1)
+    high = alphas[k if top >= lo_z else k + 1 :]
+    low = alphas[: k + 1 if bottom <= hi_z else k]
+    to_top = high - hi_z
+    if top >= lo_z:
+        to_top[0] = a - top
+    to_bottom = lo_z - low
+    if bottom <= hi_z:
+        to_bottom[-1] = bottom - a
+    nh, nl = len(high), len(low)
+    # (x - lo_z) + 1 and (hi_z - x) + 1 as written: near a = 0, hi_z - a rounds
+    t = zeta(2, np.concatenate([to_top, (high - lo_z) + 1, to_bottom, (hi_z - low) + 1]))
+    return float((t[:nh] - t[nh : 2 * nh]).sum()) + float(
+        (t[2 * nh : 2 * nh + nl] - t[2 * nh + nl :]).sum()
+    )
 
 
 def window_probability(
     phi: float, params: PhaseEstimationParams, lo: float, hi: float
 ) -> float:
-    """Exact Pr(z/2**q in [lo, hi]) under the ideal kernel, for any q.
+    """Exact Pr(z/2**q in [lo, hi]) under the ideal kernel, for phi in [0, 1].
 
     Uses the same partial-fraction picture as pe_sample: the window sum
-    of the kernel is a trigamma image sum over integer-shifted copies of
-    the window, truncated where the remainder is below 1e-11.
+    of the kernel is scale times an image sum over the 2K+1 shifted copies
+    a + k*2**q, |k| <= K = max(8, ceil(2e10 / 2**q)), of the window, each
+    a difference of two trigamma values; K is where the remainder falls
+    below 1e-11.  A window of fewer outcomes than 2K+1 is summed directly
+    from the kernel instead, so small q costs the window's length, not
+    2e10 / 2**q images.
     """
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError("phase must lie in [0, 1]")
     size = 1 << params.q
     lo_z = max(0, math.ceil(lo * size))
     hi_z = min(size - 1, math.floor(hi * size))
     if hi_z < lo_z:
         return 0.0
     a = phi * size
-    theta = a - math.floor(a)
+    z0 = math.floor(a)
+    theta = a - z0
     if theta == 0.0:
-        return float(lo_z <= int(a) % size <= hi_z)
+        return float(lo_z <= z0 % size <= hi_z)
     n_images = max(8, math.ceil(2e10 / size))
-    alphas = a + size * np.arange(-n_images, n_images + 1, dtype=float)
-    total = _inv_square_window(alphas, lo_z, hi_z)
-    prob = math.sin(math.pi * theta) ** 2 / math.pi**2 * total
+    if hi_z - lo_z < 2 * n_images:
+        prob = float(np.sum(_kernel(a, np.arange(lo_z, hi_z + 1), size)))
+    else:
+        total = _image_sum(a, z0, lo_z, hi_z, _image_shifts(size, n_images))
+        prob = math.sin(math.pi * theta) ** 2 / math.pi**2 * total
     return float(min(1.0, max(0.0, prob)))
 
 
@@ -238,6 +334,17 @@ def eigenvalue_phases(eigenvalues: np.ndarray) -> np.ndarray:
     """Phases of exp(2 pi i H/4): lambda/4, with negatives wrapped to [3/4, 1)."""
     lam = np.asarray(eigenvalues, dtype=float) / 4.0
     return np.where(lam < 0, 1.0 + lam, lam)
+
+
+def _accept_loop(ham: RegisterHamiltonian, m: int) -> tuple:
+    """(params, 2**q, lo, hi, phases, f, g) of the register, computed once per m."""
+    if m not in ham._loops:
+        params = PhaseEstimationParams.defaults_for(m)
+        phases = eigenvalue_phases(ham.eigenvalues).tolist()
+        ham._loops[m] = (
+            params, 1 << params.q, *accept_window(m), phases, *register_fractions(ham, m)
+        )
+    return ham._loops[m]
 
 
 @dataclass(frozen=True)
@@ -267,19 +374,15 @@ def generate_rho_with_record(
     """
     if m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
-    params = PhaseEstimationParams.defaults_for(m)
-    lo, hi = accept_window(m)
-    phases = eigenvalue_phases(ham.eigenvalues)
-    f, g = register_fractions(ham, m)
+    params, size, lo, hi, phases, f, g = _accept_loop(ham, m)
     dim = 1 << ham.n
     cap = m * m
     if mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
-        size = 1 << params.q
         for k in range(1, cap + 1):
             j = int(rng.integers(dim))
-            z = pe_sample(float(phases[j]), params, rng)
+            z = pe_sample(phases[j], params, rng)
             if lo <= z / size <= hi:
                 reg = DenseMixedRegister(
                     np.ones(1), ham.eigenvectors[:, j].reshape(1, -1)
@@ -295,9 +398,7 @@ def generate_rho_with_record(
         return reg, record
     if mode != "analysis":
         raise ValueError(f"unknown mode {mode!r}")
-    accept_p = np.array(
-        [window_probability(float(p), params, lo, hi) for p in phases]
-    )
+    accept_p = np.array([window_probability(p, params, lo, hi) for p in phases])
     abar = float(accept_p.mean())
     p_cap = (1.0 - abar) ** cap if abar > 0 else 1.0
     if abar > 0:

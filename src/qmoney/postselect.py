@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _LUT_MAX_BITS = 16
+# label_table packs the s bits of a label into one uint32
+MAX_LABEL_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,10 @@ class LabelScheme:
     def _table(self) -> np.ndarray:
         if self.n > 24:
             raise CapacityError("label_table enumerates 2**n strings; need n <= 24")
-        if self.s > 32:
-            raise CapacityError("label_table packs labels into uint32; need s <= 32")
+        if self.s > MAX_LABEL_BITS:
+            raise CapacityError(
+                f"label_table packs labels into uint32; need s <= {MAX_LABEL_BITS}"
+            )
         x = np.arange(1 << self.n, dtype=np.uint32)
         out = np.zeros(1 << self.n, dtype=np.uint32)
         for j, sub in enumerate(self.subsets):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -240,6 +241,49 @@ def test_notes_above_the_dense_limit_are_refused_like_mint(tmp_path):
     )
     with pytest.raises(CapacityError):
         load_note(path)
+
+
+@pytest.mark.parametrize(
+    "index, text",
+    [(1, "n 20000"), (1, "n 3000000000"), (2, "s 3000000000"), (3, "d 3000000000")],
+)
+def test_oversized_note_values_are_refused_at_their_line_before_any_build(
+    tmp_path, index, text
+):
+    path = edited_note(tmp_path, index, text)
+    start = time.perf_counter()
+    with pytest.raises(QMoneyError) as err:
+        load_note(path)
+    assert time.perf_counter() - start < 0.1
+    assert f"line {index + 1}:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "loader, key, value",
+    [
+        ("note", "n", "\u0668"),  # an Arabic-Indic eight; int() reads it as 8
+        ("note", "label_seed", "1_0"),  # int() reads it as 10
+        ("note", "s", "+4"),
+        ("scheme", "n", "\u0664"),  # an Arabic-Indic four, the file's own n
+        ("scheme", "l", "1_0"),
+        ("scheme", "m", "\uff16"),  # a fullwidth six, the file's own m
+    ],
+)
+def test_integers_outside_ascii_digits_are_refused_at_their_line(tmp_path, loader, key, value):
+    if loader == "note":
+        path = edited_note(tmp_path, ["n", "s", "d", "label_seed"].index(key) + 1, f"{key} {value}")
+        lines, load = path.read_text().splitlines(), load_note
+    else:
+        path = tmp_path / "int.scheme"
+
+        def edit(lines):
+            i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+            lines[i] = f"{key} {value}"
+
+        lines, load = _edited_scheme_file(path, edit), load_scheme
+    with pytest.raises(SchemeFormatError) as err:
+        load(path)
+    assert lines[err.value.line - 1] == f"{key} {value}"
 
 
 _KEYS = ["n", "m", "l", "epsilon", "seed", "s", "d", "label_seed", "label"]

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import polygamma, zeta
 
 from qmoney import (
     DenseMixedRegister,
@@ -27,7 +28,7 @@ from qmoney import (
     verify,
     window_probability,
 )
-from qmoney.phase import generate_rho_with_record
+from qmoney.phase import _WALK_CAP, _tail_offset, generate_rho_with_record
 
 
 def random_duplicate_free_ops(rng, n, m):
@@ -67,6 +68,35 @@ def test_hamiltonian_matches_dense_average():
         # eigendecomposition reconstructs H
         rebuilt = (ham.eigenvectors * ham.eigenvalues) @ ham.eigenvectors.conj().T
         assert np.allclose(rebuilt, want, atol=1e-10)
+
+
+def per_op_hamiltonian_matrix(ops):
+    """H by one fancy-index scatter per operator: the bit-level oracle for H."""
+    n = ops[0].n
+    idx = np.arange(1 << n, dtype=np.uint64)
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for op in ops:
+        coeff = 1j ** ((op.phase + (op.x & op.z).bit_count()) % 4)
+        signs = 1 - 2 * (np.bitwise_count(idx & np.uint64(op.z)).astype(np.int8) & 1)
+        h[idx ^ np.uint64(op.x), idx] += coeff * signs
+    h /= len(ops)
+    return h
+
+
+def test_hamiltonian_is_bitwise_the_per_op_loop():
+    rng = np.random.default_rng(49)
+    for trial in range(200):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 80))
+        ops = [random_pauli(n, rng) for _ in range(m)]
+        ops = [PauliOp(n, op.x, op.z, op.phase & 2) for op in ops]  # Hermitian signs
+        if trial % 3 == 0:  # cancelling pairs and repeats: zero and doubled entries
+            ops += [-op for op in ops[: m // 2]] + ops[: m // 3]
+        want = per_op_hamiltonian_matrix(ops)
+        ham = register_hamiltonian(ops)
+        assert ham.h_matrix.tobytes() == want.tobytes()  # signed zeros included
+        eigenvalues, eigenvectors = np.linalg.eigh(want)
+        assert ham.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert ham.eigenvectors.tobytes() == eigenvectors.tobytes()
 
 
 def test_moment_identities_exact():
@@ -169,6 +199,187 @@ def test_window_probability_matches_direct_sum():
     for phi in [0.0, 0.01, 0.2, 0.5, 0.9, float(rng.random())]:
         direct = float(pe_distribution(phi, pe.q)[zlo : zhi + 1].sum())
         assert abs(window_probability(phi, pe, lo, hi) - direct) < 1e-9
+
+
+def _masked_inv_square_window(alphas, lo_z, hi_z):
+    """The image sum with a mask per side over all images, polygamma per mask."""
+    total = 0.0
+    floors = np.floor(alphas).astype(np.int64)
+    below_hi = np.minimum(hi_z, floors)
+    sel = below_hi >= lo_z
+    if np.any(sel):
+        al, bh = alphas[sel], below_hi[sel]
+        total += float(np.sum(polygamma(1, al - bh) - polygamma(1, al - lo_z + 1)))
+    above_lo = np.maximum(lo_z, floors + 1)
+    sel = above_lo <= hi_z
+    if np.any(sel):
+        al, alz = alphas[sel], above_lo[sel]
+        total += float(np.sum(polygamma(1, alz - al) - polygamma(1, hi_z - al + 1)))
+    return total
+
+
+def masked_window_probability(phi, params, lo, hi):
+    """window_probability by the masked image sum: the window kernel's bit-level oracle."""
+    size = 1 << params.q
+    lo_z = max(0, math.ceil(lo * size))
+    hi_z = min(size - 1, math.floor(hi * size))
+    if hi_z < lo_z:
+        return 0.0
+    a = phi * size
+    theta = a - math.floor(a)
+    if theta == 0.0:
+        return float(lo_z <= int(a) % size <= hi_z)
+    n_images = max(8, math.ceil(2e10 / size))
+    alphas = a + size * np.arange(-n_images, n_images + 1, dtype=float)
+    total = _masked_inv_square_window(alphas, lo_z, hi_z)
+    prob = math.sin(math.pi * theta) ** 2 / math.pi**2 * total
+    return float(min(1.0, max(0.0, prob)))
+
+
+def window_phases(params, lo, hi, rng, count):
+    """Random phases, phases near the window's edges and near 0 and 1, and the edges.
+
+    Eigenvalues that are zero up to rounding give phases within a few
+    outcomes of 0 or 1; there, hi_z - alpha + 1 rounds twice, so its
+    association shows in the bits.
+    """
+    size = 1 << params.q
+    lo_z, hi_z = math.ceil(lo * size), math.floor(hi * size)
+    edges = [0.0, 0.5, 0.75, lo, hi, 1e-16, 1.0 - 2.0**-53, 1.0]
+    for z in (lo_z, hi_z):
+        edges += [(z + off) / size for off in (-1, -0.5, -1e-3, 0, 1e-3, 0.5, 1)]
+    near_lo = lo + (rng.random(count // 4) - 0.5) * 64 / size
+    near_zero = rng.random(count // 4) * 4 / size
+    near_one = 1.0 - rng.random(count // 4) * 4 / size
+    return [float(p) for p in (*rng.random(count), *near_lo, *near_zero, *near_one, *edges)]
+
+
+@pytest.mark.parametrize("q, m", [(27, 40), (31, 64), (40, 64)])
+def test_window_probability_is_bitwise_the_masked_image_sum(q, m):
+    params = PhaseEstimationParams.defaults_for(m)
+    if params.q != q:
+        params = PhaseEstimationParams(q - 5, 1 / 8)  # 2 + 2/delta = 18: five more bits
+    assert params.q == q
+    lo, hi = accept_window(m)
+    rng = np.random.default_rng(q)
+    for phi in window_phases(params, lo, hi, rng, 2000):
+        want = masked_window_probability(phi, params, lo, hi)
+        got = window_probability(phi, params, lo, hi)
+        assert got == want and math.copysign(1, got) == math.copysign(1, want), phi
+
+
+def test_trigamma_is_zeta_of_two_bit_for_bit():
+    x = np.concatenate([np.random.default_rng(3).random(5000) * 50, 2.0 ** np.arange(-20, 45)])
+    assert zeta(2, x).tobytes() == polygamma(1, x).tobytes()
+
+
+def test_window_probability_image_sum_matches_direct_sum():
+    # q = 19: 2**19 outcomes, K = 38,147 images, and the window holds more
+    # outcomes than the 2K+1 image terms, so the trigamma image sum runs.
+    pe = PhaseEstimationParams(14, 1 / 8)
+    size = 1 << pe.q
+    assert pe.q == 19
+    lo, hi = accept_window(64)
+    zlo, zhi = math.ceil(lo * size), math.floor(hi * size)
+    assert zhi - zlo + 1 > 2 * math.ceil(2e10 / size) + 1
+    rng = np.random.default_rng(65)
+    for phi in [0.01, lo, 0.2, 0.5, 0.9, float(rng.random())]:
+        direct = float(pe_distribution(phi, pe.q)[zlo : zhi + 1].sum())
+        assert abs(window_probability(phi, pe, lo, hi) - direct) < 1e-9
+
+
+def test_window_probability_rejects_phases_outside_the_unit_interval():
+    pe = PhaseEstimationParams.defaults_for(64)
+    lo, hi = accept_window(64)
+    for phi in (-1e-9, 1.0 + 1e-9, 1.5):
+        with pytest.raises(ValueError):
+            window_probability(phi, pe, lo, hi)
+
+
+def walk_pe_sample(phi, params, rng):
+    """The offset walk with a fallback at its cap: the oracle for draws inside the walk."""
+    size = 1 << params.q
+    a = phi * size
+    z0 = math.floor(a)
+    theta = a - z0
+    if theta == 0.0:
+        return z0 % size
+    scale = math.sin(math.pi * theta) ** 2 / math.pi**2
+    u = rng.random()
+    acc = 0.0
+    d = 0
+    for step in range(_WALK_CAP + 1):
+        d = (step + 1) // 2 if step % 2 else -(step // 2)
+        acc += scale / (theta - d) ** 2
+        if acc > u:
+            break
+    return (z0 + d) % size
+
+
+def test_pe_sample_draws_inside_the_walk_are_unchanged():
+    params = PhaseEstimationParams.defaults_for(64)
+    phases = np.random.default_rng(66).random(40)
+    ours, walk = np.random.default_rng(67), np.random.default_rng(67)
+    for phi in phases:
+        for _ in range(250):
+            assert pe_sample(float(phi), params, ours) == walk_pe_sample(float(phi), params, walk)
+    assert ours.random() == walk.random()  # one uniform per draw on both sides
+
+
+class FixedUniform:
+    """An rng stub whose random() returns u, counting the calls."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def test_tail_offset_inverts_the_trigamma_tail():
+    limit = _WALK_CAP // 2
+    for theta in (0.5, 1e-3, 0.3, 0.999):
+        scale = math.sin(math.pi * theta) ** 2 / math.pi**2
+
+        def beyond(t, sign):  # mass of the offsets past sign * t
+            return scale * zeta(2, t + 1 - sign * theta)
+
+        negative, positive = beyond(limit, -1), beyond(limit, 1)
+        for v in [negative * 0.999, negative * 0.3, negative * 1e-6, 2.0**-53,
+                  negative + positive * 0.999, negative + positive * 0.4,
+                  negative + positive * 1e-5, negative * (1 + 2.0**-50)]:
+            d = _tail_offset(v, theta, scale)
+            sign, t = (1 if d > 0 else -1), abs(d)
+            w = v if sign < 0 else v - negative
+            assert (sign < 0) == (v <= negative)
+            assert t > limit  # t reaches about 1e19 for the last v, past float spacing 1
+            # d is the offset whose slot of the CDF holds v
+            assert beyond(t, sign) < w <= beyond(t - 1, sign), (theta, v, d)
+
+
+def test_pe_sample_tail_draw_is_never_the_old_fallback():
+    limit = _WALK_CAP // 2
+    # the one tail draw of the golden low-eps-attack-sample run (q = 27), and q = 40
+    for params, phi, u in [
+        (PhaseEstimationParams.defaults_for(32), 0.06884742944039841, 0.9999829671057262),
+        (PhaseEstimationParams(35, 1 / 8), 0.123456789, 1.0 - 1e-9),
+        (PhaseEstimationParams(35, 1 / 8), 0.7123, 1.0 - 3e-7),
+    ]:
+        size = 1 << params.q
+        a = phi * size
+        z0, theta = math.floor(a), a - math.floor(a)
+        scale = math.sin(math.pi * theta) ** 2 / math.pi**2
+        rng = FixedUniform(u)
+        z = pe_sample(phi, params, rng)
+        assert rng.calls == 1  # no extra draw for the tail
+        assert z != (z0 - limit) % size
+        d = (z - z0 + size // 2) % size - size // 2
+        assert abs(d) > limit and d == _tail_offset(1.0 - u, theta, scale)
+    lo, hi = accept_window(32)
+    golden = pe_sample(0.06884742944039841, PhaseEstimationParams.defaults_for(32),
+                       FixedUniform(0.9999829671057262))
+    assert lo <= golden / 2**27 <= hi  # in the window, as the fallback was
 
 
 def test_accept_window_requires_m_at_least_8():
