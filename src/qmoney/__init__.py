@@ -58,7 +58,6 @@ from .clique import (
     CliqueAttackResult,
     CliqueResult,
     MeasurementGraph,
-    SignedMatrix,
     attack_register,
     bootstrap_clique,
     build_graph,

@@ -12,9 +12,11 @@ with probability ~1/2.  Three finders cover the regimes:
                        ceil(log2(100/c)) and run the spectral finder on the
                        common neighborhood of each S
 
-A recovered clique's operators are completed to a full stabilizer state
-(dropping sign-contradicting strays greedily), which then passes the
-money verifier whenever the clique covers the planted group.
+All finders, and max_eigenvalue_check's +-1 sign matrix, read the one
+MeasurementGraph that build_graph returns.  A recovered clique's operators
+are completed to a full stabilizer state (dropping sign-contradicting
+strays greedily), which then passes the money verifier whenever the clique
+covers the planted group.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .stabilizer import (
 
 __all__ = [
     "MeasurementGraph",
-    "SignedMatrix",
     "CliqueResult",
     "CliqueAttackReport",
     "CliqueAttackResult",
@@ -64,7 +65,6 @@ class MeasurementGraph:
     """Commutation graph of one register; vertices are table indices."""
 
     adjacency: np.ndarray
-    source_ops: tuple[PauliOp, ...] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=np.uint8)
@@ -72,8 +72,6 @@ class MeasurementGraph:
             raise ValueError("adjacency must be square")
         if np.any(a > 1) or np.any(a != a.T) or np.any(np.diag(a) != 0):
             raise ValueError("adjacency must be symmetric 0/1 with zero diagonal")
-        if self.source_ops is not None and len(self.source_ops) != a.shape[0]:
-            raise ValueError("source_ops length must match adjacency size")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
@@ -81,46 +79,10 @@ class MeasurementGraph:
     def m(self) -> int:
         return self.adjacency.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
-
     def is_clique(self, vertices: Sequence[int]) -> bool:
-        """Pairwise check; re-verified on the operators themselves when available."""
         verts = list(vertices)
         sub = self.adjacency[np.ix_(verts, verts)]
-        if not np.all(sub + np.eye(len(verts), dtype=np.uint8)):
-            return False
-        if self.source_ops is not None and len(verts) > 1:
-            com = commutation_matrix([self.source_ops[v] for v in verts])
-            return bool(np.all(com + np.eye(len(verts), dtype=np.uint8)))
-        return True
-
-
-@dataclass(frozen=True, eq=False)
-class SignedMatrix:
-    """Zero-diagonal +-1 matrix: +1 for commuting pairs, -1 for anticommuting."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.matrix, dtype=np.int8)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("matrix must be square")
-        off = b[~np.eye(b.shape[0], dtype=bool)]
-        if np.any(b != b.T) or np.any(np.diag(b) != 0) or np.any(np.abs(off) != 1):
-            raise ValueError("need symmetric zero-diagonal +-1 matrix")
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix", b)
-
-    @classmethod
-    def from_ops(cls, ops: Sequence[PauliOp]) -> "SignedMatrix":
-        b = 2 * commutation_matrix(list(ops)).astype(np.int8) - 1
-        np.fill_diagonal(b, 0)
-        return cls(b)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
+        return bool(np.all(sub + np.eye(len(verts), dtype=np.uint8)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +96,13 @@ class CliqueResult:
 def build_graph(ops: Sequence[PauliOp]) -> MeasurementGraph:
     adjacency = commutation_matrix(list(ops))
     np.fill_diagonal(adjacency, 0)
-    return MeasurementGraph(adjacency, tuple(ops))
+    return MeasurementGraph(adjacency)
+
+
+def _degree_order(adjacency: np.ndarray) -> list[int]:
+    """Vertices by degree, descending; ties go to the lowest index."""
+    degrees = adjacency.sum(axis=1, dtype=np.int64)
+    return np.argsort(-degrees, kind="stable").tolist()
 
 
 def _greedy_from_order(graph: MeasurementGraph, order: Sequence[int]) -> list[int]:
@@ -151,9 +119,7 @@ def _greedy_from_order(graph: MeasurementGraph, order: Sequence[int]) -> list[in
 
 def degree_sort_clique(graph: MeasurementGraph) -> CliqueResult:
     """Greedy clique from the degree-sorted vertex list (ties: lowest index)."""
-    degrees = graph.degrees()
-    order = sorted(range(graph.m), key=lambda v: (-degrees[v], v))
-    selected = _greedy_from_order(graph, order)
+    selected = _greedy_from_order(graph, _degree_order(graph.adjacency))
     return CliqueResult(tuple(sorted(selected)), "degree_sort")
 
 
@@ -186,14 +152,10 @@ def _filter_candidate(graph: MeasurementGraph, key: np.ndarray, k: int) -> list[
     w_set = order[:k]
     counts = graph.adjacency[:, w_set].sum(axis=1, dtype=np.int64)
     candidate = np.flatnonzero(counts >= 0.75 * k)
-    verts = [int(v) for v in candidate]
-    if graph.is_clique(verts):
-        return verts
-    # Stray vertices slip in occasionally; keep the greedy commuting core.
-    sub_deg = graph.adjacency[np.ix_(verts, verts)].sum(axis=1, dtype=np.int64)
-    order = sorted(range(len(verts)), key=lambda i: (-int(sub_deg[i]), verts[i]))
-    kept = _greedy_from_order(graph, [verts[i] for i in order])
-    return kept
+    # Stray vertices slip in occasionally; keep the greedy commuting core,
+    # which on a clique is the whole candidate set.
+    order = _degree_order(graph.adjacency[np.ix_(candidate, candidate)])
+    return _greedy_from_order(graph, candidate[order].tolist())
 
 
 def spectral_clique(graph: MeasurementGraph, k: int) -> CliqueResult:
@@ -230,22 +192,15 @@ def bootstrap_clique(graph: MeasurementGraph, c: float) -> CliqueResult:
     m = graph.m
     target = max(2, math.ceil(c * math.sqrt(m)))
     t = math.ceil(math.log2(100.0 / c))
-    degrees = graph.degrees()
-    order = sorted(range(m), key=lambda v: (-degrees[v], v))
     best: tuple[int, ...] = ()
-    for seed in islice(combinations(order, t), MAX_SEED_SUBSETS):
+    for seed in islice(combinations(_degree_order(graph.adjacency), t), MAX_SEED_SUBSETS):
         if not graph.is_clique(seed):
             continue
         common_mask = np.all(graph.adjacency[list(seed)] == 1, axis=0)
         common = np.flatnonzero(common_mask)
         if len(common) < 2:
             continue
-        sub_ops = (
-            tuple(graph.source_ops[v] for v in common)
-            if graph.source_ops is not None
-            else None
-        )
-        sub = MeasurementGraph(graph.adjacency[np.ix_(common, common)], sub_ops)
+        sub = MeasurementGraph(graph.adjacency[np.ix_(common, common)])
         inner = spectral_clique(sub, min(max(2, target - t), sub.m))
         cand = tuple(sorted(set(seed) | {int(common[v]) for v in inner.vertices}))
         if len(cand) > len(best) and graph.is_clique(cand):
@@ -292,8 +247,15 @@ def exact_max_clique(graph: MeasurementGraph) -> tuple[int, ...]:
 
 
 def max_eigenvalue_check(ops: Sequence[PauliOp]) -> float:
-    """Largest eigenvalue of the +-1 commutation sign matrix."""
-    b = SignedMatrix.from_ops(ops).matrix.astype(float)
+    """Largest eigenvalue of the +-1 commutation sign matrix.
+
+    The sign matrix is 2A - 1 off the diagonal and 0 on it, where A is the
+    commutation graph's adjacency.
+    """
+    b = build_graph(ops).adjacency.astype(float)
+    b *= 2
+    b -= 1
+    np.fill_diagonal(b, 0)
     m = b.shape[0]
     w = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)
     return float(w[0])

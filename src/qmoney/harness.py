@@ -113,6 +113,8 @@ class ExperimentConfig:
         unknown = set(self.options) - _OPTION_KEYS.get(self.kind, set())
         if unknown:
             raise ValueError(f"{self.kind} reads no option {sorted(unknown)}")
+        if self.options.get("mode", "sample") not in ("sample", "analysis"):
+            raise ValueError(f"mode must be 'sample' or 'analysis', got {self.options['mode']!r}")
 
 
 @dataclass(frozen=True)
@@ -401,6 +403,48 @@ def _parse_count(value: str) -> int:
     return int(value)
 
 
+def _parse_epsilon(value: str) -> float:
+    """A float as save_scheme writes it: its repr, unsigned.
+
+    Python's float also takes underscores, other scripts' digits, signs and
+    other spellings of one value, so files outside the written format would
+    load, and several files would name one scheme.
+    """
+    epsilon = float(value)
+    if repr(epsilon) != value or not value[0].isdigit():
+        raise ValueError(f"not an unsigned float as repr writes it: {value!r}")
+    return epsilon
+
+
+def _read_fields(
+    reader: _LineReader, parsers: dict, stop: str, optional: tuple[str, ...] = ()
+) -> dict[str, tuple[int, object]]:
+    """{key: (line, parsed value)} from the 'key value' lines up to the line ``stop``.
+
+    Every key of parsers but the optional ones must appear, each key at most
+    once, and each value is parsed at its own line.
+    """
+    fields: dict[str, tuple[int, object]] = {}
+    while True:
+        lineno, text = reader.next()
+        if text == stop:
+            break
+        parts = text.split(maxsplit=1)
+        if len(parts) != 2 or parts[0] not in parsers:
+            raise SchemeFormatError(f"bad header line {text!r}", lineno)
+        key, value = parts
+        if key in fields:
+            raise SchemeFormatError(f"repeated field {key}", lineno)
+        try:
+            fields[key] = (lineno, parsers[key](value))
+        except ValueError as exc:
+            raise SchemeFormatError(f"{key}: {exc}", lineno) from exc
+    missing = [key for key in parsers if key not in fields and key not in optional]
+    if missing:
+        raise SchemeFormatError(f"missing field {missing[0]}", lineno)
+    return fields
+
+
 def _read_register_block(
     reader: _LineReader, i: int, count: int, n: int
 ) -> tuple[int, tuple[PauliOp, ...]]:
@@ -431,27 +475,12 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
     lineno, text = reader.next()
     if text != _SCHEME_MAGIC:
         raise SchemeFormatError(f"unsupported header {text!r}", lineno)
-    header: dict[str, tuple[int, str]] = {}
-    while True:
-        lineno, text = reader.next()
-        if text == "table":
-            break
-        parts = text.split(maxsplit=1)
-        if len(parts) != 2 or parts[0] not in ("n", "m", "l", "epsilon", "seed"):
-            raise SchemeFormatError(f"bad header line {text!r}", lineno)
-        header[parts[0]] = (lineno, parts[1])
+    parsers = {"n": _parse_count, "m": _parse_count, "l": _parse_count, "epsilon": _parse_epsilon}
+    header = _read_fields(reader, {**parsers, "seed": _parse_count}, "table", optional=("seed",))
     fields = {}
-    for key, parse in (
-        ("n", _parse_count),
-        ("m", _parse_count),
-        ("l", _parse_count),
-        ("epsilon", float),
-    ):
-        if key not in header:
-            raise SchemeFormatError(f"missing header field {key}", lineno)
-        field_line, value = header[key]
+    for key in parsers:
+        field_line, fields[key] = header[key]
         try:
-            fields[key] = parse(value)
             # SchemeParams checks each field on its own, so a valid
             # instance with this one field swapped in checks only it.
             replace(_VALID_PARAMS, **{key: fields[key]})
@@ -509,24 +538,9 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
     lineno, text = reader.next()
     if text != _NOTE_MAGIC:
         raise SchemeFormatError(f"unsupported header {text!r}", lineno)
-    header: dict[str, tuple[int, str]] = {}
-    while True:
-        lineno, text = reader.next()
-        if text == "end":
-            break
-        parts = text.split(maxsplit=1)
-        if len(parts) != 2 or parts[0] not in ("n", "s", "d", "label_seed", "label"):
-            raise SchemeFormatError(f"bad note line {text!r}", lineno)
-        header[parts[0]] = (lineno, parts[1])
-    fields = {}
-    for key in ("n", "s", "d", "label_seed", "label"):
-        if key not in header:
-            raise SchemeFormatError(f"missing note field {key}", lineno)
-        field_line, value = header[key]
-        try:
-            fields[key] = value if key == "label" else _parse_count(value)
-        except ValueError as exc:
-            raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
+    parsers = dict.fromkeys(("n", "s", "d", "label_seed"), _parse_count)
+    header = _read_fields(reader, {**parsers, "label": str}, "end")
+    fields = {key: value for key, (_, value) in header.items()}
     # before make_label_scheme, which allocates per bit and per subset
     for key, limit, why in (
         ("n", DENSE_LIMIT, "a note is a dense state"),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +140,7 @@ class PhaseEstimationParams:
         if not 0 < self.delta < 1:
             raise ValueError("need 0 < delta < 1")
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.r + math.ceil(math.log2(2 + 2 / self.delta))
 

@@ -4,16 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmoney import (
     AttackFailure,
     MeasurementGraph,
     PauliOp,
     SchemeParams,
-    SignedMatrix,
     SoundnessWarning,
     bootstrap_clique,
     build_graph,
+    commutation_matrix,
     commutes,
     degree_sort_clique,
     attack_register,
@@ -29,7 +30,7 @@ from qmoney import (
     stab_expectation,
     verify,
 )
-from qmoney.clique import _greedy_from_order
+from qmoney.clique import _degree_order, _greedy_from_order
 
 
 def gnp(rng, m, p=0.5):
@@ -118,6 +119,15 @@ def test_greedy_from_order_matches_pairwise_reference():
             rng.choice(m, size=size).tolist(),
         ):
             assert _greedy_from_order(g, order) == reference_greedy_from_order(g.adjacency, order)
+
+
+def test_degree_order_is_descending_with_ties_to_the_lowest_index():
+    rng = np.random.default_rng(51)
+    for _ in range(100):
+        m = int(rng.integers(1, 40))
+        a = gnp(rng, m, p=rng.uniform(0.05, 0.95))  # small graphs: many tied degrees
+        degrees = a.sum(axis=1, dtype=np.int64)
+        assert _degree_order(a) == sorted(range(m), key=lambda v: (-degrees[v], v))
 
 
 def test_second_eigenvector_on_known_matrices():
@@ -214,15 +224,24 @@ def test_bootstrap_small_c_recovers_medium_clique():
     assert ok >= 7, ok
 
 
+def sign_matrix(ops):
+    """Reference +-1 sign matrix straight from the operators: +1 for commuting
+    pairs, -1 for anticommuting ones, 0 on the diagonal (int8)."""
+    b = 2 * commutation_matrix(list(ops)).astype(np.int8) - 1
+    np.fill_diagonal(b, 0)
+    return b
+
+
 def test_signed_matrix_moments():
     rng = np.random.default_rng(38)
     m = 80
     ops = [random_pauli(10, rng, allow_identity=False) for _ in range(m)]
-    b = SignedMatrix.from_ops(ops).matrix
+    b = sign_matrix(ops)
     assert np.trace(b) == 0.0
     assert np.trace(b @ b) == m * (m - 1)  # every off-diagonal entry is +-1
-    with pytest.raises(ValueError):
-        SignedMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    # the graph's adjacency is the same relation: b = 2A - 1 off the diagonal
+    a = build_graph(ops).adjacency.astype(np.int8)
+    assert np.array_equal(b, 2 * a - 1 + np.eye(m, dtype=np.int8))
 
 
 def test_sign_matrix_moments_match_rademacher():
@@ -235,7 +254,7 @@ def test_sign_matrix_moments_match_rademacher():
     rademacher_moments = np.zeros(3)
     for _ in range(trials):
         ops = [random_pauli(12, rng, allow_identity=False) for _ in range(m)]
-        b = SignedMatrix.from_ops(ops).matrix
+        b = sign_matrix(ops)
         r = np.triu(np.where(rng.random((m, m)) < 0.5, 1.0, -1.0), 1)
         r = r + r.T
         for t, power in enumerate((2, 3, 4)):
@@ -246,6 +265,26 @@ def test_sign_matrix_moments_match_rademacher():
     for t in (1, 2):
         scale = abs(rademacher_moments[t]) + m ** ((t + 2) / 2)
         assert abs(pauli_moments[t] - rademacher_moments[t]) < 4 * scale
+
+
+def test_max_eigenvalue_check_equals_eigh_of_reference_sign_matrix():
+    # max_eigenvalue_check builds its float matrix from the graph's
+    # adjacency; the bytes, and so the eigenvalue, match the int8 reference.
+    rng = np.random.default_rng(49)
+    for _ in range(12):
+        m = int(rng.integers(1, 150))
+        n = int(rng.integers(1, 20))
+        ops = [random_pauli(n, rng) for _ in range(m)]
+        b = sign_matrix(ops).astype(float)
+        want = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)[0]
+        assert max_eigenvalue_check(ops) == float(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        _, scheme = gen_scheme(SchemeParams(8, 120, 2, 0.5), np.random.default_rng(50))
+    for ops in scheme.table:
+        b = sign_matrix(ops).astype(float)
+        want = scipy.linalg.eigh(b, subset_by_index=(119, 119), eigvals_only=True)[0]
+        assert max_eigenvalue_check(ops) == float(want)
 
 
 def test_max_eigenvalue_bound_smoke():

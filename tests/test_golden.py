@@ -35,6 +35,12 @@ CONFIGS = {
     "clique-attack": ExperimentConfig(
         "clique-attack", 4, 3, SchemeParams(10, 100, 8, 0.8)
     ),
+    "clique-attack-spectral": ExperimentConfig(
+        "clique-attack", 4, 3, SchemeParams(12, 400, 4, 0.5)
+    ),
+    "clique-attack-bootstrap": ExperimentConfig(
+        "clique-attack", 4, 3, SchemeParams(10, 150, 8, 0.6)
+    ),
     "low-eps-attack-sample": ExperimentConfig(
         "low-eps-attack", 3, 3, SchemeParams(3, 32, 16, 1 / 128), options={"mode": "sample"}
     ),

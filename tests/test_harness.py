@@ -5,16 +5,18 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qmoney import (
     CapacityError,
     ExperimentConfig,
     LabelParams,
+    MoneyScheme,
     QMoneyError,
     ResultRecord,
     SchemeFormatError,
@@ -67,13 +69,19 @@ def test_scheme_round_trip_without_secret(tmp_path):
     assert secret2 is None
 
 
-def test_epsilon_survives_round_trip_exactly(tmp_path):
-    for eps in (0.25, 1 / 3, 1 / 128, 0.1):
-        secret, scheme = small_scheme(seed=2, eps=eps)
-        path = tmp_path / "c.scheme"
-        save_scheme(path, scheme)
-        scheme2, _ = load_scheme(path)
-        assert scheme2.params.epsilon == eps  # bit-exact via repr round trip
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(eps=st.floats(min_value=0.0, max_value=1.0))
+@example(eps=0.25)
+@example(eps=1 / 3)
+@example(eps=1 / 128)
+@example(eps=0.1)
+def test_epsilon_survives_round_trip_exactly(tmp_path, eps):
+    secret, scheme = small_scheme(seed=2, n=4, m=6, l=3)
+    scheme = MoneyScheme(replace(scheme.params, epsilon=eps), scheme.table)
+    path = tmp_path / "c.scheme"
+    save_scheme(path, scheme, secret, seed=7)
+    scheme2, _ = load_scheme(path)
+    assert repr(scheme2.params.epsilon) == repr(eps)  # bit-exact via repr round trip
 
 
 def test_truncated_file_is_an_error_not_a_partial_object(tmp_path):
@@ -116,7 +124,7 @@ def test_format_errors_carry_line_numbers(tmp_path):
 def _edited_scheme_file(path, edit):
     """Save a small scheme with its secret, apply edit to the list of lines."""
     secret, scheme = small_scheme(seed=4, n=4, m=6, l=3)
-    save_scheme(path, scheme, secret)
+    save_scheme(path, scheme, secret, seed=99)
     lines = path.read_text().splitlines()
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
@@ -125,7 +133,19 @@ def _edited_scheme_file(path, edit):
 
 @pytest.mark.parametrize(
     "header, value",
-    [("n", "x"), ("epsilon", "2"), ("n", "0")],
+    [
+        ("n", "x"),
+        ("epsilon", "2"),
+        ("n", "0"),
+        # epsilon is read only as repr writes it; float() takes all of these
+        ("epsilon", "0.2_5"),
+        ("epsilon", "\u0660.\u0665"),  # Arabic-Indic digits
+        ("epsilon", "+0.25"),
+        ("epsilon", "-0.0"),
+        ("epsilon", "0.250"),
+        ("seed", "banana"),
+        ("seed", "9_9"),
+    ],
 )
 def test_bad_header_values_carry_their_line(tmp_path, header, value):
     path = tmp_path / "h.scheme"
@@ -138,6 +158,30 @@ def test_bad_header_values_carry_their_line(tmp_path, header, value):
     with pytest.raises(SchemeFormatError) as err:
         load_scheme(path)
     assert lines[err.value.line - 1] == f"{header} {value}"
+
+
+@pytest.mark.parametrize(
+    "loader, key",
+    [("scheme", "n"), ("scheme", "epsilon"), ("scheme", "seed"), ("note", "n"), ("note", "label")],
+)
+def test_repeated_fields_are_refused_at_their_second_line(tmp_path, loader, key):
+    path = tmp_path / f"repeat.{loader}"
+    if loader == "scheme":
+        secret, scheme = small_scheme(seed=4, n=4, m=6, l=3)
+        save_scheme(path, scheme, secret, seed=99)
+        load = load_scheme
+    else:
+        sch = make_label_scheme(8, 4, 2, 0)
+        save_note(path, sch, mint(sch, np.random.default_rng(6)))
+        load = load_note
+    lines = path.read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+    # the repeat is a valid value on its own, so only the repetition is wrong
+    lines.insert(first + 1, lines[first])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemeFormatError, match=f"repeated field {key}") as err:
+        load(path)
+    assert err.value.line == first + 2
 
 
 def test_identity_table_entry_carries_its_line(tmp_path):
@@ -426,6 +470,10 @@ def test_run_experiment_validates_config():
         ExperimentConfig("eigenvalue-check", 1, 0, source="s.scheme")
     with pytest.raises(ValueError):
         ExperimentConfig("beta-mixing", 1, 0, source="n.note")
+    low_eps = SchemeParams(3, 32, 16, 1 / 128)
+    for mode in ("analysys", "Sample", "", None):  # a typo must not run sample mode
+        with pytest.raises(ValueError, match="mode"):
+            ExperimentConfig("low-eps-attack", 1, 0, low_eps, options={"mode": mode})
 
 
 def test_config_rejects_option_keys_its_kind_does_not_read():
