@@ -189,6 +189,10 @@ def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, in
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:
     if nbits == 0:
         return 0  # rng.bytes(0) still advances the generator
+    if nbits <= 32:
+        # One uint32 word: the draw and the generator state rng.bytes(<= 4)
+        # gives, without its per-call array setup.
+        return int(rng.integers(4294967296, dtype=np.uint32)) & ((1 << nbits) - 1)
     return int.from_bytes(rng.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
 
 

@@ -30,7 +30,8 @@ from qmoney import (
     stab_expectation,
     verify,
 )
-from qmoney.clique import _degree_order, _greedy_from_order
+import qmoney.clique as clique_module
+from qmoney.clique import _degree_order, _greedy_from_order, _sign_matrix, _top_eigenpairs
 
 
 def gnp(rng, m, p=0.5):
@@ -267,24 +268,193 @@ def test_sign_matrix_moments_match_rademacher():
         assert abs(pauli_moments[t] - rademacher_moments[t]) < 4 * scale
 
 
+def close_to_eigh(got, want, scale):
+    """Lanczos against the dense oracle: within 1e-13 of the spectral scale."""
+    return abs(got - want) <= 1e-13 * max(1.0, abs(scale))
+
+
 def test_max_eigenvalue_check_equals_eigh_of_reference_sign_matrix():
-    # max_eigenvalue_check builds its float matrix from the graph's
-    # adjacency; the bytes, and so the eigenvalue, match the int8 reference.
+    # The float matrix equals the int8 reference byte for byte; Lanczos then
+    # agrees with the dense solve of it to rounding.
     rng = np.random.default_rng(49)
     for _ in range(12):
         m = int(rng.integers(1, 150))
         n = int(rng.integers(1, 20))
         ops = [random_pauli(n, rng) for _ in range(m)]
         b = sign_matrix(ops).astype(float)
+        assert _sign_matrix(ops).tobytes() == b.tobytes()
         want = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)[0]
-        assert max_eigenvalue_check(ops) == float(want)
+        assert close_to_eigh(max_eigenvalue_check(ops), want, want)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SoundnessWarning)
         _, scheme = gen_scheme(SchemeParams(8, 120, 2, 0.5), np.random.default_rng(50))
     for ops in scheme.table:
         b = sign_matrix(ops).astype(float)
+        assert _sign_matrix(ops).tobytes() == b.tobytes()
         want = scipy.linalg.eigh(b, subset_by_index=(119, 119), eigvals_only=True)[0]
-        assert max_eigenvalue_check(ops) == float(want)
+        assert close_to_eigh(max_eigenvalue_check(ops), want, want)
+
+
+def test_max_eigenvalue_check_matches_dense_eigh_on_random_tables():
+    rng = np.random.default_rng(52)
+    for _ in range(40):
+        m = int(rng.integers(2, 701))
+        n = int(rng.integers(1, 65))
+        ops = [random_pauli(n, rng, allow_identity=False) for _ in range(m)]
+        b = sign_matrix(ops).astype(float)
+        want = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)[0]
+        assert close_to_eigh(max_eigenvalue_check(ops), want, want)
+
+
+def top_k_disagreement(lanczos_key, dense_key, k):
+    """Each vertex in exactly one of the two top-k sets, mapped to the
+    distance of its dense key from the dense k-th key."""
+    order = np.argsort(-dense_key, kind="stable")
+    cut = dense_key[order[k - 1]]
+    got = set(np.argsort(-lanczos_key, kind="stable")[:k].tolist())
+    return {v: abs(dense_key[v] - cut) for v in got ^ set(order[:k].tolist())}
+
+
+def spectral_calls(params, monkeypatch):
+    """(adjacency, k) of every spectral_clique call in attacking each register
+    of a scheme at params, the bootstrap finder's sub-graphs included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        _, scheme = gen_scheme(params, np.random.default_rng(3))
+    calls = []
+    inner = clique_module.spectral_clique
+
+    def recording(graph, k):
+        calls.append((graph.adjacency.astype(float), min(k, graph.m)))
+        return inner(graph, k)
+
+    monkeypatch.setattr(clique_module, "spectral_clique", recording)
+    expected_k = round(params.epsilon * params.m)
+    for ops in scheme.table:
+        calls.append((build_graph(ops).adjacency.astype(float), expected_k))
+        try:
+            attack_register(ops, expected_k)
+        except AttackFailure:
+            pass
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # the shapes of the three clique-attack golden files
+        SchemeParams(10, 100, 8, 0.8),
+        SchemeParams(12, 400, 4, 0.5),
+        SchemeParams(10, 150, 8, 0.6),
+    ],
+)
+def test_second_eigenvector_top_k_sets_match_dense_eigh(params, monkeypatch):
+    calls = spectral_calls(params, monkeypatch)
+    assert len(calls) >= params.l
+    for a, k in calls:
+        m = len(a)
+        _, got = second_eigenvector(a)
+        want = scipy.linalg.eigh(a, subset_by_index=(m - 2, m - 2))[1][:, 0]
+        if got @ want < 0:  # an eigenvector's sign is arbitrary
+            got = -got
+        # Vertices with equal neighborhoods have equal entries in exact
+        # arithmetic, and rounding orders them; only such ties at the cut
+        # may fall on different sides.
+        for key_l, key_d in ((got, want), (-got, -want), (np.abs(got), np.abs(want))):
+            assert all(gap <= 1e-12 for gap in top_k_disagreement(key_l, key_d, k).values())
+
+
+def test_second_eigenvector_top_k_sets_match_dense_eigh_at_criterion_06_shape():
+    rng = np.random.default_rng(53)
+    m, k = 2000, 450
+    planted = rng.choice(m, size=k, replace=False)
+    a = plant(gnp(rng, m), planted).astype(float)
+    _, got = second_eigenvector(a)
+    want = scipy.linalg.eigh(a, subset_by_index=(m - 2, m - 2))[1][:, 0]
+    if got @ want < 0:
+        got = -got
+    for key_l, key_d in ((got, want), (-got, -want), (np.abs(got), np.abs(want))):
+        assert not top_k_disagreement(key_l, key_d, k)
+
+
+def test_eigensolvers_at_m_1_to_10_match_dense_eigh():
+    rng = np.random.default_rng(54)
+    for m in range(1, 11):
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            ops = [random_pauli(n, rng) for _ in range(m)]
+            b = sign_matrix(ops).astype(float)
+            w = scipy.linalg.eigh(b, eigvals_only=True)
+            assert close_to_eigh(max_eigenvalue_check(ops), w[-1], w[-1])
+            a = build_graph(ops).adjacency.astype(float)
+            if m == 1:
+                with pytest.raises(ValueError):
+                    second_eigenvector(a)
+                continue
+            w = scipy.linalg.eigh(a, eigvals_only=True)
+            val, vec = second_eigenvector(a)
+            assert close_to_eigh(val, w[-2], w[-1])
+            assert np.linalg.norm(a @ vec - val * vec) <= 1e-12 * max(1.0, w[-1])
+
+
+def test_eigensolvers_on_an_all_commuting_table():
+    # B = J - I: the all-ones start vector is an eigenvector (m - 1), and the
+    # rest of the spectrum is -1.
+    for m in (2, 3, 10, 300):
+        ops = [PauliOp(12, 0, z, 0) for z in range(1, m + 1)]
+        assert close_to_eigh(max_eigenvalue_check(ops), m - 1, m - 1)
+        val, vec = second_eigenvector(build_graph(ops).adjacency.astype(float))
+        assert close_to_eigh(val, -1.0, m - 1)
+        assert abs(vec.sum()) <= 1e-10  # orthogonal to the top eigenvector
+
+
+def test_eigensolvers_on_a_degenerate_top_eigenvalue():
+    # Three groups of s operators, X, Y or Z on qubit 0 times distinct
+    # Z-strings on the rest: commuting inside a group, anticommuting across.
+    # The sign matrix's top eigenvalue 2s - 1 is double; the graph's s - 1
+    # is triple.
+    s = 20
+    ops = [
+        PauliOp(9, x, (z << 1) | zbit, 0)
+        for x, zbit in ((1, 0), (1, 1), (0, 1))
+        for z in range(1, s + 1)
+    ]
+    assert close_to_eigh(max_eigenvalue_check(ops), 2 * s - 1, 2 * s - 1)
+    a = build_graph(ops).adjacency.astype(float)
+    val, vec = second_eigenvector(a)
+    assert close_to_eigh(val, s - 1, s - 1)
+    assert np.linalg.norm(a @ vec - val * vec) <= 1e-12 * s
+
+
+def test_edgeless_graph_and_balanced_sign_matrix_take_the_dense_solve():
+    # ARPACK starts from b @ ones, which is zero here.
+    val, vec = second_eigenvector(np.zeros((6, 6)))
+    assert val == 0.0 and abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    cycle = np.zeros((5, 5))
+    for i in range(5):
+        cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1
+    b = 2 * cycle - 1
+    np.fill_diagonal(b, 0)
+    w, _ = _top_eigenpairs(b, 2)
+    assert np.array_equal(w, scipy.linalg.eigh(b, subset_by_index=(3, 4), eigvals_only=True))
+
+
+def test_top_eigenpairs_repeat_bit_for_bit():
+    # The same input solved twice, with another solve in between, gives the
+    # same bits: no state carries over from one ARPACK call to the next.
+    rng = np.random.default_rng(55)
+    ops = [random_pauli(20, rng, allow_identity=False) for _ in range(300)]
+    random_b = sign_matrix(ops).astype(float)
+    # Three disjoint K20: the top eigenvalue 19 is triple, and the all-ones
+    # start vector spans only part of its eigenspace, so ARPACK draws a
+    # random vector mid-run.
+    triple = np.kron(np.eye(3), np.ones((20, 20))) - np.eye(60)
+    for b in (random_b, triple):
+        for k in (1, 2):
+            w1, v1 = _top_eigenpairs(b, k)
+            _top_eigenpairs(gnp(rng, 120).astype(float), 2)
+            w2, v2 = _top_eigenpairs(b, k)
+            assert w1.tobytes() == w2.tobytes() and v1.tobytes() == v2.tobytes()
 
 
 def test_max_eigenvalue_bound_smoke():

@@ -18,6 +18,7 @@ from qmoney import (
     symplectic_ip,
 )
 from qmoney.errors import CapacityError
+from qmoney.pauli import _random_bits
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -182,6 +183,18 @@ def test_random_pauli_allow_identity_flag():
     rng = np.random.default_rng(19)
     for _ in range(500):
         assert not random_pauli(2, rng, allow_identity=False).is_identity
+
+
+@pytest.mark.parametrize("nbits", [1, 13, 32, 33, 101, 129])
+def test_random_bits_reads_the_rng_bytes_stream(nbits):
+    # Every width gives the draw, and leaves the generator state, of the
+    # rng.bytes path, interleaved with the generator's other draws.
+    fast, ref = np.random.default_rng(51), np.random.default_rng(51)
+    for _ in range(200):
+        want = int.from_bytes(ref.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
+        assert _random_bits(fast, nbits) == want
+        assert fast.random() == ref.random()
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_dense_capacity_guard():
