@@ -17,7 +17,6 @@ from .errors import (
     SoundnessWarning,
 )
 from .pauli import (
-    DENSE_LIMIT,
     PauliOp,
     apply_pauli,
     commutation_matrix,
@@ -43,9 +42,7 @@ from .money import (
     MoneyScheme,
     MoneyState,
     SchemeParams,
-    SecretKey,
     StabilizerRegister,
-    VerificationOutcome,
     completely_mixed_money,
     gen_scheme,
     honest_money,
@@ -54,9 +51,6 @@ from .money import (
     verify,
 )
 from .clique import (
-    CliqueAttackReport,
-    CliqueAttackResult,
-    CliqueResult,
     MeasurementGraph,
     attack_register,
     bootstrap_clique,
@@ -69,10 +63,8 @@ from .clique import (
     spectral_clique,
 )
 from .phase import (
-    PhaseEstimationParams,
-    RegisterForgeRecord,
-    RegisterHamiltonian,
     accept_window,
+    ancilla_qubits,
     eigenvalue_phases,
     forge_low_eps_with_records,
     moments,
@@ -83,11 +75,7 @@ from .phase import (
     window_probability,
 )
 from .postselect import (
-    BetaChainDiagnostics,
-    ComponentAnalysis,
     LabelScheme,
-    LabeledMoney,
-    MarkovVerifier,
     apply_M,
     beta_chain_mixing,
     build_verifier,
@@ -104,7 +92,6 @@ from .postselect import (
     verify_money,
 )
 from .harness import (
-    EXPERIMENT_KINDS,
     ExperimentConfig,
     LabelParams,
     ResultRecord,

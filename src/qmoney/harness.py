@@ -203,9 +203,7 @@ def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
     scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
     hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
     mode = config.options.get("mode", "sample")
-    analysis_money, analysis_recs = phase.forge_low_eps_with_records(
-        scheme, mode="analysis", hamiltonians=hams
-    )
+    analysis_money, analysis_recs = phase.forge_low_eps_with_records(hams, mode="analysis")
     mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
     records = []
     for trial in range(config.trials):
@@ -213,9 +211,7 @@ def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
         if mode == "analysis":
             money, recs = analysis_money, analysis_recs  # deterministic: forged once
         else:
-            money, recs = phase.forge_low_eps_with_records(
-                scheme, rng, "sample", hamiltonians=hams
-            )
+            money, recs = phase.forge_low_eps_with_records(hams, rng, "sample")
         out = verify(scheme, money, rng)
         metrics = {
             "q_value": out.q_value,

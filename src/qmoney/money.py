@@ -92,14 +92,6 @@ class MoneyScheme:
                 if op.is_identity:
                     raise ValueError("table entries may not be +-identity")
 
-    def duplicate_registers(self) -> tuple[int, ...]:
-        """Registers containing a repeated signed entry (flagged, not forbidden)."""
-        out = []
-        for i, register in enumerate(self.table):
-            if len({(op.x, op.z, op.phase) for op in register}) < len(register):
-                out.append(i)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class StabilizerRegister:
@@ -179,13 +171,6 @@ class MoneyState:
 class VerificationOutcome:
     q_value: float
     accepted: bool
-    per_register_outcomes: tuple[int, ...]
-    chosen_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        mean = sum(self.per_register_outcomes) / len(self.per_register_outcomes)
-        if abs(self.q_value - mean) > 1e-12:
-            raise ValueError("q_value must be the mean of the register outcomes")
 
 
 def gen_scheme(
@@ -281,11 +266,10 @@ def verify(
         raise DimensionError(f"money has {money.l} registers, scheme wants l={p.l}")
     if money.n != p.n:
         raise DimensionError(f"money on {money.n} qubits, scheme wants n={p.n}")
-    chosen = [int(j) for j in rng.integers(0, p.m, size=p.l)]
-    outcomes = [
+    chosen = rng.integers(0, p.m, size=p.l).tolist()
+    total = sum(
         measure_register(money.registers[i], scheme.table[i][j], rng)
         for i, j in enumerate(chosen)
-    ]
-    total = sum(outcomes)
+    )
     accepted = Fraction(total, p.l) >= Fraction(str(p.epsilon)) / 2
-    return VerificationOutcome(total / p.l, bool(accepted), tuple(outcomes), tuple(chosen))
+    return VerificationOutcome(total / p.l, bool(accepted))

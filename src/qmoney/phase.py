@@ -15,6 +15,12 @@ kernel into a sum over integer offsets d with mass proportional to
 exact sampler that never enumerates the 2**q outcomes and exact window
 probabilities via trigamma sums.
 
+The kernel's one input besides the phase is the ancilla count q
+(ancilla_qubits turns r bits of precision at failure probability delta
+into q).  Everything else the forger needs comes from the register: its
+RegisterHamiltonian records the table size m, which fixes q, the accept
+window and the m**2 cap.
+
 The kernel runs once per drawn eigenstate and once per eigenphase, so a
 call costs a few numpy operations: one zeta(2, .) = psi1 call per window
 sum, and a direct kernel sum for windows shorter than the image sum.  H
@@ -25,7 +31,7 @@ computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
 
@@ -33,13 +39,13 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import CapacityError, DimensionError
-from .money import DenseMixedRegister, MoneyScheme, MoneyState
+from .money import DenseMixedRegister, MoneyState
 from .pauli import DENSE_LIMIT, PauliOp
 
 __all__ = [
     "RegisterHamiltonian",
-    "PhaseEstimationParams",
     "RegisterForgeRecord",
+    "ancilla_qubits",
     "register_hamiltonian",
     "moments",
     "register_fractions",
@@ -55,14 +61,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RegisterHamiltonian:
+    """H = (1/m) sum of a register's m table entries, on n qubits."""
+
     n: int
+    m: int
     h_matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    # the accept loop's constants per table size m, filled by _accept_loop
-    _loops: dict[int, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+    @cached_property
+    def _accept_loop(self) -> tuple[int, float, float, list[float]]:
+        """(q, lo, hi, phases) of the forger's accept loop, computed once."""
+        q = ancilla_qubits(math.ceil(math.log2(20 * self.m)), 1.0 / self.m**3)
+        return (q, *accept_window(self.m), eigenvalue_phases(self.eigenvalues).tolist())
 
 
 def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
@@ -108,7 +119,7 @@ def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
     h.setflags(write=False)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return RegisterHamiltonian(n, h, eigenvalues, eigenvectors)
+    return RegisterHamiltonian(n, len(ops), h, eigenvalues, eigenvectors)
 
 
 def moments(ham: RegisterHamiltonian) -> tuple[float, float]:
@@ -119,34 +130,21 @@ def moments(ham: RegisterHamiltonian) -> tuple[float, float]:
     return mu1, mu2
 
 
-def register_fractions(ham: RegisterHamiltonian, m: int) -> tuple[float, float]:
+def register_fractions(ham: RegisterHamiltonian) -> tuple[float, float]:
     """f = fraction of eigenvalues with |lambda| >= 1/(2 sqrt m), g = same one-sided."""
-    thr = 0.5 / math.sqrt(m) - 1e-12
+    thr = 0.5 / math.sqrt(ham.m) - 1e-12
     f = float(np.mean(np.abs(ham.eigenvalues) >= thr))
     g = float(np.mean(ham.eigenvalues >= thr))
     return f, g
 
 
-@dataclass(frozen=True)
-class PhaseEstimationParams:
-    """r bits of precision with failure probability delta; q ancilla qubits."""
-
-    r: int
-    delta: float
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("need r >= 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("need 0 < delta < 1")
-
-    @cached_property
-    def q(self) -> int:
-        return self.r + math.ceil(math.log2(2 + 2 / self.delta))
-
-    @classmethod
-    def defaults_for(cls, m: int) -> "PhaseEstimationParams":
-        return cls(r=math.ceil(math.log2(20 * m)), delta=1.0 / m**3)
+def ancilla_qubits(r: int, delta: float) -> int:
+    """Ancilla count q for r bits of precision with failure probability delta."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if not 0 < delta < 1:
+        raise ValueError("need 0 < delta < 1")
+    return r + math.ceil(math.log2(2 + 2 / delta))
 
 
 def pe_distribution(phi: float, q: int) -> np.ndarray:
@@ -183,7 +181,7 @@ def _offset_order():
 _WALK_CAP = 20000
 
 
-def pe_sample(phi: float, params: PhaseEstimationParams, rng: np.random.Generator) -> int:
+def pe_sample(phi: float, q: int, rng: np.random.Generator) -> int:
     """Exact sample from the ideal kernel, O(1) expected time for any q.
 
     Sampling the integer offset d with mass (sin^2(pi*theta)/pi^2) /
@@ -196,7 +194,7 @@ def pe_sample(phi: float, params: PhaseEstimationParams, rng: np.random.Generato
     the tail's closed-form trigamma masses (_tail_offset); there is no
     fallback outcome and no second draw.
     """
-    size = 1 << params.q
+    size = 1 << q
     a = phi * size
     z0 = math.floor(a)
     theta = a - z0
@@ -289,9 +287,7 @@ def _image_sum(a: float, z0: int, lo_z: int, hi_z: int, shifts: np.ndarray) -> f
     )
 
 
-def window_probability(
-    phi: float, params: PhaseEstimationParams, lo: float, hi: float
-) -> float:
+def window_probability(phi: float, q: int, lo: float, hi: float) -> float:
     """Exact Pr(z/2**q in [lo, hi]) under the ideal kernel, for phi in [0, 1].
 
     Uses the same partial-fraction picture as pe_sample: the window sum
@@ -304,7 +300,7 @@ def window_probability(
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phase must lie in [0, 1]")
-    size = 1 << params.q
+    size = 1 << q
     lo_z = max(0, math.ceil(lo * size))
     hi_z = min(size - 1, math.floor(hi * size))
     if hi_z < lo_z:
@@ -336,23 +332,10 @@ def eigenvalue_phases(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(lam < 0, 1.0 + lam, lam)
 
 
-def _accept_loop(ham: RegisterHamiltonian, m: int) -> tuple:
-    """(params, 2**q, lo, hi, phases, f, g) of the register, computed once per m."""
-    if m not in ham._loops:
-        params = PhaseEstimationParams.defaults_for(m)
-        phases = eigenvalue_phases(ham.eigenvalues).tolist()
-        ham._loops[m] = (
-            params, 1 << params.q, *accept_window(m), phases, *register_fractions(ham, m)
-        )
-    return ham._loops[m]
-
-
 @dataclass(frozen=True)
 class RegisterForgeRecord:
     """Per-register diagnostics; exit_iteration/fully_mixed are expectations in analysis mode."""
 
-    f: float
-    g: float
     trace_h_rho: float
     exit_iteration: float
     fully_mixed: float
@@ -360,7 +343,6 @@ class RegisterForgeRecord:
 
 def generate_rho_with_record(
     ham: RegisterHamiltonian,
-    m: int,
     rng: np.random.Generator | None = None,
     mode: str = "sample",
 ) -> tuple[DenseMixedRegister, RegisterForgeRecord]:
@@ -372,33 +354,28 @@ def generate_rho_with_record(
               mixture w_j = (a_j / 2**n) * (1 - (1-abar)**(m**2)) / abar
               + (1-abar)**(m**2) / 2**n without sampling.
     """
-    if m < 8:
+    if ham.m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
-    params, size, lo, hi, phases, f, g = _accept_loop(ham, m)
+    q, lo, hi, phases = ham._accept_loop
+    size = 1 << q
     dim = 1 << ham.n
-    cap = m * m
+    cap = ham.m * ham.m
     if mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
         for k in range(1, cap + 1):
             j = int(rng.integers(dim))
-            z = pe_sample(phases[j], params, rng)
+            z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
                 reg = DenseMixedRegister(
                     np.ones(1), ham.eigenvectors[:, j].reshape(1, -1)
                 )
-                record = RegisterForgeRecord(
-                    f, g, float(ham.eigenvalues[j]), float(k), 0.0
-                )
-                return reg, record
+                return reg, RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
         reg = DenseMixedRegister(np.full(dim, 1.0 / dim), ham.eigenvectors.T.copy())
-        record = RegisterForgeRecord(
-            f, g, float(ham.eigenvalues.mean()), float(cap), 1.0
-        )
-        return reg, record
+        return reg, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
     if mode != "analysis":
         raise ValueError(f"unknown mode {mode!r}")
-    accept_p = np.array([window_probability(p, params, lo, hi) for p in phases])
+    accept_p = np.array([window_probability(p, q, lo, hi) for p in phases])
     abar = float(accept_p.mean())
     p_cap = (1.0 - abar) ** cap if abar > 0 else 1.0
     if abar > 0:
@@ -410,26 +387,19 @@ def generate_rho_with_record(
     weights = weights / weights.sum()
     reg = DenseMixedRegister(weights, ham.eigenvectors.T.copy())
     trace = float(weights @ ham.eigenvalues)
-    return reg, RegisterForgeRecord(f, g, trace, expected_exit, p_cap)
+    return reg, RegisterForgeRecord(trace, expected_exit, p_cap)
 
 
 def forge_low_eps_with_records(
-    scheme: MoneyScheme,
+    hamiltonians: Sequence[RegisterHamiltonian],
     rng: np.random.Generator | None = None,
     mode: str = "sample",
-    hamiltonians: Sequence[RegisterHamiltonian] | None = None,
 ) -> tuple[MoneyState, tuple[RegisterForgeRecord, ...]]:
-    """Run the accept loop per register and assemble forged money.
-
-    Passing precomputed hamiltonians skips the per-register eigensolves
-    when forging repeatedly from one scheme.
-    """
-    if hamiltonians is None:
-        hamiltonians = [register_hamiltonian(ops) for ops in scheme.table]
+    """Run the accept loop on each register's Hamiltonian and assemble forged money."""
     registers = []
     records = []
     for ham in hamiltonians:
-        reg, rec = generate_rho_with_record(ham, scheme.params.m, rng, mode)
+        reg, rec = generate_rho_with_record(ham, rng, mode)
         registers.append(reg)
         records.append(rec)
     return MoneyState(tuple(registers)), tuple(records)

@@ -15,9 +15,9 @@ import numpy as np
 from qmoney import (
     MeasurementGraph,
     PauliOp,
-    PhaseEstimationParams,
     SchemeParams,
     SoundnessWarning,
+    ancilla_qubits,
     apply_M,
     beta_chain_mixing,
     build_verifier,
@@ -115,26 +115,27 @@ def test_criterion_03_moment_identities():
 
 
 def test_criterion_04_phase_estimation_bound():
-    pe = PhaseEstimationParams(4, 1 / 8)
-    assert pe.q == 9
+    r, delta = 4, 1 / 8
+    q = ancilla_qubits(r, delta)
+    assert q == 9
     # exact kernel normalization for q <= 12
     rng = np.random.default_rng(1004)
     worst_norm = 0.0
-    for q in range(1, 13):
+    for q_norm in range(1, 13):
         for phi in (0.0, float(rng.random()), float(rng.random())):
-            worst_norm = max(worst_norm, abs(float(pe_distribution(phi, q).sum()) - 1.0))
+            worst_norm = max(worst_norm, abs(float(pe_distribution(phi, q_norm).sum()) - 1.0))
     # empirical tail over 100 random phases x 10^4 samples
-    size = 1 << pe.q
+    size = 1 << q
     worst_tail = 0.0
     for _ in range(100):
         phi = float(rng.random())
-        z = np.array([pe_sample(phi, pe, rng) for _ in range(10_000)])
+        z = np.array([pe_sample(phi, q, rng) for _ in range(10_000)])
         err = np.abs(z / size - phi)
         err = np.minimum(err, 1.0 - err)
-        worst_tail = max(worst_tail, float((err > 2.0**-pe.r).mean()))
+        worst_tail = max(worst_tail, float((err > 2.0**-r).mean()))
     report(
         4,
-        worst_tail <= 1 / 8 and worst_norm <= 1e-10,
+        worst_tail <= delta and worst_norm <= 1e-10,
         f"worst tail {worst_tail:.4f} (<=0.125) over 100 phases, kernel norm err {worst_norm:.1e} (<=1e-10)",
     )
 
@@ -145,13 +146,13 @@ def test_criterion_05_low_epsilon_forgery():
     assert params.epsilon <= 1 / (16 * math.sqrt(params.m))
     secret, scheme = quiet_gen(params, np.random.default_rng(1005))
     hams = [register_hamiltonian(ops) for ops in scheme.table]
-    _, analysis = forge_low_eps_with_records(scheme, mode="analysis", hamiltonians=hams)
+    _, analysis = forge_low_eps_with_records(hams, mode="analysis")
     mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis]))
     p1_bar = 0.5 + 1.0 / (8.0 * math.sqrt(64)) - 0.01
     rng = np.random.default_rng(2005)
     accepts = 0
     for _ in range(50):
-        money, _ = forge_low_eps_with_records(scheme, rng, "sample", hamiltonians=hams)
+        money, _ = forge_low_eps_with_records(hams, rng, "sample")
         accepts += verify(scheme, money, rng).accepted
     rate = accepts / 50
     dt = time.perf_counter() - t0

@@ -144,6 +144,14 @@ def test_second_eigenvector_on_known_matrices():
     assert abs(val - 4.0) < 1e-12
     with pytest.raises(ValueError):
         second_eigenvector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    far_corner = np.zeros((2000, 2000))
+    far_corner[1999, 1998] = 1.0
+    with pytest.raises(ValueError):
+        second_eigenvector(far_corner)
+    nan_pair = np.zeros((3, 3))
+    nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        second_eigenvector(nan_pair)
 
 
 def test_second_eigenvector_residual_mid_size():

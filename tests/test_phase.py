@@ -10,10 +10,10 @@ from scipy.special import polygamma, zeta
 from qmoney import (
     DenseMixedRegister,
     PauliOp,
-    PhaseEstimationParams,
     SchemeParams,
     SoundnessWarning,
     accept_window,
+    ancilla_qubits,
     dense_matrix,
     eigenvalue_phases,
     forge_low_eps_with_records,
@@ -28,7 +28,12 @@ from qmoney import (
     verify,
     window_probability,
 )
-from qmoney.phase import _WALK_CAP, _tail_offset, generate_rho_with_record
+from qmoney.phase import (
+    _WALK_CAP,
+    RegisterHamiltonian,
+    _tail_offset,
+    generate_rho_with_record,
+)
 
 
 def random_duplicate_free_ops(rng, n, m):
@@ -52,7 +57,7 @@ def test_single_z_register():
     ham = register_hamiltonian([PauliOp.from_string("+Z")])
     assert np.allclose(sorted(ham.eigenvalues), [-1.0, 1.0])
     assert np.allclose(ham.h_matrix, np.diag([1.0, -1.0]))
-    f, g = register_fractions(ham, 1)
+    f, g = register_fractions(ham)
     assert f == 1.0 and g == 0.5
 
 
@@ -122,7 +127,7 @@ def test_fraction_bound_g_tracks_half_f():
     fs, gs = [], []
     for _ in range(100):
         ops = random_duplicate_free_ops(rng, 6, 64)
-        f, g = register_fractions(register_hamiltonian(ops), 64)
+        f, g = register_fractions(register_hamiltonian(ops))
         fs.append(f)
         gs.append(g)
     mean_f, mean_g = np.mean(fs), np.mean(gs)
@@ -130,16 +135,31 @@ def test_fraction_bound_g_tracks_half_f():
     assert abs(mean_g - mean_f / 2) < 0.05
 
 
+def default_q(m):
+    """The accept loop's q, spelled out apart from phase: r = ceil(log2(20m)), delta = 1/m**3."""
+    r, delta = math.ceil(math.log2(20 * m)), 1.0 / m**3
+    return r + math.ceil(math.log2(2 + 2 / delta))
+
+
 def test_pe_params():
-    pe = PhaseEstimationParams(4, 1 / 8)
-    assert pe.q == 9  # 4 + ceil(log2(18))
+    assert ancilla_qubits(4, 1 / 8) == 9  # 4 + ceil(log2(18))
     with pytest.raises(ValueError):
-        PhaseEstimationParams(0, 0.5)
+        ancilla_qubits(0, 0.5)
     with pytest.raises(ValueError):
-        PhaseEstimationParams(4, 0.0)
-    auto = PhaseEstimationParams.defaults_for(64)
-    assert auto.r == math.ceil(math.log2(20 * 64))
-    assert auto.delta == 1 / 64**3
+        ancilla_qubits(4, 0.0)
+    with pytest.raises(ValueError):
+        ancilla_qubits(4, 1.0)
+
+
+def test_accept_loop_is_fixed_by_the_table_size():
+    for m in range(8, 4097):
+        ham = RegisterHamiltonian(1, m, np.zeros((2, 2)), np.array([-0.5, 0.25]), np.eye(2))
+        q, lo, hi, phases = ham._accept_loop
+        assert q == default_q(m), m
+        assert (lo, hi) == accept_window(m)
+        assert phases == [0.875, 0.0625]
+        assert ham._accept_loop is ham._accept_loop  # computed once
+    assert register_hamiltonian(random_duplicate_free_ops(np.random.default_rng(5), 4, 12)).m == 12
 
 
 def test_pe_distribution_normalized_and_delta_case():
@@ -157,13 +177,13 @@ def test_pe_distribution_normalized_and_delta_case():
 
 
 def test_pe_sample_matches_kernel():
-    pe = PhaseEstimationParams(4, 1 / 8)
+    q = 9
     rng = np.random.default_rng(55)
     n_samp = 30000
     for phi in (0.3777, 0.031):
-        d = pe_distribution(phi, pe.q)
+        d = pe_distribution(phi, q)
         counts = np.bincount(
-            [pe_sample(phi, pe, rng) for _ in range(n_samp)], minlength=1 << pe.q
+            [pe_sample(phi, q, rng) for _ in range(n_samp)], minlength=1 << q
         )
         emp = counts / n_samp
         # total variation between empirical and exact shrinks as 1/sqrt(n)
@@ -171,34 +191,34 @@ def test_pe_sample_matches_kernel():
 
 
 def test_pe_sample_exact_phase_is_deterministic():
-    pe = PhaseEstimationParams(4, 1 / 8)
     rng = np.random.default_rng(56)
     for k in (0, 7, 100, 511):
         phi = k / 512
-        assert all(pe_sample(phi, pe, rng) == k for _ in range(20))
+        assert all(pe_sample(phi, 9, rng) == k for _ in range(20))
 
 
 def test_pe_tail_bound():
     # Pr(|phi - z/2^q| > 2^-r) <= delta, circular distance
-    pe = PhaseEstimationParams(4, 1 / 8)
-    size = 1 << pe.q
+    r, delta = 4, 1 / 8
+    q = ancilla_qubits(r, delta)
+    size = 1 << q
     rng = np.random.default_rng(57)
     for phi in [0.123, 0.499, 0.75, float(rng.random())]:
-        z = np.array([pe_sample(phi, pe, rng) for _ in range(4000)])
+        z = np.array([pe_sample(phi, q, rng) for _ in range(4000)])
         err = np.abs(z / size - phi)
         err = np.minimum(err, 1 - err)
-        assert (err > 2.0**-pe.r).mean() <= 1 / 8
+        assert (err > 2.0**-r).mean() <= delta
 
 
 def test_window_probability_matches_direct_sum():
-    pe = PhaseEstimationParams(4, 1 / 8)
-    size = 1 << pe.q
+    q = 9
+    size = 1 << q
     lo, hi = accept_window(64)
     zlo, zhi = math.ceil(lo * size), math.floor(hi * size)
     rng = np.random.default_rng(58)
     for phi in [0.0, 0.01, 0.2, 0.5, 0.9, float(rng.random())]:
-        direct = float(pe_distribution(phi, pe.q)[zlo : zhi + 1].sum())
-        assert abs(window_probability(phi, pe, lo, hi) - direct) < 1e-9
+        direct = float(pe_distribution(phi, q)[zlo : zhi + 1].sum())
+        assert abs(window_probability(phi, q, lo, hi) - direct) < 1e-9
 
 
 def _masked_inv_square_window(alphas, lo_z, hi_z):
@@ -218,9 +238,9 @@ def _masked_inv_square_window(alphas, lo_z, hi_z):
     return total
 
 
-def masked_window_probability(phi, params, lo, hi):
+def masked_window_probability(phi, q, lo, hi):
     """window_probability by the masked image sum: the window kernel's bit-level oracle."""
-    size = 1 << params.q
+    size = 1 << q
     lo_z = max(0, math.ceil(lo * size))
     hi_z = min(size - 1, math.floor(hi * size))
     if hi_z < lo_z:
@@ -236,14 +256,14 @@ def masked_window_probability(phi, params, lo, hi):
     return float(min(1.0, max(0.0, prob)))
 
 
-def window_phases(params, lo, hi, rng, count):
+def window_phases(q, lo, hi, rng, count):
     """Random phases, phases near the window's edges and near 0 and 1, and the edges.
 
     Eigenvalues that are zero up to rounding give phases within a few
     outcomes of 0 or 1; there, hi_z - alpha + 1 rounds twice, so its
     association shows in the bits.
     """
-    size = 1 << params.q
+    size = 1 << q
     lo_z, hi_z = math.ceil(lo * size), math.floor(hi * size)
     edges = [0.0, 0.5, 0.75, lo, hi, 1e-16, 1.0 - 2.0**-53, 1.0]
     for z in (lo_z, hi_z):
@@ -256,15 +276,12 @@ def window_phases(params, lo, hi, rng, count):
 
 @pytest.mark.parametrize("q, m", [(27, 40), (31, 64), (40, 64)])
 def test_window_probability_is_bitwise_the_masked_image_sum(q, m):
-    params = PhaseEstimationParams.defaults_for(m)
-    if params.q != q:
-        params = PhaseEstimationParams(q - 5, 1 / 8)  # 2 + 2/delta = 18: five more bits
-    assert params.q == q
+    assert q in (default_q(m), 40)  # the accept loop's q at m, and one beyond it
     lo, hi = accept_window(m)
     rng = np.random.default_rng(q)
-    for phi in window_phases(params, lo, hi, rng, 2000):
-        want = masked_window_probability(phi, params, lo, hi)
-        got = window_probability(phi, params, lo, hi)
+    for phi in window_phases(q, lo, hi, rng, 2000):
+        want = masked_window_probability(phi, q, lo, hi)
+        got = window_probability(phi, q, lo, hi)
         assert got == want and math.copysign(1, got) == math.copysign(1, want), phi
 
 
@@ -276,29 +293,27 @@ def test_trigamma_is_zeta_of_two_bit_for_bit():
 def test_window_probability_image_sum_matches_direct_sum():
     # q = 19: 2**19 outcomes, K = 38,147 images, and the window holds more
     # outcomes than the 2K+1 image terms, so the trigamma image sum runs.
-    pe = PhaseEstimationParams(14, 1 / 8)
-    size = 1 << pe.q
-    assert pe.q == 19
+    q = 19
+    size = 1 << q
     lo, hi = accept_window(64)
     zlo, zhi = math.ceil(lo * size), math.floor(hi * size)
     assert zhi - zlo + 1 > 2 * math.ceil(2e10 / size) + 1
     rng = np.random.default_rng(65)
     for phi in [0.01, lo, 0.2, 0.5, 0.9, float(rng.random())]:
-        direct = float(pe_distribution(phi, pe.q)[zlo : zhi + 1].sum())
-        assert abs(window_probability(phi, pe, lo, hi) - direct) < 1e-9
+        direct = float(pe_distribution(phi, q)[zlo : zhi + 1].sum())
+        assert abs(window_probability(phi, q, lo, hi) - direct) < 1e-9
 
 
 def test_window_probability_rejects_phases_outside_the_unit_interval():
-    pe = PhaseEstimationParams.defaults_for(64)
     lo, hi = accept_window(64)
     for phi in (-1e-9, 1.0 + 1e-9, 1.5):
         with pytest.raises(ValueError):
-            window_probability(phi, pe, lo, hi)
+            window_probability(phi, default_q(64), lo, hi)
 
 
-def walk_pe_sample(phi, params, rng):
+def walk_pe_sample(phi, q, rng):
     """The offset walk with a fallback at its cap: the oracle for draws inside the walk."""
-    size = 1 << params.q
+    size = 1 << q
     a = phi * size
     z0 = math.floor(a)
     theta = a - z0
@@ -317,12 +332,12 @@ def walk_pe_sample(phi, params, rng):
 
 
 def test_pe_sample_draws_inside_the_walk_are_unchanged():
-    params = PhaseEstimationParams.defaults_for(64)
+    q = default_q(64)
     phases = np.random.default_rng(66).random(40)
     ours, walk = np.random.default_rng(67), np.random.default_rng(67)
     for phi in phases:
         for _ in range(250):
-            assert pe_sample(float(phi), params, ours) == walk_pe_sample(float(phi), params, walk)
+            assert pe_sample(float(phi), q, ours) == walk_pe_sample(float(phi), q, walk)
     assert ours.random() == walk.random()  # one uniform per draw on both sides
 
 
@@ -361,24 +376,23 @@ def test_tail_offset_inverts_the_trigamma_tail():
 def test_pe_sample_tail_draw_is_never_the_old_fallback():
     limit = _WALK_CAP // 2
     # the one tail draw of the golden low-eps-attack-sample run (q = 27), and q = 40
-    for params, phi, u in [
-        (PhaseEstimationParams.defaults_for(32), 0.06884742944039841, 0.9999829671057262),
-        (PhaseEstimationParams(35, 1 / 8), 0.123456789, 1.0 - 1e-9),
-        (PhaseEstimationParams(35, 1 / 8), 0.7123, 1.0 - 3e-7),
+    for q, phi, u in [
+        (default_q(32), 0.06884742944039841, 0.9999829671057262),
+        (40, 0.123456789, 1.0 - 1e-9),
+        (40, 0.7123, 1.0 - 3e-7),
     ]:
-        size = 1 << params.q
+        size = 1 << q
         a = phi * size
         z0, theta = math.floor(a), a - math.floor(a)
         scale = math.sin(math.pi * theta) ** 2 / math.pi**2
         rng = FixedUniform(u)
-        z = pe_sample(phi, params, rng)
+        z = pe_sample(phi, q, rng)
         assert rng.calls == 1  # no extra draw for the tail
         assert z != (z0 - limit) % size
         d = (z - z0 + size // 2) % size - size // 2
         assert abs(d) > limit and d == _tail_offset(1.0 - u, theta, scale)
     lo, hi = accept_window(32)
-    golden = pe_sample(0.06884742944039841, PhaseEstimationParams.defaults_for(32),
-                       FixedUniform(0.9999829671057262))
+    golden = pe_sample(0.06884742944039841, default_q(32), FixedUniform(0.9999829671057262))
     assert lo <= golden / 2**27 <= hi  # in the window, as the fallback was
 
 
@@ -401,7 +415,7 @@ def test_generate_rho_analysis_weights():
     rng = np.random.default_rng(59)
     ops = random_duplicate_free_ops(rng, 6, 64)
     ham = register_hamiltonian(ops)
-    reg, rec = generate_rho_with_record(ham, 64, mode="analysis")
+    reg, rec = generate_rho_with_record(ham, mode="analysis")
     assert isinstance(reg, DenseMixedRegister)
     assert abs(sum(reg.weights) - 1.0) < 1e-9
     assert (np.asarray(reg.weights) >= -1e-12).all()
@@ -418,10 +432,10 @@ def test_generate_rho_sample_mode_statistics():
     rng = np.random.default_rng(60)
     ops = random_duplicate_free_ops(rng, 6, 64)
     ham = register_hamiltonian(ops)
-    _, analysis = generate_rho_with_record(ham, 64, mode="analysis")
+    _, analysis = generate_rho_with_record(ham, mode="analysis")
     traces = []
     for _ in range(60):
-        reg, rec = generate_rho_with_record(ham, 64, rng, mode="sample")
+        reg, rec = generate_rho_with_record(ham, rng, mode="sample")
         assert rec.fully_mixed in (0.0, 1.0)
         assert abs(register_expectation(reg, PauliOp.identity(6)) - 1.0) < 1e-12
         traces.append(rec.trace_h_rho)
@@ -435,7 +449,7 @@ def test_analysis_trace_beats_quarter_bound():
     for _ in range(50):
         ops = random_duplicate_free_ops(rng, 6, 64)
         ham = register_hamiltonian(ops)
-        _, rec = generate_rho_with_record(ham, 64, mode="analysis")
+        _, rec = generate_rho_with_record(ham, mode="analysis")
         if rec.trace_h_rho >= 1 / (4 * math.sqrt(64)) - 0.01:
             good += 1
     assert good >= 45, good
@@ -450,8 +464,9 @@ def test_forge_low_eps_requires_m_at_least_8():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SoundnessWarning)
         _, scheme = gen_scheme(SchemeParams(3, 4, 2, 0.25), np.random.default_rng(62))
+    hams = [register_hamiltonian(ops) for ops in scheme.table]
     with pytest.raises(ValueError):
-        forge_low_eps_with_records(scheme, np.random.default_rng(0))
+        forge_low_eps_with_records(hams, np.random.default_rng(0))
 
 
 def test_forge_low_eps_small_scheme_end_to_end():
@@ -460,12 +475,13 @@ def test_forge_low_eps_small_scheme_end_to_end():
         secret, scheme = gen_scheme(
             SchemeParams(5, 16, 96, 1 / 64), np.random.default_rng(63)
         )
+    hams = [register_hamiltonian(ops) for ops in scheme.table]
     rng = np.random.default_rng(64)
-    money, recs = forge_low_eps_with_records(scheme, rng)
+    money, recs = forge_low_eps_with_records(hams, rng)
     assert len(recs) == 96
     accs = [verify(scheme, money, rng).accepted for _ in range(40)]
     assert np.mean(accs) >= 0.6  # threshold is eps/2 = 1/128, q sits far above
     # analysis mode mean p1 comfortably above the 1/2 + 1/(8 sqrt m) bar
-    _, recs_a = forge_low_eps_with_records(scheme, mode="analysis")
+    _, recs_a = forge_low_eps_with_records(hams, mode="analysis")
     p1 = np.mean([(1 + r.trace_h_rho) / 2 for r in recs_a])
     assert p1 >= 0.5 + 1 / (8 * math.sqrt(16)) - 0.01
