@@ -240,43 +240,48 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
     """Mint (or take the source note), verify, and check the class structure.
 
     ``options["r"]`` fixes the verifier's iteration count; otherwise it is
-    postselect.default_iteration_count of the label's class.
+    postselect.default_iteration_count of the label's class.  A note, and
+    so every metric, depends on its label alone: each distinct label is
+    checked once, by the first trial that mints it, and later trials reuse
+    its metrics.  The trial rng is not read after verification, so no draw
+    moves.
     """
     if config.source is None:
         scheme, note = config.label.build(), None
     else:
         scheme, note = load_note(config.source)
     fixed_r = config.options.get("r")
-    analyses: dict[int, postselect.ComponentAnalysis] = {}
+    checked: dict[int, tuple[dict, bool]] = {}
     records = []
     for trial in range(config.trials):
         rng, seed = trial_rng(config.master_seed, trial)
         money = postselect.mint(scheme, rng) if note is None else note
-        if money.label not in analyses:
-            analyses[money.label] = postselect.component_analysis(scheme, money.label)
-        analysis = analyses[money.label]
-        r = postselect.default_iteration_count(analysis) if fixed_r is None else fixed_r
-        verifier = postselect.build_verifier(scheme, r)
-        _, prob = postselect.verify_money(verifier, money, rng)
-        mv_residual = float(
-            np.linalg.norm(postselect.apply_M(verifier, money.state) - money.state)
-        )
-        metrics = {
-            "accept_prob": prob,
-            "mv_residual": mv_residual,
-            "support_size": money.support_size,
-            "r": r,
-            "components": len(analysis.components),
-            "plus_dim": analysis.plus_dim,
-        }
-        if scheme.n <= 6:
-            metrics["kraus_dev"] = postselect.kraus_equivalence_check(verifier)
-        passed = (
-            prob >= 1.0 - 1e-9
-            and mv_residual <= 1e-10
-            and analysis.plus_dim == len(analysis.components)
-        )
-        records.append(_record(config, trial, seed, metrics, passed))
+        if money.label not in checked:
+            analysis = postselect.component_analysis(scheme, money.label)
+            r = postselect.default_iteration_count(analysis) if fixed_r is None else fixed_r
+            verifier = postselect.build_verifier(scheme, r)
+            _, prob = postselect.verify_money(verifier, money, rng)
+            mv_residual = float(
+                np.linalg.norm(postselect.apply_M(verifier, money.state) - money.state)
+            )
+            metrics = {
+                "accept_prob": prob,
+                "mv_residual": mv_residual,
+                "support_size": money.support_size,
+                "r": r,
+                "components": len(analysis.components),
+                "plus_dim": analysis.plus_dim,
+            }
+            if scheme.n <= 6:
+                metrics["kraus_dev"] = postselect.kraus_equivalence_check(verifier)
+            passed = (
+                prob >= 1.0 - 1e-9
+                and mv_residual <= 1e-10
+                and analysis.plus_dim == len(analysis.components)
+            )
+            checked[money.label] = metrics, passed
+        metrics, passed = checked[money.label]
+        records.append(_record(config, trial, seed, dict(metrics), passed))
     return records
 
 

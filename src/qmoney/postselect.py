@@ -13,6 +13,11 @@ full 2**n vector; apply_M, on the full vector, stays as its oracle.
 component_analysis and the beta chain quantify how badly the walk
 fragments or freezes, which is the scheme's soundness slack.
 
+Both iterations, the verifier's rounds and the beta chain's exact kernel,
+run on reused buffers with one gather and one axis-0 reduce per step.
+Their rows are added in the order of the plain per-rule loops, so every
+result is bit-for-bit what those loops give.
+
 Cryptographic-scale parameters (s = ceil(sqrt(n)) subsets, d = 10) need
 n >= 100, far beyond dense vectors; (s, d) stay free so small instances
 with exact enumeration oracles keep the same structure.
@@ -300,7 +305,9 @@ def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> np.ndarray:
 
     Every rule keeps the label, so the r rounds run on the class vector
     only.  Each round adds the gathered rows in rule order, as apply_M
-    does on the full vector, so the entries equal apply_M's exactly.
+    does on the full vector, so the entries equal apply_M's exactly.  A
+    round is apply_M's mean(axis=0) spelled out on reused buffers: a
+    take, an axis-0 add.reduce and a divide by the rule count.
     """
     if money.state.shape != (1 << verifier.scheme.n,):
         raise DimensionError("money and verifier act on different string lengths")
@@ -309,8 +316,11 @@ def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> np.ndarray:
     # two wide: numpy sums an (n, 1) gather pairwise, not row by row.
     local = np.hstack([local, np.full((len(local), 1), len(members))])
     w = np.append(money.state[members], 0.0)
+    gathered = np.empty(local.shape, dtype=w.dtype)
     for _ in range(verifier.r):
-        w = w[local].mean(axis=0)
+        np.take(w, local, out=gathered, mode="clip")  # in range; clip skips a copy
+        np.add.reduce(gathered, axis=0, out=w)
+        np.divide(w, len(local), out=w)
     full = np.zeros(money.state.shape, dtype=w.dtype)
     full[members] = w[:-1]
     return full
@@ -461,7 +471,10 @@ def beta_chain_mixing(
     accepted and the plain walk would oscillate between parities).  For
     n <= 12 the exact kernel is also evolved from the start state and the
     total-variation distance to exp(-beta*c)/Z after the budget is
-    reported; the autocorrelation time is estimated from the energy trace.
+    reported; each kernel step moves the probability of all n flips in one
+    pass and keeps the per-flip loop's summation order.  The
+    autocorrelation time is estimated from the energy trace.  ell must be
+    an s-bit label and start, if given, an n-bit string.
     """
     if scheme.n > 24:
         raise CapacityError("beta chain supports n <= 24")
@@ -469,6 +482,10 @@ def beta_chain_mixing(
         raise ValueError("need steps >= 1")
     n = scheme.n
     size = 1 << n
+    if not 0 <= ell < (1 << scheme.s):
+        raise ValueError(f"target label {ell} is not an s={scheme.s} bit label")
+    if start is not None and not 0 <= start < size:
+        raise ValueError(f"start string {start} is not an n={n} bit string")
     if scheme.n <= 16:
         table = label_table(scheme)
         energy = lambda x: int(table[x] ^ ell).bit_count()
@@ -498,19 +515,28 @@ def beta_chain_mixing(
     tv = None
     if n <= 12:
         table = label_table(scheme)
-        c_all = np.array([int(v).bit_count() for v in table ^ np.uint32(ell)])
+        c_all = np.bitwise_count(table ^ np.uint32(ell)).astype(np.int64)
         idx = np.arange(size)
-        flips = [idx ^ (1 << i) for i in range(n)]
-        ratios = [np.minimum(1.0, np.exp(-beta * (c_all[f] - c_all))) for f in flips]
+        flips = idx ^ (1 << np.arange(n))[:, None]
+        ratios = np.minimum(1.0, np.exp(-beta * (c_all[flips] - c_all)))
+        # One step: q = p - out_0 + out_0[f_0] - out_1 + out_1[f_1] ..., with
+        # out_i = p * ratio_i * (0.5/n).  Rows 1, 3, ... of the stack hold
+        # -out_i and rows 2, 4, ... the gathers out_i[f_i]; an axis-0 reduce
+        # adds them in that order, and a - b is a + (-b) exactly, so every
+        # entry sees the float operations of the per-flip loop.  The stack is
+        # 2**n >= 2 wide, so numpy adds its rows in order, not pairwise.
+        stack = np.empty((2 * n + 1, size))
+        out = np.empty((n, size))
+        gather = (np.arange(n) * size)[:, None] + flips  # out_i[f_i] in out.flat
         p = np.zeros(size)
         p[x0] = 1.0
         for _ in range(steps):
-            q = p.copy()
-            for f, ratio in zip(flips, ratios):
-                out = p * ratio * (0.5 / n)
-                q -= out
-                q += out[f]
-            p = q
+            np.multiply(p, ratios, out=out)
+            np.multiply(out, 0.5 / n, out=out)
+            stack[0] = p
+            np.negative(out, out=stack[1::2])
+            np.take(out, gather, out=stack[2::2])
+            np.add.reduce(stack, axis=0, out=p)
         pi = np.exp(-beta * c_all)
         pi /= pi.sum()
         tv = float(0.5 * np.abs(p - pi).sum())

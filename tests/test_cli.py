@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qmoney import postselect
 from qmoney.cli import main
 from qmoney.harness import (
     ExperimentConfig,
@@ -124,6 +125,31 @@ def test_beta_mix_cli_reports_frozen_chains_as_nonfinite(capsys):
 def test_beta_mix_cli_steps_zero_is_rejected_not_the_default():
     with pytest.raises(ValueError, match="steps >= 1"):
         main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--steps", "0"])
+
+
+@pytest.mark.parametrize("target", ["999", "-5"])
+def test_beta_mix_cli_target_label_outside_s_bits_is_rejected(target):
+    with pytest.raises(ValueError, match=f"target label {target} is not an s=3 bit label"):
+        main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--target-label", target])
+
+
+def test_verify_note_cli_verifies_the_note_once(tmp_path, monkeypatch):
+    note_path = str(tmp_path / "once.note")
+    assert main(["mint", "--n", "8", "--s", "4", "--d", "2", "--label-seed", "1",
+                 "--seed", "4", "--out", note_path]) == 0
+    calls = []
+    verify_money = postselect.verify_money
+
+    def counted(*args):
+        calls.append(args)
+        return verify_money(*args)
+
+    monkeypatch.setattr(postselect, "verify_money", counted)
+    csv_path = tmp_path / "once.csv"
+    assert main(["verify-note", "--note", note_path, "--trials", "5",
+                 "--out", str(csv_path)]) == 0
+    assert len(list(csv.DictReader(open(csv_path)))) == 5
+    assert len(calls) == 1
 
 
 def test_unknown_command_exits_nonzero():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from qmoney import (
     save_scheme,
     summarize,
 )
+from qmoney import postselect
 from qmoney.harness import setup_rng, trial_rng
 from qmoney.postselect import (
     find_frozen_strings,
@@ -302,6 +304,38 @@ def test_oversized_note_values_are_refused_at_their_line_before_any_build(
     assert f"line {index + 1}:" in str(err.value)
 
 
+def _line_of_first(lines, predicate):
+    return 1 + next(i for i, ln in enumerate(lines) if predicate(ln))
+
+
+@pytest.mark.parametrize("key", ["n", "m", "l"])
+def test_scheme_counts_in_the_billions_are_refused_without_allocating(tmp_path, key):
+    secret, scheme = gen_scheme(SchemeParams(3, 4, 2, 0.5), np.random.default_rng(0))
+    path = tmp_path / "big.scheme"
+    save_scheme(path, scheme, secret)
+    lines = path.read_text().splitlines()
+    # where the reader first meets what the huge count contradicts
+    expected_line = {
+        "n": _line_of_first(lines, lambda ln: ln[0] in "+-"),  # a 3-qubit operator
+        "m": _line_of_first(lines, lambda ln: ln == "register 1"),  # read as operator m+1
+        "l": _line_of_first(lines, lambda ln: ln == "secret"),  # read as register l+1
+    }[key]
+    lines[_line_of_first(lines, lambda ln: ln.split()[0] == key) - 1] = f"{key} 3000000000"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SchemeFormatError) as err:
+            load_scheme(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == expected_line
+    assert elapsed < 0.1
+    assert peak < 0.1 * 2**20
+
+
 @pytest.mark.parametrize(
     "loader, key, value",
     [
@@ -432,6 +466,79 @@ def test_run_experiment_postselect_suite():
         assert rec.passed
         assert rec.metrics["mv_residual"] <= 1e-10
         assert rec.metrics["plus_dim"] == rec.metrics["components"]
+
+
+def per_trial_postselect_suite(config, scheme, note=None):
+    """postselect-suite as a plain loop that mints and checks every trial anew."""
+    records = []
+    for trial in range(config.trials):
+        rng, seed = trial_rng(config.master_seed, trial)
+        money = postselect.mint(scheme, rng) if note is None else note
+        analysis = postselect.component_analysis(scheme, money.label)
+        r = config.options.get("r")
+        if r is None:
+            r = postselect.default_iteration_count(analysis)
+        verifier = postselect.build_verifier(scheme, r)
+        _, prob = postselect.verify_money(verifier, money, rng)
+        mv_residual = float(
+            np.linalg.norm(postselect.apply_M(verifier, money.state) - money.state)
+        )
+        metrics = {
+            "accept_prob": prob,
+            "mv_residual": mv_residual,
+            "support_size": money.support_size,
+            "r": r,
+            "components": len(analysis.components),
+            "plus_dim": analysis.plus_dim,
+        }
+        if scheme.n <= 6:
+            metrics["kraus_dev"] = postselect.kraus_equivalence_check(verifier)
+        passed = (
+            prob >= 1.0 - 1e-9
+            and mv_residual <= 1e-10
+            and analysis.plus_dim == len(analysis.components)
+        )
+        records.append(ResultRecord(config.kind, trial, seed, metrics, passed))
+    return records
+
+
+@pytest.mark.parametrize(
+    "params, trials, options",
+    [
+        (LabelParams(6, 3, 2, 0), 40, {}),
+        (LabelParams(6, 3, 2, 0), 12, {"r": 3}),
+        (LabelParams(9, 4, 2, 1), 30, {}),
+    ],
+)
+def test_postselect_suite_records_equal_the_per_trial_loop(params, trials, options):
+    config = ExperimentConfig("postselect-suite", trials, 5, label=params, options=options)
+    want = per_trial_postselect_suite(config, params.build())
+    assert run_experiment(config) == want
+    assert len({rec.metrics["support_size"] for rec in want}) > 1  # labels differ
+
+
+def test_postselect_suite_from_a_note_equals_the_per_trial_loop(tmp_path):
+    scheme = make_label_scheme(6, 3, 2, 2)
+    path = tmp_path / "suite.note"
+    save_note(path, scheme, mint(scheme, np.random.default_rng(3)))
+    config = ExperimentConfig("postselect-suite", 4, 8, source=str(path))
+    assert run_experiment(config) == per_trial_postselect_suite(config, *load_note(path))
+
+
+def test_postselect_suite_verifies_each_distinct_label_once(monkeypatch):
+    calls = []
+    verify_money = postselect.verify_money
+
+    def counted(verifier, money, rng):
+        calls.append(money.label)
+        return verify_money(verifier, money, rng)
+
+    monkeypatch.setattr(postselect, "verify_money", counted)
+    params = LabelParams(6, 3, 2, 0)
+    scheme = params.build()
+    labels = {mint(scheme, trial_rng(5, t)[0]).label for t in range(40)}
+    run_experiment(ExperimentConfig("postselect-suite", 40, 5, label=params))
+    assert sorted(calls) == sorted(labels) and len(labels) < 40
 
 
 def test_run_experiment_beta_mixing_kinds():

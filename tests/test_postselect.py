@@ -453,6 +453,75 @@ def test_chain_tv_none_above_exact_limit():
     assert diag.tv_distance is None
 
 
+def reference_beta_chain(sch, ell, beta, steps, rng, start=None):
+    """(acceptance_rate, tv_distance, mean_energy) of beta_chain_mixing as a
+    plain loop: the exact kernel moves probability flip by flip."""
+    n, size = sch.n, 1 << sch.n
+    table = label_table(sch)
+    x = int(rng.integers(size)) if start is None else start
+    x0, e = x, int(table[x] ^ ell).bit_count()
+    energies, accepted, proposals = [e], 0, 0
+    for _ in range(steps):
+        if rng.random() < 0.5:
+            energies.append(e)
+            continue
+        y = x ^ (1 << int(rng.integers(n)))
+        ey = int(table[y] ^ ell).bit_count()
+        proposals += 1
+        if ey <= e or rng.random() < math.exp(-beta * (ey - e)):
+            x, e = y, ey
+            accepted += 1
+        energies.append(e)
+    c_all = np.array([int(v).bit_count() for v in table ^ np.uint32(ell)])
+    idx = np.arange(size)
+    flips = [idx ^ (1 << i) for i in range(n)]
+    ratios = [np.minimum(1.0, np.exp(-beta * (c_all[f] - c_all))) for f in flips]
+    p = np.zeros(size)
+    p[x0] = 1.0
+    for _ in range(steps):
+        q = p.copy()
+        for f, ratio in zip(flips, ratios):
+            out = p * ratio * (0.5 / n)
+            q -= out
+            q += out[f]
+        p = q
+    pi = np.exp(-beta * c_all)
+    pi /= pi.sum()
+    tv = float(0.5 * np.abs(p - pi).sum())
+    rate = accepted / proposals if proposals else 0.0
+    return rate, tv, float(np.array(energies, dtype=np.int64).mean())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_beta_kernel_equals_the_per_flip_loop_bit_for_bit(n):
+    s = min(3, n)
+    sch = make_label_scheme(n, s, min(2, s), 40 + n)
+    frozen = find_frozen_strings(sch)
+    runs = [(beta, None) for beta in (0.0, 0.7, 12.0)]
+    runs += [(0.7, (5 * n + 1) % (1 << n))]
+    runs += [(12.0, int(frozen[0]))] if len(frozen) else []
+    for beta, start in runs:
+        ell = int(label_table(sch)[start if start is not None else n % (1 << n)])
+        got = beta_chain_mixing(sch, ell, beta, 60, np.random.default_rng(n), start)
+        want = reference_beta_chain(sch, ell, beta, 60, np.random.default_rng(n), start)
+        assert (got.acceptance_rate, got.tv_distance, got.mean_energy) == want, (beta, start)
+
+
+@pytest.mark.parametrize(
+    "ell, start, what",
+    [(8, None, "target label 8"), (-5, None, "target label -5"),
+     (0, -1, "start string -1"), (0, 64, "start string 64")],
+)
+def test_beta_chain_refuses_labels_and_starts_that_do_not_exist(ell, start, what):
+    sch = make_label_scheme(6, 3, 2, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=what):
+        beta_chain_mixing(sch, ell, 0.0, 10, rng, start)
+    assert rng.bit_generator.state == state  # refused before any draw
+    beta_chain_mixing(sch, 7, 0.0, 10, rng, 63)  # the largest label and string run
+
+
 def test_label_scheme_validation():
     with pytest.raises(ValueError):
         LabelScheme(4, 2, 1, 0, ((0, 1), (1, 2), (2, 3)))  # s mismatch
