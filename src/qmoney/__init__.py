@@ -10,7 +10,6 @@ from .errors import (
     AttackFailure,
     CapacityError,
     DimensionError,
-    GroupContradictionError,
     InconsistentGeneratorsError,
     QMoneyError,
     SchemeFormatError,
@@ -42,7 +41,6 @@ from .money import (
     MoneyScheme,
     MoneyState,
     SchemeParams,
-    StabilizerRegister,
     completely_mixed_money,
     gen_scheme,
     honest_money,

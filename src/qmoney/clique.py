@@ -33,12 +33,11 @@ import scipy.linalg
 from scipy.linalg.blas import dsymv
 
 from .errors import AttackFailure
-from .money import MoneyScheme, MoneyState, SecretKey, StabilizerRegister
+from .money import MoneyScheme, MoneyState, SecretKey
 from .pauli import PauliOp, commutation_matrix
 from .stabilizer import (
     StabilizerState,
     complete_to_stabilizer_state,
-    greedy_consistent_subset,
     random_stabilizer_state,
     stab_expectation,
 )
@@ -341,8 +340,7 @@ def attack_register(ops: Sequence[PauliOp], expected_k: int) -> CliqueResult:
             f"largest commuting set found has {len(best.vertices)} < {floor} operators"
         )
     clique_ops = [ops[v] for v in best.vertices]
-    kept, conflicts = greedy_consistent_subset(clique_ops)
-    state = complete_to_stabilizer_state([clique_ops[i] for i in kept])
+    state, conflicts = complete_to_stabilizer_state(clique_ops)
     dropped = tuple(best.vertices[i] for i, _ in conflicts)
     return CliqueResult(best.vertices, best.method, state, dropped)
 
@@ -400,7 +398,7 @@ def run_clique_attack(
             }
             if planted:
                 overlap = len(planted & set(result.vertices)) / len(planted)
-        registers.append(StabilizerRegister(state))
+        registers.append(state)
         reports.append(
             CliqueAttackReport(i, method, size, dropped, failed, p1, overlap)
         )

@@ -7,7 +7,6 @@ __all__ = [
     "DimensionError",
     "CapacityError",
     "InconsistentGeneratorsError",
-    "GroupContradictionError",
     "AttackFailure",
     "SchemeFormatError",
     "SoundnessWarning",
@@ -28,10 +27,6 @@ class CapacityError(QMoneyError):
 
 class InconsistentGeneratorsError(QMoneyError):
     """A generating set contains a pair of anticommuting operators."""
-
-
-class GroupContradictionError(QMoneyError):
-    """Signed generators imply both +P and -P (equivalently -I) in the group."""
 
 
 class AttackFailure(QMoneyError):

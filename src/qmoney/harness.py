@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,15 +51,6 @@ __all__ = [
     "summarize",
 ]
 
-EXPERIMENT_KINDS = (
-    "honest-acceptance",
-    "clique-attack",
-    "low-eps-attack",
-    "eigenvalue-check",
-    "postselect-suite",
-    "beta-mixing",
-)
-
 
 @dataclass(frozen=True)
 class LabelParams:
@@ -70,16 +61,6 @@ class LabelParams:
 
     def build(self) -> postselect.LabelScheme:
         return postselect.make_label_scheme(self.n, self.s, self.d, self.seed)
-
-
-_SCHEME_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "eigenvalue-check")
-_SOURCE_KINDS = ("honest-acceptance", "clique-attack", "low-eps-attack", "postselect-suite")
-# The option keys each kind reads; every other kind reads none.
-_OPTION_KEYS = {
-    "low-eps-attack": {"mode"},
-    "postselect-suite": {"r"},
-    "beta-mixing": {"beta", "steps", "target_label", "start_frozen"},
-}
 
 
 @dataclass(frozen=True)
@@ -101,16 +82,18 @@ class ExperimentConfig:
     source: str | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.source is not None and self.kind not in _SOURCE_KINDS:
+        if self.source is not None and not kind.from_source:
             raise ValueError(f"{self.kind} cannot run from a source file")
-        need = "scheme" if self.kind in _SCHEME_KINDS else "label"
-        if (getattr(self, need) is None) == (self.source is None):
-            raise ValueError(f"{self.kind} needs exactly one of {need} params and a source file")
-        unknown = set(self.options) - _OPTION_KEYS.get(self.kind, set())
+        if (getattr(self, kind.params) is None) == (self.source is None):
+            raise ValueError(
+                f"{self.kind} needs exactly one of {kind.params} params and a source file"
+            )
+        unknown = set(self.options) - kind.options
         if unknown:
             raise ValueError(f"{self.kind} reads no option {sorted(unknown)}")
         if self.options.get("mode", "sample") not in ("sample", "analysis"):
@@ -141,10 +124,6 @@ def trial_rng(master_seed: int, trial: int) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seq), int(seq.generate_state(1)[0])
 
 
-def _record(config: ExperimentConfig, trial: int, seed: int, metrics: dict, passed: bool) -> ResultRecord:
-    return ResultRecord(config.kind, trial, seed, metrics, bool(passed))
-
-
 def _scheme_and_secret(
     config: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[MoneyScheme, SecretKey | None]:
@@ -155,14 +134,19 @@ def _scheme_and_secret(
     return scheme, secret
 
 
-def _run_honest_acceptance(config: ExperimentConfig) -> list[ResultRecord]:
+# Each runner does its setup once, then takes the trial generators in
+# order and yields (metrics, passed) for each; run_experiment seeds the
+# trials and builds the records.
+_Rngs = Iterable[np.random.Generator]
+_Trials = Iterator[tuple[dict, bool]]
+
+
+def _run_honest_acceptance(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     """Honest and mixed money per trial; a secret-less source checks only mixed."""
     scheme, secret = _scheme_and_secret(config, setup_rng(config.master_seed))
     honest = None if secret is None else honest_money(secret)
     mixed = completely_mixed_money(scheme.params)
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for rng in rngs:
         metrics = {}
         passed = True
         if honest is not None:
@@ -173,11 +157,10 @@ def _run_honest_acceptance(config: ExperimentConfig) -> list[ResultRecord]:
         out_m = verify(scheme, mixed, rng)
         metrics["q_mixed"] = out_m.q_value
         metrics["accepted_mixed"] = int(out_m.accepted)
-        records.append(_record(config, trial, seed, metrics, passed and not out_m.accepted))
-    return records
+        yield metrics, passed and not out_m.accepted
 
 
-def _run_clique_attack(config: ExperimentConfig) -> list[ResultRecord]:
+def _run_clique_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     rng0 = setup_rng(config.master_seed)
     scheme, secret = _scheme_and_secret(config, rng0)
     attack = clique.run_clique_attack(scheme, secret, rng0)
@@ -190,24 +173,18 @@ def _run_clique_attack(config: ExperimentConfig) -> list[ResultRecord]:
     }
     if overlaps:
         constant["mean_planted_overlap"] = float(np.mean(overlaps))
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for rng in rngs:
         out = verify(scheme, attack.money, rng)
-        metrics = {"q_value": out.q_value, "accepted": int(out.accepted), **constant}
-        records.append(_record(config, trial, seed, metrics, out.accepted))
-    return records
+        yield {"q_value": out.q_value, "accepted": int(out.accepted), **constant}, out.accepted
 
 
-def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
+def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
     hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
     mode = config.options.get("mode", "sample")
     analysis_money, analysis_recs = phase.forge_low_eps_with_records(hams, mode="analysis")
     mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for rng in rngs:
         if mode == "analysis":
             money, recs = analysis_money, analysis_recs  # deterministic: forged once
         else:
@@ -219,24 +196,19 @@ def _run_low_eps_attack(config: ExperimentConfig) -> list[ResultRecord]:
             "frac_fully_mixed": float(np.mean([rec.fully_mixed for rec in recs])),
             "mean_p1_analysis": mean_p1,
         }
-        records.append(_record(config, trial, seed, metrics, out.accepted))
-    return records
+        yield metrics, out.accepted
 
 
-def _run_eigenvalue_check(config: ExperimentConfig) -> list[ResultRecord]:
+def _run_eigenvalue_check(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     p = config.scheme
     bound = 10.0 * math.sqrt(p.m)
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for rng in rngs:
         ops = [random_pauli(p.n, rng, allow_identity=False) for _ in range(p.m)]
         lam = clique.max_eigenvalue_check(ops)
-        metrics = {"lambda_max": lam, "bound": bound}
-        records.append(_record(config, trial, seed, metrics, lam <= bound))
-    return records
+        yield {"lambda_max": lam, "bound": bound}, lam <= bound
 
 
-def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
+def _run_postselect_suite(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     """Mint (or take the source note), verify, and check the class structure.
 
     ``options["r"]`` fixes the verifier's iteration count; otherwise it is
@@ -252,9 +224,7 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
         scheme, note = load_note(config.source)
     fixed_r = config.options.get("r")
     checked: dict[int, tuple[dict, bool]] = {}
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for rng in rngs:
         money = postselect.mint(scheme, rng) if note is None else note
         if money.label not in checked:
             analysis = postselect.component_analysis(scheme, money.label)
@@ -281,11 +251,10 @@ def _run_postselect_suite(config: ExperimentConfig) -> list[ResultRecord]:
             )
             checked[money.label] = metrics, passed
         metrics, passed = checked[money.label]
-        records.append(_record(config, trial, seed, dict(metrics), passed))
-    return records
+        yield dict(metrics), passed
 
 
-def _run_beta_mixing(config: ExperimentConfig) -> list[ResultRecord]:
+def _run_beta_mixing(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     scheme = config.label.build()
     beta = float(config.options.get("beta", 0.0))
     steps = int(
@@ -296,9 +265,7 @@ def _run_beta_mixing(config: ExperimentConfig) -> list[ResultRecord]:
     frozen = postselect.find_frozen_strings(scheme) if start_frozen else None
     if frozen is not None and len(frozen) == 0:
         raise ValueError("start_frozen: the label scheme has no frozen strings")
-    records = []
-    for trial in range(config.trials):
-        rng, seed = trial_rng(config.master_seed, trial)
+    for trial, rng in enumerate(rngs):
         start = None if frozen is None else int(frozen[trial % len(frozen)])
         if target is not None:
             ell = int(target)
@@ -322,23 +289,38 @@ def _run_beta_mixing(config: ExperimentConfig) -> list[ResultRecord]:
             passed = diag.tv_distance <= 0.05
         else:
             passed = not diag.frozen
-        records.append(_record(config, trial, seed, metrics, passed))
-    return records
+        yield metrics, passed
 
 
-_RUNNERS = {
-    "honest-acceptance": _run_honest_acceptance,
-    "clique-attack": _run_clique_attack,
-    "low-eps-attack": _run_low_eps_attack,
-    "eigenvalue-check": _run_eigenvalue_check,
-    "postselect-suite": _run_postselect_suite,
-    "beta-mixing": _run_beta_mixing,
+class _Kind(NamedTuple):
+    params: str  # the ExperimentConfig field that generates its inputs
+    from_source: bool  # whether it may read its inputs from a file instead
+    options: frozenset[str]  # the option keys it reads
+    run: Callable[[ExperimentConfig, _Rngs], _Trials]
+
+
+_KINDS = {
+    "honest-acceptance": _Kind("scheme", True, frozenset(), _run_honest_acceptance),
+    "clique-attack": _Kind("scheme", True, frozenset(), _run_clique_attack),
+    "low-eps-attack": _Kind("scheme", True, frozenset({"mode"}), _run_low_eps_attack),
+    "eigenvalue-check": _Kind("scheme", False, frozenset(), _run_eigenvalue_check),
+    "postselect-suite": _Kind("label", True, frozenset({"r"}), _run_postselect_suite),
+    "beta-mixing": _Kind(
+        "label", False, frozenset({"beta", "steps", "target_label", "start_frozen"}),
+        _run_beta_mixing,
+    ),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     """Run all trials; fully determined by the config and its source file."""
-    return _RUNNERS[config.kind](config)
+    trials = [trial_rng(config.master_seed, t) for t in range(config.trials)]
+    results = _KINDS[config.kind].run(config, (rng for rng, _ in trials))
+    return [
+        ResultRecord(config.kind, t, seed, metrics, bool(passed))
+        for t, ((_, seed), (metrics, passed)) in enumerate(zip(trials, results, strict=True))
+    ]
 
 
 # --- scheme files -----------------------------------------------------------
@@ -393,14 +375,14 @@ class _LineReader:
 
 
 def _parse_count(value: str) -> int:
-    """A non-negative integer written in ASCII digits only.
+    """A non-negative integer in ASCII digits, without leading zeros.
 
-    Python's int also takes other scripts' digits, underscores and signs,
-    so files outside the written format would load, and several files
-    would name one value.
+    Python's int also takes other scripts' digits, underscores, signs and
+    leading zeros, so files outside the written format would load, and
+    several files would name one value.
     """
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"not a number in digits 0-9: {value!r}")
+    if not (value.isascii() and value.isdigit() and value == str(int(value))):
+        raise ValueError(f"not a number in digits 0-9 without leading zeros: {value!r}")
     return int(value)
 
 

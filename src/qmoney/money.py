@@ -7,8 +7,9 @@ epsilon.  The verifier draws one operator per register, averages the +-1
 outcomes into q_value, and accepts iff q_value >= epsilon/2; the threshold
 comparison is done in exact rationals because q_value is a multiple of 1/l.
 
-Money registers are either Stabilizer (exact group queries, any n) or
-DenseMixed (an explicit ensemble of statevectors, n <= DENSE_LIMIT).
+A money register is either a StabilizerState (exact group queries, any n)
+or a DenseMixedRegister (an explicit ensemble of statevectors,
+n <= DENSE_LIMIT).
 Measuring a DenseMixed register samples a component first; the marginal
 outcome law is exactly (1 + Tr[P rho])/2 either way.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "SchemeParams",
     "SecretKey",
     "MoneyScheme",
-    "StabilizerRegister",
     "DenseMixedRegister",
     "MoneyState",
     "VerificationOutcome",
@@ -93,15 +93,6 @@ class MoneyScheme:
                     raise ValueError("table entries may not be +-identity")
 
 
-@dataclass(frozen=True)
-class StabilizerRegister:
-    state: StabilizerState
-
-    @property
-    def n(self) -> int:
-        return self.state.n
-
-
 @dataclass(frozen=True, eq=False)
 class DenseMixedRegister:
     """Ensemble sum_k weights[k] |vectors[k]><vectors[k]| on n qubits."""
@@ -143,7 +134,7 @@ class DenseMixedRegister:
         return min(k, len(self.weights) - 1)
 
 
-Register = StabilizerRegister | DenseMixedRegister
+Register = StabilizerState | DenseMixedRegister
 
 
 @dataclass(frozen=True)
@@ -208,7 +199,7 @@ def gen_scheme(
 
 
 def honest_money(secret: SecretKey) -> MoneyState:
-    return MoneyState(tuple(StabilizerRegister(s) for s in secret.states))
+    return MoneyState(secret.states)
 
 
 @lru_cache(maxsize=None)
@@ -227,8 +218,8 @@ def completely_mixed_money(params: SchemeParams) -> MoneyState:
 
 def measure_register(register: Register, op: PauliOp, rng: np.random.Generator) -> int:
     """One +-1 measurement of op on the register's state."""
-    if isinstance(register, StabilizerRegister):
-        e = float(stab_expectation(register.state, op))
+    if isinstance(register, StabilizerState):
+        e = float(stab_expectation(register, op))
     else:
         if op.n != register.n:
             raise DimensionError(f"operator on {op.n} qubits vs register on {register.n}")
@@ -239,8 +230,8 @@ def measure_register(register: Register, op: PauliOp, rng: np.random.Generator) 
 
 def register_expectation(register: Register, op: PauliOp) -> float:
     """Exact Tr[P rho] for the register (no sampling)."""
-    if isinstance(register, StabilizerRegister):
-        return float(stab_expectation(register.state, op))
+    if isinstance(register, StabilizerState):
+        return float(stab_expectation(register, op))
     if op.n != register.n:
         raise DimensionError(f"operator on {op.n} qubits vs register on {register.n}")
     return float(

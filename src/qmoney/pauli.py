@@ -79,14 +79,6 @@ class PauliOp:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def single(cls, n: int, qubit: int, letter: str, phase: int = 0) -> "PauliOp":
-        """The operator that is ``letter`` on one qubit and I elsewhere."""
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
-        xb, zb = _LETTER_BITS[letter]
-        return cls(n, xb << qubit, zb << qubit, phase)
-
-    @classmethod
     def from_string(cls, text: str) -> "PauliOp":
         """Parse ``[+|-|+i|-i]LLL...`` where letter ``j`` acts on qubit ``j``."""
         body = text.lstrip("+-i")
@@ -126,13 +118,6 @@ class PauliOp:
     @property
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1; only Hermitian operators have a sign."""
-        if not self.is_hermitian:
-            raise ValueError(f"operator with phase i**{self.phase} has no sign")
-        return 1 - (self.phase & 2)
 
     @property
     def weight(self) -> int:

@@ -34,12 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .errors import (
-    CapacityError,
-    DimensionError,
-    GroupContradictionError,
-    InconsistentGeneratorsError,
-)
+from .errors import CapacityError, DimensionError, InconsistentGeneratorsError
 from .pauli import DENSE_LIMIT, PauliOp, _mul, _random_bits, dense_matrix
 
 __all__ = [
@@ -288,22 +283,19 @@ def greedy_consistent_subset(
     return kept, dropped
 
 
-def complete_to_stabilizer_state(ops: list[PauliOp] | tuple[PauliOp, ...]) -> StabilizerState:
-    """Extend commuting signed ops to a full stabilizer state containing them.
+def complete_to_stabilizer_state(
+    ops: list[PauliOp] | tuple[PauliOp, ...],
+) -> tuple[StabilizerState, list[tuple[int, str]]]:
+    """Extend the ops greedy_consistent_subset keeps to a full stabilizer state.
 
-    The input group must be consistent; extension generators are chosen
-    deterministically (first admissible null-space basis vector, sign +).
+    Returns (state, dropped), with ``dropped`` as greedy_consistent_subset
+    reports it.  Extension generators are chosen deterministically (first
+    admissible null-space basis vector, sign +).
     """
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n
     kept, dropped = greedy_consistent_subset(ops)
-    for idx, reason in dropped:
-        if reason == "anticommutes":
-            raise InconsistentGeneratorsError(f"operator {idx} anticommutes with the set")
-        raise GroupContradictionError(
-            f"operator {idx} is implied with the opposite sign (-I in the group)"
-        )
     gens = [ops[k] for k in kept]
     ext = _Extension(n, [g.row for g in gens])
     while len(gens) < n:
@@ -315,7 +307,7 @@ def complete_to_stabilizer_state(ops: list[PauliOp] | tuple[PauliOp, ...]) -> St
                 break
         else:  # complement dim 2n-t always exceeds span dim t for t < n
             raise AssertionError("symplectic complement exhausted early")
-    return StabilizerState(n, tuple(gens))
+    return StabilizerState(n, tuple(gens)), dropped
 
 
 def dense_projector(state: StabilizerState) -> np.ndarray:

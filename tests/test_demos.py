@@ -1,4 +1,4 @@
-"""Each demo script runs to completion as a standalone program."""
+"""Each demo script runs to completion as a standalone program; the package imports lean."""
 
 import os
 import subprocess
@@ -15,13 +15,29 @@ def test_demos_are_found():
     assert DEMOS  # an empty list would parametrize no test below
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(demo):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # clique._top_eigenpairs and postselect.component_analysis import
+    # these on first use, so that importing the package stays cheap.
+    proc = run_python(
+        "-c",
+        "import sys, qmoney; print(sorted(m for m in ('scipy.sparse', "
+        "'scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -32,7 +32,7 @@ from qmoney import (
     save_scheme,
     summarize,
 )
-from qmoney import postselect
+from qmoney import clique, harness, phase, postselect
 from qmoney.harness import setup_rng, trial_rng
 from qmoney.postselect import (
     find_frozen_strings,
@@ -345,6 +345,11 @@ def test_scheme_counts_in_the_billions_are_refused_without_allocating(tmp_path, 
         ("scheme", "n", "\u0664"),  # an Arabic-Indic four, the file's own n
         ("scheme", "l", "1_0"),
         ("scheme", "m", "\uff16"),  # a fullwidth six, the file's own m
+        ("note", "n", "08"),  # leading zeros: int() reads it as 8
+        ("note", "label_seed", "00"),
+        ("scheme", "m", "03"),
+        ("scheme", "m", "06"),  # the file's own m
+        ("scheme", "seed", "0007"),
     ],
 )
 def test_integers_outside_ascii_digits_are_refused_at_their_line(tmp_path, loader, key, value):
@@ -539,6 +544,74 @@ def test_postselect_suite_verifies_each_distinct_label_once(monkeypatch):
     labels = {mint(scheme, trial_rng(5, t)[0]).label for t in range(40)}
     run_experiment(ExperimentConfig("postselect-suite", 40, 5, label=params))
     assert sorted(calls) == sorted(labels) and len(labels) < 40
+
+
+def counted_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs each call; return the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+_SETUP = SchemeParams(6, 16, 8, 0.5)
+_LOW_EPS = SchemeParams(3, 32, 16, 1 / 128)
+_BETA = LabelParams(10, 4, 2, 0)
+_FROZEN = {"beta": 12.0, "start_frozen": True}
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, options, setup",
+    [
+        ("honest-acceptance", {"scheme": _SETUP}, {}, {"gen_scheme": 1}),
+        ("honest-acceptance", {"source": "scheme"}, {}, {"load_scheme": 1}),
+        ("clique-attack", {"scheme": _SETUP}, {}, {"gen_scheme": 1, "run_clique_attack": 1}),
+        # one Hamiltonian per register, l=16
+        ("low-eps-attack", {"scheme": _LOW_EPS}, {}, {"gen_scheme": 1, "register_hamiltonian": 16}),
+        ("postselect-suite", {"label": LabelParams(6, 3, 2, 0)}, {}, {"build": 1}),
+        ("postselect-suite", {"source": "note"}, {}, {"load_note": 1}),
+        ("beta-mixing", {"label": _BETA}, _FROZEN, {"build": 1, "find_frozen_strings": 1}),
+    ],
+)
+def test_each_kind_sets_up_once_for_all_its_trials(
+    monkeypatch, tmp_path, kind, inputs, options, setup
+):
+    if inputs.get("source") == "scheme":
+        secret, scheme = small_scheme(n=6, m=16, l=8, eps=0.5)
+        save_scheme(tmp_path / "s.scheme", scheme, secret)
+        inputs = {"source": str(tmp_path / "s.scheme")}
+    elif inputs.get("source") == "note":
+        label_scheme = make_label_scheme(6, 3, 2, 2)
+        save_note(tmp_path / "n.note", label_scheme, mint(label_scheme, np.random.default_rng(3)))
+        inputs = {"source": str(tmp_path / "n.note")}
+    owners = {
+        "gen_scheme": harness,
+        "load_scheme": harness,
+        "load_note": harness,
+        "build": LabelParams,
+        "run_clique_attack": clique,
+        "register_hamiltonian": phase,
+        "find_frozen_strings": postselect,
+    }
+    calls = {name: counted_calls(monkeypatch, owners[name], name) for name in setup}
+    records = run_experiment(ExperimentConfig(kind, 3, 7, options=options, **inputs))
+    assert [rec.trial for rec in records] == [0, 1, 2]
+    assert {name: len(log) for name, log in calls.items()} == setup
+
+
+@pytest.mark.parametrize("results", [1, 2, 4])
+def test_a_runner_yielding_the_wrong_number_of_results_raises(monkeypatch, results):
+    kind = harness._KINDS["eigenvalue-check"]
+    runner = kind._replace(run=lambda config, rngs: iter([({}, True)] * results))
+    monkeypatch.setitem(harness._KINDS, "eigenvalue-check", runner)
+    config = ExperimentConfig("eigenvalue-check", 3, 0, scheme=SchemeParams(4, 8, 1, 0.0))
+    with pytest.raises(ValueError):
+        run_experiment(config)
 
 
 def test_run_experiment_beta_mixing_kinds():

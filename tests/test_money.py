@@ -14,7 +14,6 @@ from qmoney import (
     PauliOp,
     SchemeParams,
     SoundnessWarning,
-    StabilizerRegister,
     StabilizerState,
     completely_mixed_money,
     dense_statevector,
@@ -101,7 +100,7 @@ def tie_verify(epsilon, l, total):
     plus, minus = PauliOp.from_string("+Z"), PauliOp.from_string("-Z")
     table = tuple((plus if i < (l + total) // 2 else minus,) * 3 for i in range(l))
     scheme = MoneyScheme(SchemeParams(1, 3, l, epsilon), table)
-    money = MoneyState((StabilizerRegister(StabilizerState(1, (plus,))),) * l)
+    money = MoneyState((StabilizerState(1, (plus,)),) * l)
     out = verify(scheme, money, np.random.default_rng(0))
     assert out.q_value == total / l
     return out
@@ -150,7 +149,7 @@ def test_measure_register_stabilizer_vs_dense_agree_exactly():
         dense = DenseMixedRegister(np.array([1.0]), vec[None, :])
         for _ in range(10):
             op = random_pauli(4, rng)
-            e_stab = register_expectation(StabilizerRegister(st), op)
+            e_stab = register_expectation(st, op)
             e_dense = register_expectation(dense, op)
             assert abs(e_stab - e_dense) < 1e-12
 

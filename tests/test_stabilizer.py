@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies
 
 from qmoney import gf2
 from qmoney import (
-    GroupContradictionError,
     InconsistentGeneratorsError,
     PauliOp,
     StabilizerState,
@@ -149,27 +148,30 @@ def test_complete_to_stabilizer_state_extends_and_validates():
     for _ in range(25):
         st = random_stabilizer_state(5, rng)
         subset = [random_stabilizer_element(st, rng) for _ in range(3)]
-        done = complete_to_stabilizer_state(subset)
-        assert done.n == 5
+        done, dropped = complete_to_stabilizer_state(subset)
+        assert done.n == 5 and dropped == []
         for g in subset:
             assert stab_expectation(done, g) == 1
     # same-seed determinism
     ops = [P("+XXII"), P("+ZZII")]
-    assert complete_to_stabilizer_state(ops).generators == complete_to_stabilizer_state(ops).generators
+    first, again = complete_to_stabilizer_state(ops)[0], complete_to_stabilizer_state(ops)[0]
+    assert first.generators == again.generators
 
 
-def test_complete_raises_on_contradiction():
-    with pytest.raises(GroupContradictionError):
-        complete_to_stabilizer_state([P("+XX"), P("+YY"), P("+ZZ")])
-    with pytest.raises(InconsistentGeneratorsError):
-        complete_to_stabilizer_state([P("+XI"), P("+ZI")])
+def test_complete_returns_the_strays_it_leaves_out():
+    done, dropped = complete_to_stabilizer_state([P("+XX"), P("+YY"), P("+ZZ")])
+    assert dropped == [(2, "sign")]
+    assert done.generators[:2] == (P("+XX"), P("+YY"))
+    done, dropped = complete_to_stabilizer_state([P("+XI"), P("+ZI")])
+    assert dropped == [(1, "anticommutes")]
+    assert stab_expectation(done, P("+XI")) == 1
 
 
 def test_completion_of_full_set_is_identity_operation():
     rng = np.random.default_rng(27)
     st = random_stabilizer_state(4, rng)
-    again = complete_to_stabilizer_state(st.generators)
-    assert st.group_equal(again)
+    again, dropped = complete_to_stabilizer_state(st.generators)
+    assert st.group_equal(again) and dropped == []
 
 
 
@@ -315,7 +317,7 @@ def test_completion_picks_what_per_step_solves_pick(n):
     for size in sorted({1, (n + 1) // 2, n}) if n <= 8 else (1, 3):
         state = random_stabilizer_state(n, rng)
         ops = [random_stabilizer_element(state, rng) for _ in range(size)]
-        assert complete_to_stabilizer_state(ops).generators == reference_completion(ops)
+        assert complete_to_stabilizer_state(ops)[0].generators == reference_completion(ops)
 
 
 @settings(deadline=None, max_examples=100)
