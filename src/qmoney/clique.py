@@ -15,10 +15,13 @@ with probability ~1/2.  Three finders cover the regimes:
 All finders, and max_eigenvalue_check's +-1 sign matrix, read the one
 MeasurementGraph that build_graph returns.  The second eigenvector and the
 sign matrix's top eigenvalue both come from _top_eigenpairs: Lanczos
-(ARPACK) on a matvec that reads one triangle of the matrix, with residuals
-checked.  A recovered clique's operators are completed to a full
-stabilizer state (dropping sign-contradicting strays greedily), which then
-passes the money verifier whenever the clique covers the planted group.
+(ARPACK) on a matvec that reads one triangle of the matrix.  It stops once
+each Ritz residual is at most RESIDUAL_TOL times its Ritz value, which
+implies the contract that an explicit residual check then enforces: each
+residual at most RESIDUAL_TOL * ||B||_F.  A recovered clique's operators
+are completed to a full stabilizer state (dropping sign-contradicting
+strays greedily), which then passes the money verifier whenever the clique
+covers the planted group.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ __all__ = [
 
 # Most seed sets bootstrap_clique tries before giving up.
 MAX_SEED_SUBSETS = 2000
+
+# Eigenpair residual contract of _top_eigenpairs, relative to ||B||_F, and
+# ARPACK's stopping tolerance.
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +135,14 @@ def degree_sort_clique(graph: MeasurementGraph) -> CliqueResult:
 def _top_eigenpairs(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs of a symmetric float64 matrix, ascending.
 
-    Lanczos (ARPACK eigsh, tol=0) from the all-ones start vector; its matvec
-    is BLAS dsymv, which reads one triangle of b.  ARPACK needs m > k and a
+    Lanczos (ARPACK eigsh) from the all-ones start vector; its matvec is
+    BLAS dsymv, which reads one triangle of b.  ARPACK stops when every
+    Ritz pair (theta, y) has ||b y - theta y|| <= tol * |theta| (Lehoucq,
+    Sorensen and Yang, ARPACK Users' Guide), and |theta| <= ||b||_F, so
+    tol = RESIDUAL_TOL already meets the contract checked below: each
+    residual at most RESIDUAL_TOL * ||b||_F.  ARPACK needs m > k and a
     start vector outside b's null space (it starts from b @ ones), so other
-    matrices, such as an edgeless graph, take a dense solve.  Each residual
-    is checked against 1e-8 * ||b||_F.
+    matrices, such as an edgeless graph, take a dense solve.
     """
     b = np.ascontiguousarray(b, dtype=float)
     m = b.shape[0]
@@ -151,14 +161,14 @@ def _top_eigenpairs(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         op = LinearOperator((m, m), matvec=matvec, dtype=float)
         # rng seeds the vector ARPACK draws on reaching an invariant
         # subspace, so equal inputs give equal bits.
-        w, v = eigsh(op, k, which="LA", tol=0, v0=ones, rng=0)
+        w, v = eigsh(op, k, which="LA", tol=RESIDUAL_TOL, v0=ones, rng=0)
     if len(w) != k:
         raise ArithmeticError(f"eigensolver converged {len(w)} of {k} eigenpairs")
     # The residuals reuse dsymv, and ||b||_F takes no BLAS call: on two
     # OpenBLAS threads, a gemv or dot over b here made the next solve about
     # 2.5x slower (m=1000, 2 CPUs).
     resid = max(float(np.linalg.norm(matvec(v[:, i]) - w[i] * v[:, i])) for i in range(k))
-    if resid > 1e-8 * math.sqrt(np.einsum("ij,ij->", b, b)):
+    if resid > RESIDUAL_TOL * math.sqrt(np.einsum("ij,ij->", b, b)):
         raise ArithmeticError(f"eigensolver residual {resid:.3e} out of contract")
     return w, v
 
@@ -167,7 +177,7 @@ def second_eigenvector(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Eigenpair of the second-largest eigenvalue of a symmetric matrix.
 
     Lanczos for the top two eigenpairs (see _top_eigenpairs); residual
-    checked against 1e-8 * ||A||_F.
+    checked against RESIDUAL_TOL * ||A||_F.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -288,8 +298,7 @@ def exact_max_clique(graph: MeasurementGraph) -> tuple[int, ...]:
 def _sign_matrix(ops: Sequence[PauliOp]) -> np.ndarray:
     """The +-1 commutation sign matrix as float64: 2A - 1 off the diagonal
     and 0 on it, where A is the commutation graph's adjacency."""
-    b = build_graph(ops).adjacency.astype(float)
-    b *= 2
+    b = np.multiply(build_graph(ops).adjacency, 2.0)
     b -= 1
     np.fill_diagonal(b, 0)
     return b
@@ -298,7 +307,8 @@ def _sign_matrix(ops: Sequence[PauliOp]) -> np.ndarray:
 def max_eigenvalue_check(ops: Sequence[PauliOp]) -> float:
     """Largest eigenvalue of the +-1 commutation sign matrix.
 
-    Lanczos (see _top_eigenpairs), residual checked against 1e-8 * ||B||_F.
+    Lanczos (see _top_eigenpairs), residual checked against
+    RESIDUAL_TOL * ||B||_F.
     """
     w, _ = _top_eigenpairs(_sign_matrix(ops), 1)
     return float(w[0])

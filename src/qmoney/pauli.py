@@ -172,13 +172,20 @@ def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, in
 
 
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:
-    if nbits == 0:
-        return 0  # rng.bytes(0) still advances the generator
-    if nbits <= 32:
-        # One uint32 word: the draw and the generator state rng.bytes(<= 4)
-        # gives, without its per-call array setup.
-        return int(rng.integers(4294967296, dtype=np.uint32)) & ((1 << nbits) - 1)
-    return int.from_bytes(rng.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
+    """nbits uniform bits: ceil(nbits/32) uint32 words, little endian.
+
+    The words come straight from the bit generator's C next_uint32, with
+    none of the array setup that rng.bytes pays per call.
+    Generator.bytes and Generator.integers(2**32, dtype=uint32) read the
+    same words, so the bits, and the generator state after the draw, are
+    theirs.  Zero bits draw nothing.
+    """
+    bitgen = rng.bit_generator.ctypes
+    next_uint32, state = bitgen.next_uint32, bitgen.state
+    bits = 0
+    for shift in range(0, nbits, 32):
+        bits |= next_uint32(state) << shift
+    return bits & ((1 << nbits) - 1)
 
 
 def random_pauli(
@@ -238,21 +245,29 @@ def expectation(op: PauliOp, vec: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, val)))
 
 
+# Words per uint64 temporary in commutation_matrix: 512 KiB, so a block of
+# rows stays in cache (32 rows at m=2000).
+_BLOCK_WORDS = 1 << 16
+
+
 def _pack_words(vals: list[int], nwords: int) -> np.ndarray:
+    """(nwords, len(vals)) uint64: row w holds word w of every value."""
     mask = (1 << 64) - 1
-    out = np.zeros((len(vals), nwords), dtype=np.uint64)
-    for i, v in enumerate(vals):
-        for w in range(nwords):
-            out[i, w] = (v >> (64 * w)) & mask
-    return out
+    words = [[(v >> (64 * w)) & mask for v in vals] for w in range(nwords)]
+    return np.array(words, dtype=np.uint64)
 
 
 def commutation_matrix(ops: list[PauliOp]) -> np.ndarray:
     """Symmetric 0/1 matrix: entry (i, j) is 1 iff ops[i] and ops[j] commute.
 
-    Vectorised over 64-bit words so the m x m table costs O(m**2 * n / 64).
+    The symplectic product's parity is the parity of one popcount: the XOR,
+    over the 64-bit words, of (x_i & z_j) ^ (z_i & x_j).  Rows go in blocks
+    of at most _BLOCK_WORDS / m, so the uint64 temporaries are a block, not
+    m x m, and each block's popcounts are written straight into the uint8
+    result.  Cost O(m**2 * n / 64).
     """
-    if not ops:
+    m = len(ops)
+    if m == 0:
         return np.zeros((0, 0), dtype=np.uint8)
     n = ops[0].n
     for op in ops:
@@ -261,8 +276,21 @@ def commutation_matrix(ops: list[PauliOp]) -> np.ndarray:
     nwords = (n + 63) // 64
     xs = _pack_words([op.x for op in ops], nwords)
     zs = _pack_words([op.z for op in ops], nwords)
-    par = np.zeros((len(ops), len(ops)), dtype=np.uint8)
-    for w in range(nwords):
-        par ^= np.bitwise_count(xs[:, None, w] & zs[None, :, w]).astype(np.uint8) & 1
-        par ^= np.bitwise_count(zs[:, None, w] & xs[None, :, w]).astype(np.uint8) & 1
-    return np.uint8(1) - par
+    rows = max(1, min(m, _BLOCK_WORDS // m))
+    acc = np.empty((rows, m), dtype=np.uint64)
+    tmp = np.empty_like(acc)
+    out = np.empty((m, m), dtype=np.uint8)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        a, t = acc[: hi - lo], tmp[: hi - lo]
+        a.fill(0)
+        for w in range(nwords):
+            np.bitwise_and(xs[w, lo:hi, None], zs[w], out=t)
+            a ^= t
+            np.bitwise_and(zs[w, lo:hi, None], xs[w], out=t)
+            a ^= t
+        block = out[lo:hi]
+        np.bitwise_count(a, out=block)
+        block &= 1
+        block ^= 1  # parity 0 means the pair commutes
+    return out

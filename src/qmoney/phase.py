@@ -24,8 +24,8 @@ window and the m**2 cap.
 The kernel runs once per drawn eigenstate and once per eigenphase, so a
 call costs a few numpy operations: one zeta(2, .) = psi1 call per window
 sum, and a direct kernel sum for windows shorter than the image sum.  H
-is built in one scatter, and each register's accept-loop constants are
-computed once.
+is built by one scatter per block of operators, and each register's
+accept-loop constants are computed once.
 """
 
 from __future__ import annotations
@@ -76,15 +76,43 @@ class RegisterHamiltonian:
         return (q, *accept_window(self.m), eigenvalue_phases(self.eigenvalues).tolist())
 
 
+# Entries of H that register_hamiltonian scatters per block of operators:
+# each index temporary is 2 MiB, whatever m is.  Tables with m * 2**n up
+# to this (n=6, m=64 among them) are one block.
+_SCATTER_ENTRIES = 1 << 18
+
+
+def _scatter_ops(ops: Sequence[PauliOp], n: int) -> np.ndarray:
+    """m*H as one float64 vector of interleaved real and imaginary parts.
+
+    Operator j has one nonzero per column c, i**k_j * (-1)**popcount(c & z_j)
+    at row c ^ x_j, and i**k_j is real or imaginary.  np.add.at adds each
+    block's entries into the vector.  They are all +-1, so every entry is a
+    sum of integers: their order cannot matter, and no complex arithmetic
+    can turn a zero negative.
+    """
+    dim = 1 << n
+    col = np.arange(dim, dtype=np.int64)
+    x = np.array([op.x for op in ops], dtype=np.int64)[:, None]
+    z = np.array([op.z for op in ops], dtype=np.int64)[:, None]
+    k = np.array([(op.phase + (op.x & op.z).bit_count()) % 4 for op in ops])[:, None]
+    h = np.zeros(2 * dim * dim)
+    step = max(1, _SCATTER_ENTRIES >> n)
+    for lo in range(0, len(ops), step):
+        xb, zb, kb = x[lo : lo + step], z[lo : lo + step], k[lo : lo + step]
+        # i**k is +1, +i, -1, -i: imaginary for odd k, negative for k >= 2
+        slot = ((((col ^ xb) << n) | col) << 1) | (kb & 1)
+        negative = (kb >> 1) ^ (np.bitwise_count(col & zb) & 1)
+        np.add.at(h, slot.ravel(), 1.0 - 2.0 * negative.ravel())
+    return h
+
+
 def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
     """Dense H = (1/m) sum of the ops, with its eigendecomposition.
 
-    Operator j has one nonzero per column c, i**k_j * (-1)**popcount(c & z_j)
-    at row c ^ x_j, and i**k_j is real or imaginary.  One bincount over H's
-    interleaved real and imaginary parts scatters all m * 2**n of them.
-    Entries of m*H are sums of integers, so their order cannot matter, and
-    no complex arithmetic can turn a zero negative.  Cost O(m * 2**n) time
-    and temporaries, plus one eigensolve.
+    H is scattered in blocks of operators (see _scatter_ops).  Cost
+    O(m * 2**n) time plus one eigensolve; the scatter's temporaries are
+    bounded by _SCATTER_ENTRIES, not by m.
     """
     ops = list(ops)
     if not ops:
@@ -98,15 +126,7 @@ def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
         if not op.is_hermitian:
             raise ValueError(f"operator {op} is not Hermitian")
     dim = 1 << n
-    col = np.arange(dim, dtype=np.int64)
-    x = np.array([op.x for op in ops], dtype=np.int64)[:, None]
-    z = np.array([op.z for op in ops], dtype=np.int64)[:, None]
-    k = np.array([(op.phase + (op.x & op.z).bit_count()) % 4 for op in ops])[:, None]
-    # i**k is +1, +i, -1, -i: imaginary for odd k, negative for k >= 2
-    slot = ((((col ^ x) << n) | col) << 1) | (k & 1)
-    weights = 1 - 2 * ((k >> 1) ^ (np.bitwise_count(col & z) & 1))
-    h = np.bincount(slot.ravel(), weights.ravel(), minlength=2 * dim * dim)
-    h = h.view(complex).reshape(dim, dim)
+    h = _scatter_ops(ops, n).view(complex).reshape(dim, dim)
     h /= len(ops)
     if np.abs(h - h.conj().T).max() > 1e-10:
         raise ArithmeticError("Hamiltonian lost Hermiticity")

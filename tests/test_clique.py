@@ -31,7 +31,9 @@ from qmoney import (
     verify,
 )
 import qmoney.clique as clique_module
+import qmoney.pauli as pauli_module
 from qmoney.clique import _degree_order, _greedy_from_order, _sign_matrix, _top_eigenpairs
+from qmoney.harness import trial_rng
 
 
 def gnp(rng, m, p=0.5):
@@ -235,10 +237,34 @@ def test_bootstrap_small_c_recovers_medium_clique():
 
 def sign_matrix(ops):
     """Reference +-1 sign matrix straight from the operators: +1 for commuting
-    pairs, -1 for anticommuting ones, 0 on the diagonal (int8)."""
-    b = 2 * commutation_matrix(list(ops)).astype(np.int8) - 1
+    pairs, -1 for anticommuting ones, 0 on the diagonal (int8).  The
+    symplectic form is an integer product of per-qubit bit matrices, with no
+    packed words."""
+    n = ops[0].n
+    x = np.array([[(op.x >> j) & 1 for j in range(n)] for op in ops], dtype=np.int64)
+    z = np.array([[(op.z >> j) & 1 for j in range(n)] for op in ops], dtype=np.int64)
+    b = (1 - 2 * ((x @ z.T + z @ x.T) % 2)).astype(np.int8)
     np.fill_diagonal(b, 0)
     return b
+
+
+@pytest.mark.parametrize("block_words", [None, 1000, 1])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+def test_commutation_kernel_at_word_and_block_edges(n, block_words, monkeypatch):
+    # n crosses the 64-bit word boundary, and m the row blocks: by default
+    # m=300 takes two blocks (218 and 82 rows) and m <= 129 one; 1000 words
+    # take 7 rows at a time (3 at m=300), and one word one row.
+    if block_words is not None:
+        monkeypatch.setattr(pauli_module, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(55 + n)
+    for m in (1, 127, 128, 129, 300):
+        ops = [random_pauli(n, rng) for _ in range(m)]
+        want = sign_matrix(ops)
+        got = commutation_matrix(ops)
+        assert got.dtype == np.uint8
+        commute = (want + 1) // 2 + np.eye(m, dtype=np.int8)  # ops commute with themselves
+        assert got.tobytes() == commute.astype(np.uint8).tobytes()
+        assert _sign_matrix(ops).tobytes() == want.astype(float).tobytes()
 
 
 def test_signed_matrix_moments():
@@ -301,6 +327,24 @@ def test_max_eigenvalue_check_equals_eigh_of_reference_sign_matrix():
         assert _sign_matrix(ops).tobytes() == b.tobytes()
         want = scipy.linalg.eigh(b, subset_by_index=(119, 119), eigvals_only=True)[0]
         assert close_to_eigh(max_eigenvalue_check(ops), want, want)
+
+
+@pytest.mark.parametrize(
+    "seed, m",
+    [
+        (1, 2000),  # trial 0 of the spectral benchmark at seeds 1 and 31
+        (31, 2000),
+        (1008, 1000),  # criterion 08's shape
+    ],
+)
+def test_max_eigenvalue_check_at_bench_shapes_matches_dense_eigh(seed, m):
+    # ARPACK stops at its residual tolerance, not at machine precision; at
+    # the largest shapes the eigenvalue still agrees with the dense solve.
+    rng = trial_rng(seed, 0)[0] if m == 2000 else np.random.default_rng(seed)
+    ops = [random_pauli(64, rng, allow_identity=False) for _ in range(m)]
+    b = sign_matrix(ops).astype(float)
+    want = scipy.linalg.eigh(b, subset_by_index=(m - 1, m - 1), eigvals_only=True)[0]
+    assert close_to_eigh(max_eigenvalue_check(ops), want, want)
 
 
 def test_max_eigenvalue_check_matches_dense_eigh_on_random_tables():

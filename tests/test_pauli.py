@@ -185,16 +185,26 @@ def test_random_pauli_allow_identity_flag():
         assert not random_pauli(2, rng, allow_identity=False).is_identity
 
 
-@pytest.mark.parametrize("nbits", [1, 13, 32, 33, 101, 129])
+@pytest.mark.parametrize("nbits", [0, 1, 13, 31, 32, 33, 64, 65, 96, 101, 129])
 def test_random_bits_reads_the_rng_bytes_stream(nbits):
-    # Every width gives the draw, and leaves the generator state, of the
-    # rng.bytes path, interleaved with the generator's other draws.
-    fast, ref = np.random.default_rng(51), np.random.default_rng(51)
+    # Every width gives the draw, and leaves the generator state, of both
+    # older paths: rng.bytes, and uint32 words from rng.integers.  The draws
+    # are interleaved with the generator's other draws, including single
+    # uint32 words, which PCG64 serves from half of a buffered 64-bit output.
+    fast = np.random.default_rng(51)
+    by_bytes, by_words = np.random.default_rng(51), np.random.default_rng(51)
+    mask = (1 << nbits) - 1
     for _ in range(200):
-        want = int.from_bytes(ref.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
+        want = int.from_bytes(by_bytes.bytes((nbits + 7) // 8), "little") & mask if nbits else 0
+        words = [int(by_words.integers(2**32, dtype=np.uint32)) for _ in range(0, nbits, 32)]
+        assert sum(w << (32 * i) for i, w in enumerate(words)) & mask == want
         assert _random_bits(fast, nbits) == want
-        assert fast.random() == ref.random()
-        assert fast.bit_generator.state == ref.bit_generator.state
+        assert fast.random() == by_bytes.random() == by_words.random()
+        word = int(fast.integers(2**32, dtype=np.uint32))
+        assert word == int(by_bytes.integers(2**32, dtype=np.uint32))
+        assert word == int(by_words.integers(2**32, dtype=np.uint32))
+        assert fast.bit_generator.state == by_bytes.bit_generator.state
+        assert fast.bit_generator.state == by_words.bit_generator.state
 
 
 def test_dense_capacity_guard():

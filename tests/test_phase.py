@@ -1,6 +1,7 @@
 """Register Hamiltonians, phase-estimation kernel, low-epsilon forging."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,9 +29,11 @@ from qmoney import (
     verify,
     window_probability,
 )
+import qmoney.phase as phase_module
 from qmoney.phase import (
     _WALK_CAP,
     RegisterHamiltonian,
+    _scatter_ops,
     _tail_offset,
     generate_rho_with_record,
 )
@@ -102,6 +105,39 @@ def test_hamiltonian_is_bitwise_the_per_op_loop():
         eigenvalues, eigenvectors = np.linalg.eigh(want)
         assert ham.eigenvalues.tobytes() == eigenvalues.tobytes()
         assert ham.eigenvectors.tobytes() == eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("entries", [1, 100, 1 << 10])
+def test_hamiltonian_scattered_in_blocks_is_bitwise_one_block(entries, monkeypatch):
+    # 1 entry per block scatters one operator at a time; 100 and 1024 give
+    # blocks that do not divide m.
+    rng = np.random.default_rng(56)
+    tables = []
+    for n, m in ((1, 5), (3, 40), (5, 97), (6, 64), (7, 150)):
+        ops = [random_pauli(n, rng) for _ in range(m)]
+        tables.append(ops + [-op for op in ops[: m // 2]] + ops[: m // 3])
+    want = [register_hamiltonian(ops) for ops in tables]
+    monkeypatch.setattr(phase_module, "_SCATTER_ENTRIES", entries)
+    for ops, ham in zip(tables, want):
+        got = register_hamiltonian(ops)
+        assert got.h_matrix.tobytes() == ham.h_matrix.tobytes()
+        assert got.h_matrix.tobytes() == per_op_hamiltonian_matrix(ops).tobytes()
+        assert got.eigenvalues.tobytes() == ham.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == ham.eigenvectors.tobytes()
+
+
+def test_hamiltonian_scatter_temporaries_do_not_grow_with_m():
+    # n=8: 1,024 operators per block.  Scattering them in one block would add
+    # about 6 MiB of index temporaries per 1,000 operators.
+    rng = np.random.default_rng(57)
+    ops = [random_pauli(8, rng) for _ in range(4096)]
+    peaks = []
+    for m in (1024, 4096):
+        tracemalloc.start()
+        _scatter_ops(ops[:m], 8)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_moment_identities_exact():
