@@ -35,7 +35,6 @@ from .pauli import DENSE_LIMIT, PauliOp, random_pauli
 from .stabilizer import StabilizerState
 
 __all__ = [
-    "EXPERIMENT_KINDS",
     "LabelParams",
     "ExperimentConfig",
     "ResultRecord",
@@ -310,7 +309,6 @@ _KINDS = {
         _run_beta_mixing,
     ),
 }
-EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:

@@ -111,10 +111,10 @@ class DenseMixedRegister:
             raise ValueError(f"vector length {dim} is not a power of two")
         if n > DENSE_LIMIT:
             raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
-        if np.any(w < -1e-9) or abs(w.sum() - 1.0) > 1e-9:
+        # written so that NaN, for which every comparison is False, fails them
+        if not (np.all(w >= -1e-9) and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-9):
             raise ValueError("component statevectors must have unit norm")
         w.setflags(write=False)
         v.setflags(write=False)

@@ -373,6 +373,9 @@ def generate_rho_with_record(
     analysis: per-eigenstate window probabilities a_j give the exact output
               mixture w_j = (a_j / 2**n) * (1 - (1-abar)**(m**2)) / abar
               + (1-abar)**(m**2) / 2**n without sampling.
+
+    The register's vectors are rows of ham.eigenvectors.T: read-only views
+    that share the Hamiltonian's eigenbasis instead of copying it.
     """
     if ham.m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
@@ -387,11 +390,9 @@ def generate_rho_with_record(
             j = int(rng.integers(dim))
             z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
-                reg = DenseMixedRegister(
-                    np.ones(1), ham.eigenvectors[:, j].reshape(1, -1)
-                )
+                reg = DenseMixedRegister(np.ones(1), ham.eigenvectors.T[j : j + 1])
                 return reg, RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
-        reg = DenseMixedRegister(np.full(dim, 1.0 / dim), ham.eigenvectors.T.copy())
+        reg = DenseMixedRegister(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
         return reg, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
     if mode != "analysis":
         raise ValueError(f"unknown mode {mode!r}")
@@ -405,7 +406,7 @@ def generate_rho_with_record(
         weights = np.full(dim, 1.0 / dim)
         expected_exit = float(cap)
     weights = weights / weights.sum()
-    reg = DenseMixedRegister(weights, ham.eigenvectors.T.copy())
+    reg = DenseMixedRegister(weights, ham.eigenvectors.T)
     trace = float(weights @ ham.eigenvalues)
     return reg, RegisterForgeRecord(trace, expected_exit, p_cap)
 

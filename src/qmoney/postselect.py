@@ -219,8 +219,7 @@ class LabeledMoney:
 
     def __post_init__(self):
         v = np.asarray(self.state, dtype=complex)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("money state must be normalised")
         mags = np.abs(v[np.abs(v) > 1e-12])
         if len(mags) != self.support_size or np.any(

@@ -1,12 +1,13 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
-from qmoney import postselect
-from qmoney.cli import main
+from qmoney import harness, postselect
+from qmoney.cli import build_parser, main
 from qmoney.harness import (
     ExperimentConfig,
     LabelParams,
@@ -60,7 +61,61 @@ def test_verify_without_secret_checks_mixed_money_only(tmp_path):
 
 
 def test_gen_scheme_requires_out():
-    assert main(["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "0.5"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "0.5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "0.5", "--format", "jsonl"],
+        ["mint", "--n", "6", "--s", "3", "--d", "2", "--format", "csv"],
+    ],
+)
+def test_file_writers_take_no_format_flag(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "file")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "file").exists()
+
+
+def test_each_harness_kind_is_the_kind_of_exactly_one_subcommand():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    kinds = [p.get_default("kind") for p in subparsers.choices.values()]
+    assert sorted(k for k in kinds if k is not None) == sorted(harness._KINDS)
+
+
+# (CLI arguments; the options they must build: exactly the flags typed)
+OPTION_CASES = [
+    (["attack-low-eps", "--scheme", "s.scheme"], {}),
+    (["attack-low-eps", "--scheme", "s.scheme", "--mode", "analysis"], {"mode": "analysis"}),
+    (["verify-note", "--note", "n.note"], {}),
+    (["verify-note", "--note", "n.note", "--r", "5"], {"r": 5}),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2"], {}),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta", "12"], {"beta": 12.0}),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--steps", "200"], {"steps": 200}),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--target-label", "1"], {"target_label": 1}),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--start-frozen"], {"start_frozen": True}),
+    (["verify", "--scheme", "s.scheme"], {}),
+    (["attack-clique", "--scheme", "s.scheme"], {}),
+    (["eig-check", "--n", "4", "--m", "8"], {}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, options", OPTION_CASES, ids=[" ".join(argv) for argv, _ in OPTION_CASES]
+)
+def test_cli_options_hold_only_the_flags_typed(argv, options, monkeypatch):
+    configs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda config: configs.append(config) or [])
+    monkeypatch.setattr(harness, "summarize", lambda records: {"trials": 0, "pass_fraction": 0.0})
+    assert main(argv) == 0
+    (config,) = configs
+    assert config.options == options
+    assert (config.trials, config.master_seed) == (1, 0)
 
 
 def test_attack_clique_cli(tmp_path, capsys):

@@ -1,0 +1,57 @@
+"""The package's declared dependencies cover every module its code imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qmoney"
+
+
+def imported_top_level_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports anywhere in the file, lazy ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+
+
+def test_every_import_is_stdlib_qmoney_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"qmoney"} | declared_dependencies()
+    undeclared = {
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in imported_top_level_modules(path)
+        if name not in allowed
+    }
+    assert not undeclared
+
+
+def test_every_declared_dependency_is_imported():
+    imported = set().union(*(imported_top_level_modules(p) for p in PACKAGE.glob("*.py")))
+    assert declared_dependencies() <= imported
+
+
+def test_the_import_walk_sees_lazy_and_relative_imports(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import os.path\nfrom . import harness\n"
+        "def f():\n    from scipy.sparse import linalg\n    import numpy as np\n"
+    )
+    assert imported_top_level_modules(source) == {"os", "scipy", "numpy"}

@@ -177,6 +177,24 @@ def test_dense_register_validation():
         DenseMixedRegister(np.array([1.0]), np.ones((1, 3), dtype=complex) / np.sqrt(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_register_refuses_nonfinite_weights(bad):
+    with pytest.raises(ValueError, match="weights"):
+        DenseMixedRegister(np.array([bad, 1.0]), np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="weights"):
+        DenseMixedRegister(np.array([bad, -bad]), np.eye(2, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in norm
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_dense_register_refuses_nonfinite_vectors(bad):
+    # measure_register would read -1 off a NaN vector: expectation clamps NaN to -1
+    with pytest.raises(ValueError, match="unit norm"):
+        DenseMixedRegister(np.array([1.0]), np.array([[bad, 0]]))
+    with pytest.raises(ValueError, match="unit norm"):
+        DenseMixedRegister(np.array([0.5, 0.5]), np.array([[1, 0], [1, bad]]))
+
+
 def test_scheme_table_validation():
     params = SchemeParams(2, 2, 1, 0.5)
     ok = (PauliOp.from_string("+XX"), PauliOp.from_string("-ZZ"))

@@ -479,6 +479,23 @@ def test_generate_rho_sample_mode_statistics():
     assert abs(np.mean(traces) - analysis.trace_h_rho) < 0.1
 
 
+def test_forged_registers_view_the_hamiltonians_eigenbasis(monkeypatch):
+    ham = register_hamiltonian(random_duplicate_free_ops(np.random.default_rng(59), 6, 64))
+    analysis, _ = generate_rho_with_record(ham, mode="analysis")
+    accepted, rec = generate_rho_with_record(ham, np.random.default_rng(1), mode="sample")
+    assert rec.fully_mixed == 0.0
+    # phase 0 lies below the accept window, so every draw misses it
+    monkeypatch.setattr(phase_module, "pe_sample", lambda phase, q, rng: 0)
+    fallback, rec = generate_rho_with_record(ham, np.random.default_rng(1), mode="sample")
+    assert rec.fully_mixed == 1.0
+    for reg in (analysis, accepted, fallback):
+        assert np.shares_memory(reg.vectors, ham.eigenvectors)
+        assert not reg.vectors.flags.writeable
+    np.testing.assert_array_equal(analysis.vectors, ham.eigenvectors.T)
+    np.testing.assert_array_equal(fallback.vectors, ham.eigenvectors.T)
+    assert (ham.eigenvectors.T == accepted.vectors[0]).all(axis=1).sum() == 1
+
+
 def test_analysis_trace_beats_quarter_bound():
     rng = np.random.default_rng(61)
     good = 0

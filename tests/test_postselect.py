@@ -198,6 +198,16 @@ def test_minted_money_is_fixed_point_and_accepted():
         assert abs(prob - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_labeled_money_refuses_nonfinite_entries(bad):
+    money = mint(make_label_scheme(8, 4, 2, 1), np.random.default_rng(3))
+    outside = int(np.flatnonzero(money.state == 0)[0])
+    state = money.state.copy()
+    state[outside] = bad
+    with pytest.raises(ValueError, match="normalised"):
+        LabeledMoney(money.label, state, money.support_size)
+
+
 def test_wrong_label_projects_to_zero():
     sch = make_label_scheme(10, 4, 2, 5)
     rng = np.random.default_rng(75)
