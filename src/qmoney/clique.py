@@ -76,10 +76,18 @@ class MeasurementGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.uint8)
+        a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        if np.any(a > 1) or np.any(a != a.T) or np.any(np.diag(a) != 0):
+        # values are checked before any cast: astype(uint8) turns 0.5, 256 and NaN into 0
+        if a.dtype != np.uint8 and np.all((a == 0) | (a == 1)):
+            a = (a == 1).view(np.uint8)
+        if (
+            a.dtype != np.uint8
+            or (a.size and a.max() > 1)
+            or not scipy.linalg.issymmetric(a)
+            or a.diagonal().any()
+        ):
             raise ValueError("adjacency must be symmetric 0/1 with zero diagonal")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)

@@ -7,10 +7,18 @@ epsilon.  The verifier draws one operator per register, averages the +-1
 outcomes into q_value, and accepts iff q_value >= epsilon/2; the threshold
 comparison is done in exact rationals because q_value is a multiple of 1/l.
 
-A money register is either a StabilizerState (exact group queries, any n)
-or a DenseMixedRegister (an explicit ensemble of statevectors,
-n <= DENSE_LIMIT).
-Measuring a DenseMixed register samples a component first; the marginal
+A money register is one of:
+
+- a StabilizerState: its generators, for exact group queries at any n;
+- a DenseMixedRegister: weights and an explicit (k, 2**n) array of
+  statevectors, n <= DENSE_LIMIT;
+- a BasisMixedRegister: weights over the computational basis only, a
+  diagonal density matrix.  Nothing of size 2**n x 2**n is stored:
+  <b|P|b> is 0 when P flips a bit, and otherwise its sign times
+  (-1)**popcount(z & b), the exact value a statevector e_b gives.  The
+  completely mixed register is one.
+
+Measuring a mixed register samples a component first; the marginal
 outcome law is exactly (1 + Tr[P rho])/2 either way.
 """
 
@@ -37,6 +45,7 @@ __all__ = [
     "SecretKey",
     "MoneyScheme",
     "DenseMixedRegister",
+    "BasisMixedRegister",
     "MoneyState",
     "VerificationOutcome",
     "gen_scheme",
@@ -93,37 +102,24 @@ class MoneyScheme:
                     raise ValueError("table entries may not be +-identity")
 
 
-@dataclass(frozen=True, eq=False)
-class DenseMixedRegister:
-    """Ensemble sum_k weights[k] |vectors[k]><vectors[k]| on n qubits."""
+def _check_dimension(dim: int) -> None:
+    n = dim.bit_length() - 1
+    if 1 << n != dim:
+        raise ValueError(f"vector length {dim} is not a power of two")
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
+
+
+def _check_weights(w: np.ndarray) -> None:
+    # written so that NaN, for which every comparison is False, fails it
+    if not (np.all(w >= -1e-9) and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError("weights must be nonnegative and sum to 1")
+
+
+class _Ensemble:
+    """Draws component k with probability weights[k]."""
 
     weights: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or w.shape != (v.shape[0],):
-            raise ValueError("need weights (k,) matching vectors (k, 2**n)")
-        dim = v.shape[1]
-        n = dim.bit_length() - 1
-        if 1 << n != dim:
-            raise ValueError(f"vector length {dim} is not a power of two")
-        if n > DENSE_LIMIT:
-            raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
-        # written so that NaN, for which every comparison is False, fails them
-        if not (np.all(w >= -1e-9) and abs(w.sum() - 1.0) <= 1e-9):
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-9):
-            raise ValueError("component statevectors must have unit norm")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1].bit_length() - 1
 
     @cached_property
     def _cumweights(self) -> np.ndarray:
@@ -134,7 +130,67 @@ class DenseMixedRegister:
         return min(k, len(self.weights) - 1)
 
 
-Register = StabilizerState | DenseMixedRegister
+@dataclass(frozen=True, eq=False)
+class DenseMixedRegister(_Ensemble):
+    """Ensemble sum_k weights[k] |vectors[k]><vectors[k]| on n qubits."""
+
+    weights: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.ndim != 2 or w.shape != (v.shape[0],):
+            raise ValueError("need weights (k,) matching vectors (k, 2**n)")
+        _check_dimension(v.shape[1])
+        _check_weights(w)
+        if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("component statevectors must have unit norm")
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "vectors", v)
+
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, vectors: np.ndarray) -> DenseMixedRegister:
+        """A register of arrays that already pass __post_init__'s checks, not checked again.
+
+        weights: float64, nonnegative, summing to 1; vectors: read-only
+        complex128 unit rows.  The forger builds its registers this way from
+        eigenvectors that register_hamiltonian has checked.
+        """
+        reg = object.__new__(cls)
+        weights.setflags(write=False)
+        object.__setattr__(reg, "weights", weights)
+        object.__setattr__(reg, "vectors", vectors)
+        return reg
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1].bit_length() - 1
+
+
+@dataclass(frozen=True, eq=False)
+class BasisMixedRegister(_Ensemble):
+    """Ensemble sum_b weights[b] |b><b| over the 2**n computational basis states."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError("need weights (2**n,)")
+        _check_dimension(len(w))
+        _check_weights(w)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def n(self) -> int:
+        return len(self.weights).bit_length() - 1
+
+
+Register = StabilizerState | DenseMixedRegister | BasisMixedRegister
 
 
 @dataclass(frozen=True)
@@ -203,12 +259,12 @@ def honest_money(secret: SecretKey) -> MoneyState:
 
 
 @lru_cache(maxsize=None)
-def completely_mixed_register(n: int) -> DenseMixedRegister:
+def completely_mixed_register(n: int) -> BasisMixedRegister:
     """I/2**n as a uniform ensemble over the computational basis (shared, read-only)."""
     if n > DENSE_LIMIT:
         raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
     dim = 1 << n
-    return DenseMixedRegister(np.full(dim, 1.0 / dim), np.eye(dim, dtype=complex))
+    return BasisMixedRegister(np.full(dim, 1.0 / dim))
 
 
 def completely_mixed_money(params: SchemeParams) -> MoneyState:
@@ -216,15 +272,26 @@ def completely_mixed_money(params: SchemeParams) -> MoneyState:
     return MoneyState((reg,) * params.l)
 
 
+def _check_mixed_query(register: Register, op: PauliOp) -> None:
+    if op.n != register.n:
+        raise DimensionError(f"operator on {op.n} qubits vs register on {register.n}")
+    if not op.is_hermitian:
+        raise ValueError("expectation defined for Hermitian operators only")
+
+
 def measure_register(register: Register, op: PauliOp, rng: np.random.Generator) -> int:
     """One +-1 measurement of op on the register's state."""
     if isinstance(register, StabilizerState):
         e = float(stab_expectation(register, op))
     else:
-        if op.n != register.n:
-            raise DimensionError(f"operator on {op.n} qubits vs register on {register.n}")
+        _check_mixed_query(register, op)
         k = register.sample_component(rng)
-        e = vector_expectation(op, register.vectors[k])
+        if isinstance(register, DenseMixedRegister):
+            e = vector_expectation(op, register.vectors[k])
+        elif op.x:
+            e = 0.0
+        else:  # i**phase is 1 - phase: a Hermitian phase is 0 or 2
+            e = float((1 - op.phase) * (1 - 2 * ((op.z & k).bit_count() & 1)))
     return 1 if rng.random() < (1.0 + e) / 2.0 else -1
 
 
@@ -232,14 +299,19 @@ def register_expectation(register: Register, op: PauliOp) -> float:
     """Exact Tr[P rho] for the register (no sampling)."""
     if isinstance(register, StabilizerState):
         return float(stab_expectation(register, op))
-    if op.n != register.n:
-        raise DimensionError(f"operator on {op.n} qubits vs register on {register.n}")
-    return float(
-        sum(
-            w * vector_expectation(op, v)
-            for w, v in zip(register.weights, register.vectors)
+    _check_mixed_query(register, op)
+    if isinstance(register, DenseMixedRegister):
+        return float(
+            sum(
+                w * vector_expectation(op, v)
+                for w, v in zip(register.weights, register.vectors)
+            )
         )
-    )
+    if op.x:
+        return 0.0
+    basis = np.arange(len(register.weights), dtype=np.int64)
+    signs = (1 - op.phase) * (1.0 - 2.0 * (np.bitwise_count(basis & op.z) & 1))
+    return float(register.weights @ signs)
 
 
 def verify(

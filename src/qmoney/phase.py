@@ -26,6 +26,14 @@ call costs a few numpy operations: one zeta(2, .) = psi1 call per window
 sum, and a direct kernel sum for windows shorter than the image sum.  H
 is built by one scatter per block of operators, and each register's
 accept-loop constants are computed once.
+
+A RegisterHamiltonian holds its table's ops and its eigenpairs, which is
+all the forger reads.  H itself is dropped once the eigensolve has been
+checked against it, and rebuilt bit for bit from the ops on first read of
+h_matrix.  The checks run over blocks of rows, so they add no 2**n x 2**n
+temporary to H, the eigenvectors and the eigensolve's own workspace.  The
+forged registers view the eigenvectors, whose unit norms
+register_hamiltonian has checked.
 """
 
 from __future__ import annotations
@@ -61,13 +69,24 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RegisterHamiltonian:
-    """H = (1/m) sum of a register's m table entries, on n qubits."""
+    """Eigenpairs of H = (1/m) sum of a register's m table entries (ops), on n qubits.
+
+    Built by register_hamiltonian, which checks the eigenpairs against H;
+    the forger trusts them, so its registers are not checked again.
+    """
 
     n: int
     m: int
-    h_matrix: np.ndarray
+    ops: tuple[PauliOp, ...]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    @cached_property
+    def h_matrix(self) -> np.ndarray:
+        """H, rebuilt from the ops on first read: the bits register_hamiltonian solved."""
+        h = _hamiltonian_matrix(self.ops, self.n)
+        h.setflags(write=False)
+        return h
 
     @cached_property
     def _accept_loop(self) -> tuple[int, float, float, list[float]]:
@@ -107,14 +126,31 @@ def _scatter_ops(ops: Sequence[PauliOp], n: int) -> np.ndarray:
     return h
 
 
-def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
-    """Dense H = (1/m) sum of the ops, with its eigendecomposition.
+def _hamiltonian_matrix(ops: Sequence[PauliOp], n: int) -> np.ndarray:
+    """H = (1/m) sum of the ops as a 2**n x 2**n complex matrix."""
+    dim = 1 << n
+    h = _scatter_ops(ops, n).view(complex).reshape(dim, dim)
+    h /= len(ops)
+    return h
 
-    H is scattered in blocks of operators (see _scatter_ops).  Cost
-    O(m * 2**n) time plus one eigensolve; the scatter's temporaries are
-    bounded by _SCATTER_ENTRIES, not by m.
+
+# Entries of H per row block of register_hamiltonian's checks: 256 KiB per
+# complex temporary, and n <= 7 is one block.  A block has at least
+# 2**n / 16 rows, so a large H is checked in at most 16 matrix products.
+_CHECK_ENTRIES = 1 << 14
+
+
+def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
+    """Eigenpairs of the dense H = (1/m) sum of the ops, checked against H.
+
+    H is scattered in blocks of operators (see _scatter_ops).  Its
+    Hermiticity, the reconstruction V diag(lambda) V^dagger = H, the
+    eigenvalue range and the eigenvectors' unit norms are checked over
+    blocks of rows, so the checks add temporaries of a block, not of H.
+    H is then dropped; RegisterHamiltonian.h_matrix rebuilds it.  Cost
+    O(m * 2**n) time plus one eigensolve and one matrix product.
     """
-    ops = list(ops)
+    ops = tuple(ops)
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n
@@ -126,20 +162,32 @@ def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
         if not op.is_hermitian:
             raise ValueError(f"operator {op} is not Hermitian")
     dim = 1 << n
-    h = _scatter_ops(ops, n).view(complex).reshape(dim, dim)
-    h /= len(ops)
-    if np.abs(h - h.conj().T).max() > 1e-10:
-        raise ArithmeticError("Hamiltonian lost Hermiticity")
+    h = _hamiltonian_matrix(ops, n)
+    rows = max(1, _CHECK_ENTRIES >> n, dim >> 4)
+    for lo in range(0, dim, rows):
+        if np.abs(h[lo : lo + rows] - h[:, lo : lo + rows].conj().T).max() > 1e-10:
+            raise ArithmeticError("Hamiltonian lost Hermiticity")
     eigenvalues, eigenvectors = np.linalg.eigh(h)
-    recon = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    if np.abs(recon - h).max() > 1e-8:
-        raise ArithmeticError("eigendecomposition reconstruction out of contract")
+    squared_norms = np.zeros(dim)
+    for lo in range(0, dim, rows):
+        # rows of V diag(lambda) V^dagger as the conjugate of conj(V) diag(lambda) V^T,
+        # which reads V^dagger through the transposed view instead of a conjugated copy
+        v = eigenvectors[lo : lo + rows].conj()
+        squared_norms += (v.real**2 + v.imag**2).sum(axis=0)
+        v *= eigenvalues
+        recon = v @ eigenvectors.T
+        np.conjugate(recon, out=recon)
+        recon -= h[lo : lo + rows]
+        if np.abs(recon).max() > 1e-8:
+            raise ArithmeticError("eigendecomposition reconstruction out of contract")
     if eigenvalues.min() < -1 - 1e-9 or eigenvalues.max() > 1 + 1e-9:
         raise ArithmeticError("eigenvalues escaped [-1, 1]")
-    h.setflags(write=False)
+    # the same bound as DenseMixedRegister's, so the forger's registers skip it
+    if not np.all(np.abs(np.sqrt(squared_norms) - 1.0) <= 1e-9):
+        raise ArithmeticError("eigenvectors lost unit norm")
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return RegisterHamiltonian(n, len(ops), h, eigenvalues, eigenvectors)
+    return RegisterHamiltonian(n, len(ops), ops, eigenvalues, eigenvectors)
 
 
 def moments(ham: RegisterHamiltonian) -> tuple[float, float]:
@@ -375,7 +423,9 @@ def generate_rho_with_record(
               + (1-abar)**(m**2) / 2**n without sampling.
 
     The register's vectors are rows of ham.eigenvectors.T: read-only views
-    that share the Hamiltonian's eigenbasis instead of copying it.
+    that share the Hamiltonian's eigenbasis instead of copying it.  Their
+    unit norms were checked by register_hamiltonian, so the register is
+    not validated again.
     """
     if ham.m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
@@ -390,9 +440,9 @@ def generate_rho_with_record(
             j = int(rng.integers(dim))
             z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
-                reg = DenseMixedRegister(np.ones(1), ham.eigenvectors.T[j : j + 1])
+                reg = DenseMixedRegister._trusted(np.ones(1), ham.eigenvectors.T[j : j + 1])
                 return reg, RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
-        reg = DenseMixedRegister(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
+        reg = DenseMixedRegister._trusted(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
         return reg, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
     if mode != "analysis":
         raise ValueError(f"unknown mode {mode!r}")
@@ -406,7 +456,7 @@ def generate_rho_with_record(
         weights = np.full(dim, 1.0 / dim)
         expected_exit = float(cap)
     weights = weights / weights.sum()
-    reg = DenseMixedRegister(weights, ham.eigenvectors.T)
+    reg = DenseMixedRegister._trusted(weights, ham.eigenvectors.T)
     trace = float(weights @ ham.eigenvalues)
     return reg, RegisterForgeRecord(trace, expected_exit, p_cap)
 

@@ -80,6 +80,25 @@ def test_graph_validation():
         MeasurementGraph(np.array([[0, 2], [2, 0]], dtype=np.uint8))  # not 0/1
 
 
+@pytest.mark.filterwarnings("error")  # the parent's cast warned on NaN and let it through as 0
+@pytest.mark.parametrize("bad", [0.5, 1.9, 256, -1, np.nan, np.inf, 1j])
+def test_graph_refuses_values_a_uint8_cast_would_hide(bad):
+    a = np.array([[0, 1, bad], [1, 0, 0], [bad, 0, 0]])
+    with pytest.raises(ValueError, match="0/1"):
+        MeasurementGraph(a)
+
+
+def test_graph_casts_exact_zero_one_values_of_any_dtype():
+    want = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.uint8)
+    for dtype in (bool, np.int64, float, complex):
+        got = MeasurementGraph(want.astype(dtype)).adjacency
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert not got.flags.writeable
+    same = MeasurementGraph(want).adjacency
+    assert np.shares_memory(same, want)  # uint8 input is not copied
+    assert MeasurementGraph(np.zeros((0, 0))).m == 0
+
+
 def test_degree_sort_on_complete_and_empty_graphs():
     m = 12
     g = MeasurementGraph(plant(np.zeros((m, m), dtype=np.uint8), list(range(m))))

@@ -1,13 +1,11 @@
 """The package's declared dependencies cover every module its code imports."""
 
 import ast
+import importlib.metadata
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
-
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmoney"
@@ -24,8 +22,12 @@ def imported_top_level_modules(path: Path) -> set[str]:
     return names
 
 
+def project_table() -> dict:
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
 def declared_dependencies() -> set[str]:
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    project = project_table()
     return {
         re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
         for spec in project["dependencies"]
@@ -55,3 +57,28 @@ def test_the_import_walk_sees_lazy_and_relative_imports(tmp_path):
         "def f():\n    from scipy.sparse import linalg\n    import numpy as np\n"
     )
     assert imported_top_level_modules(source) == {"os", "scipy", "numpy"}
+
+
+def python_floor(requires_python: str) -> tuple[int, ...] | None:
+    """The (major, minor) of a Requires-Python's '>=' clause, or None without one."""
+    found = re.search(r">=\s*(\d+)\.(\d+)", requires_python)
+    return tuple(map(int, found.groups())) if found else None
+
+
+def test_python_floor_parses_requires_python_clauses():
+    assert python_floor(">=3.11") == (3, 11)
+    assert python_floor(">= 3.9, <4") == (3, 9)
+    assert python_floor("!=3.0.*, >=3.10.2") == (3, 10)
+    assert python_floor("<4") is None
+
+
+def test_declared_python_floor_covers_every_installed_dependency():
+    floor = python_floor(project_table()["requires-python"])
+    assert floor is not None
+    for name in sorted(declared_dependencies()):
+        try:
+            needs = importlib.metadata.metadata(name).get("Requires-Python")
+        except importlib.metadata.PackageNotFoundError:
+            continue
+        dependency_floor = python_floor(needs or "")
+        assert dependency_floor is None or floor >= dependency_floor, (name, needs)

@@ -1,5 +1,6 @@
 """Scheme generation and thresholded verification."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmoney import (
+    CapacityError,
     DenseMixedRegister,
     DimensionError,
     MoneyScheme,
@@ -26,7 +28,7 @@ from qmoney import (
     stab_expectation,
     verify,
 )
-from qmoney.money import completely_mixed_register
+from qmoney.money import BasisMixedRegister, completely_mixed_register
 
 
 def make(n, m, l, eps, seed=0):
@@ -138,6 +140,92 @@ def test_completely_mixed_register_is_shared_and_uniform():
     assert np.allclose(a.weights, 1 / 64)
     money = completely_mixed_money(SchemeParams(6, 4, 5, 0.5))
     assert all(reg is a for reg in money.registers)
+
+
+def eye_register(n):
+    """The completely mixed register as the explicit ensemble of basis vectors e_k."""
+    dim = 1 << n
+    return DenseMixedRegister(np.full(dim, 1.0 / dim), np.eye(dim, dtype=complex))
+
+
+def test_completely_mixed_verify_matches_the_eye_ensemble():
+    # criterion 02's shape and seeds: same q_values and the same generator state after
+    _, scheme = make(8, 64, 1024, 0.25, seed=1002)
+    params = scheme.params
+    mixed = completely_mixed_money(params)
+    assert isinstance(mixed.registers[0], BasisMixedRegister)
+    oracle = MoneyState((eye_register(8),) * params.l)
+    rng, replay = np.random.default_rng(2002), np.random.default_rng(2002)
+    for _ in range(50):
+        assert verify(scheme, mixed, rng) == verify(scheme, oracle, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_basis_register_expectation_matches_the_eye_ensemble():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        basis, oracle = completely_mixed_register(n), eye_register(n)
+        ops = [random_pauli(n, rng) for _ in range(60)]
+        ops += [PauliOp(n, 0, int(rng.integers(1 << n)), 2 * int(rng.integers(2))) for _ in range(20)]
+        for op in ops + [PauliOp.identity(n), -PauliOp.identity(n)]:
+            if not op.is_hermitian:
+                for reg in (basis, oracle):
+                    with pytest.raises(ValueError):
+                        register_expectation(reg, op)
+                continue
+            got, want = register_expectation(basis, op), register_expectation(oracle, op)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()  # signed zeros too
+    with pytest.raises(DimensionError):
+        register_expectation(completely_mixed_register(3), PauliOp.identity(4))
+    with pytest.raises(DimensionError):
+        measure_register(completely_mixed_register(3), PauliOp.identity(4), rng)
+
+
+def test_basis_register_measures_each_basis_state_as_its_vector():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 5):
+        dim = 1 << n
+        for k in range(dim):
+            one = BasisMixedRegister(np.eye(dim)[k])
+            vec = DenseMixedRegister([1.0], np.eye(dim, dtype=complex)[k : k + 1])
+            for _ in range(8):
+                op = random_pauli(n, rng)
+                op = PauliOp(n, op.x, op.z, op.phase & 2)
+                assert register_expectation(one, op) == register_expectation(vec, op)
+                seed = int(rng.integers(2**32))
+                got = measure_register(one, op, np.random.default_rng(seed))
+                assert got == measure_register(vec, op, np.random.default_rng(seed))
+
+
+def test_completely_mixed_money_at_the_dense_limit_is_small():
+    # n=12: the eye(2**12) ensemble was 256 MiB, kept for the life of the process
+    completely_mixed_register.cache_clear()
+    tracemalloc.start()
+    try:
+        money = completely_mixed_money(SchemeParams(12, 4, 8, 0.5))
+        measure_register(money.registers[0], PauliOp.from_string("+" + "Z" * 12), np.random.default_rng(0))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert money.registers[0].n == 12
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.5, 0.25],  # sums to 0.75
+        [1.5, -0.5],  # negative
+        [np.nan, 1.0],
+        [np.inf, 1.0],
+        [1 / 3] * 3,  # not a power of two
+        [[0.5, 0.5]],  # not one axis
+        np.full(1 << 13, 1.0 / (1 << 13)),  # beyond DENSE_LIMIT
+    ],
+)
+def test_basis_register_validation(weights):
+    with pytest.raises((ValueError, CapacityError)):
+        BasisMixedRegister(np.array(weights))
 
 
 def test_measure_register_stabilizer_vs_dense_agree_exactly():

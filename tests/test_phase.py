@@ -117,10 +117,11 @@ def test_hamiltonian_scattered_in_blocks_is_bitwise_one_block(entries, monkeypat
         ops = [random_pauli(n, rng) for _ in range(m)]
         tables.append(ops + [-op for op in ops[: m // 2]] + ops[: m // 3])
     want = [register_hamiltonian(ops) for ops in tables]
+    want_h = [ham.h_matrix for ham in want]  # h_matrix is lazy: read it before the patch
     monkeypatch.setattr(phase_module, "_SCATTER_ENTRIES", entries)
-    for ops, ham in zip(tables, want):
+    for ops, ham, h in zip(tables, want, want_h):
         got = register_hamiltonian(ops)
-        assert got.h_matrix.tobytes() == ham.h_matrix.tobytes()
+        assert got.h_matrix.tobytes() == h.tobytes()
         assert got.h_matrix.tobytes() == per_op_hamiltonian_matrix(ops).tobytes()
         assert got.eigenvalues.tobytes() == ham.eigenvalues.tobytes()
         assert got.eigenvectors.tobytes() == ham.eigenvectors.tobytes()
@@ -138,6 +139,91 @@ def test_hamiltonian_scatter_temporaries_do_not_grow_with_m():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**20, peaks
+
+
+def test_hamiltonian_keeps_its_eigenpairs_not_h():
+    # n=9, m=200: H and the eigenvectors are 4 MiB each.  The parent kept
+    # both (8.0 MiB) and peaked at 20.0 MiB with full-size check temporaries.
+    rng = np.random.default_rng(61)
+    ops = [random_pauli(9, rng) for _ in range(200)]
+    ops = tuple(PauliOp(9, op.x, op.z, op.phase & 2) for op in ops)
+    tracemalloc.start()
+    try:
+        ham = register_hamiltonian(ops)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4.5 * 2**20 and peak <= 10 * 2**20, (kept, peak)
+    assert "h_matrix" not in vars(ham)
+    assert ham.ops is ops  # the table's own tuple, not a copy
+    assert ham.h_matrix.tobytes() == per_op_hamiltonian_matrix(ops).tobytes()
+    assert ham.h_matrix is ham.h_matrix and not ham.h_matrix.flags.writeable
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 10, 1 << 14])
+def test_hamiltonian_checks_catch_a_fault_in_any_row_block(entries, monkeypatch):
+    # at n=6: 16 blocks of 4 rows (the 2**n / 16 floor), 4 blocks of 16 rows, one block
+    monkeypatch.setattr(phase_module, "_CHECK_ENTRIES", entries)
+    rng = np.random.default_rng(62)
+    ops = [random_pauli(6, rng) for _ in range(64)]
+    ops = [PauliOp(6, op.x, op.z, op.phase & 2) for op in ops]
+    register_hamiltonian(ops)
+    exact = phase_module._hamiltonian_matrix
+    eigh = np.linalg.eigh
+    for row in (0, 37, 63):
+        def skewed(ops, n, row=row):
+            h = exact(ops, n)
+            h[row, (row + 5) % 64] += 1e-9
+            return h
+
+        monkeypatch.setattr(phase_module, "_hamiltonian_matrix", skewed)
+        with pytest.raises(ArithmeticError, match="Hermiticity"):
+            register_hamiltonian(ops)
+        monkeypatch.setattr(phase_module, "_hamiltonian_matrix", exact)
+
+        def moved(h, row=row):
+            w, v = eigh(h)
+            h[row, row] += 1e-7  # after the solve: only this row disagrees with V diag(w) V^dagger
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", moved)
+        with pytest.raises(ArithmeticError, match="reconstruction"):
+            register_hamiltonian(ops)
+
+        def stretched(h, row=row):
+            w, v = eigh(h)
+            v[:, row] *= 1 + 1e-8
+            return w, v
+
+        # H = 0: every eigenvalue is 0, so a stretched eigenvector still
+        # reconstructs H and only the norm check sees it
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        with pytest.raises(ArithmeticError, match="unit norm"):
+            register_hamiltonian(ops[:32] + [-op for op in ops[:32]])
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_forged_registers_are_not_validated_again(monkeypatch):
+    rng = np.random.default_rng(63)
+    ham = register_hamiltonian(random_duplicate_free_ops(rng, 6, 64))
+    calls = []
+    original = DenseMixedRegister.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(DenseMixedRegister, "__post_init__", counted)
+    regs = [generate_rho_with_record(ham, mode="analysis")[0]]
+    regs += [generate_rho_with_record(ham, rng, mode="sample")[0] for _ in range(20)]
+    monkeypatch.setattr(phase_module, "pe_sample", lambda phi, q, rng: 0)  # never accepted
+    fallback, rec = generate_rho_with_record(ham, rng, mode="sample")
+    assert rec.fully_mixed == 1.0
+    assert calls == []
+    for reg in regs + [fallback]:
+        assert not reg.weights.flags.writeable and not reg.vectors.flags.writeable
+        DenseMixedRegister(reg.weights, reg.vectors)  # the public checks pass them
+    assert len(calls) == len(regs) + 1
 
 
 def test_moment_identities_exact():
@@ -189,7 +275,7 @@ def test_pe_params():
 
 def test_accept_loop_is_fixed_by_the_table_size():
     for m in range(8, 4097):
-        ham = RegisterHamiltonian(1, m, np.zeros((2, 2)), np.array([-0.5, 0.25]), np.eye(2))
+        ham = RegisterHamiltonian(1, m, (), np.array([-0.5, 0.25]), np.eye(2))
         q, lo, hi, phases = ham._accept_loop
         assert q == default_q(m), m
         assert (lo, hi) == accept_window(m)
