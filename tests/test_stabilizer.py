@@ -178,16 +178,19 @@ def test_completion_of_full_set_is_identity_operation():
 # --- the signed echelon against the solve-then-multiply reference -----------
 
 
+def ordered_product(ops, mask, n):
+    """The product, in order, of the ops that mask selects (bit j: ops[j])."""
+    return functools.reduce(
+        pauli_mul, [g for j, g in enumerate(ops) if (mask >> j) & 1], PauliOp.identity(n)
+    )
+
+
 def reference_expectation(state, op):
     """Solve for the generator combination, multiply it out, compare signs."""
     combo = gf2.solve(state.rows, op.row)
     if combo is None:
         return 0
-    implied = functools.reduce(
-        pauli_mul,
-        [g for j, g in enumerate(state.generators) if (combo >> j) & 1],
-        PauliOp.identity(state.n),
-    )
+    implied = ordered_product(state.generators, combo, state.n)
     return 1 if implied.phase == op.phase else -1
 
 
@@ -258,6 +261,63 @@ def test_canonical_generators_are_the_signed_rref_rows(n):
         canon = st.canonical_generators()
         assert [g.row for g in canon] == gf2.rref(st.rows)[0]
         assert all(reference_expectation(st, g) == 1 for g in canon)
+
+
+@pytest.mark.parametrize("n", ECHELON_NS)
+def test_draw_is_the_ordered_product_of_the_selected_generators(n):
+    states_rng = np.random.default_rng(800 + n)
+    rng, twin = np.random.default_rng(900 + n), np.random.default_rng(900 + n)
+    for _ in range(5):
+        st = random_stabilizer_state(n, states_rng)
+        for _ in range(20):
+            want = ordered_product(st.generators, _random_bits(twin, n), n)
+            assert random_stabilizer_element(st, rng) == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _signed(n, x, z, rng):
+    return PauliOp(n, x, z, 2 * int(rng.integers(2)))
+
+
+def _states_with_pivots_anywhere(n, rng):
+    """States whose echelon pivots sit in the z half, the x half, or both."""
+    yield StabilizerState(n, tuple(_signed(n, 0, 1 << j, rng) for j in range(n)))
+    yield StabilizerState(n, tuple(_signed(n, 1 << j, 0, rng) for j in range(n)))
+    z_only = [_signed(n, 0, _random_bits(rng, n) | 1 << j, rng) for j in range(0, n, 3)]
+    yield complete_to_stabilizer_state(z_only)[0]
+    # X on a random half of the qubits, Z on the rest, plus products of them.
+    xs = _random_bits(rng, n)
+    single = [_signed(n, 1 << j, 0, rng) if (xs >> j) & 1 else _signed(n, 0, 1 << j, rng)
+              for j in range(0, n, 2)]
+    mixed = single + [pauli_mul(a, b) for a, b in zip(single, single[1:])]
+    yield complete_to_stabilizer_state(mixed)[0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 63, 64, 65, 128])
+def test_stab_expectation_with_pivots_in_the_z_half_and_at_chunk_edges(n):
+    rng = np.random.default_rng(1000 + n)
+    for st in _states_with_pivots_anywhere(n, rng):
+        cases = []
+        for _ in range(10):
+            g = ordered_product(st.generators, _random_bits(rng, n), n)
+            cases += [g, -g, _signed(n, g.x ^ 1 << int(rng.integers(n)), g.z, rng)]
+        cases += [random_pauli(n, rng) for _ in range(10)]
+        wants = [reference_expectation(st, op) for op in cases]
+        assert 1 in wants and -1 in wants and 0 in wants
+        assert [stab_expectation(st, op) for op in cases] == wants
+
+
+def test_query_and_draw_tables_are_built_only_on_first_use():
+    rng = np.random.default_rng(1100)
+    tables = {"_query_table", "_draw_table"}
+    made = [random_stabilizer_state(50, rng) for _ in range(2)]
+    made += [complete_to_stabilizer_state(made[0].generators[:20])[0] for _ in range(2)]
+    assert all(not tables & set(vars(st)) for st in made)
+    for queried, drawn in (made[:2], made[2:]):
+        stab_expectation(queried, random_pauli(50, rng))
+        random_stabilizer_element(drawn, rng)
+        assert tables & set(vars(queried)) == {"_query_table"}
+        assert tables & set(vars(drawn)) == {"_draw_table"}
 
 
 # --- the incremental sampler and completion against the per-step solves ------
