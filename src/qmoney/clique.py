@@ -40,6 +40,7 @@ from .money import MoneyScheme, MoneyState, SecretKey
 from .pauli import PauliOp, commutation_matrix
 from .stabilizer import (
     StabilizerState,
+    _share_query_table,
     complete_to_stabilizer_state,
     random_stabilizer_state,
     stab_expectation,
@@ -392,7 +393,8 @@ def run_clique_attack(
     Failed registers are replaced by fresh random states drawn from rng and
     flagged.  When the secret is supplied (evaluation only), each report
     carries the fraction of that register's planted entries inside the
-    found clique.
+    found clique; a secret state equal to the recovered one reads the
+    recovered state's query table instead of building its own.
     """
     params = scheme.params
     expected_k = round(params.epsilon * params.m)
@@ -410,6 +412,7 @@ def run_clique_attack(
         p1 = (1.0 + float(np.mean([stab_expectation(state, op) for op in table_ops]))) / 2.0
         overlap = None
         if secret is not None and result is not None:
+            _share_query_table(state, secret.states[i])
             planted = {
                 j for j, op in enumerate(table_ops)
                 if stab_expectation(secret.states[i], op) == 1

@@ -101,6 +101,19 @@ class MoneyScheme:
                 if op.is_identity:
                     raise ValueError("table entries may not be +-identity")
 
+    @classmethod
+    def _trusted(
+        cls, params: SchemeParams, table: tuple[tuple[PauliOp, ...], ...]
+    ) -> MoneyScheme:
+        """A scheme whose table already passes __post_init__'s checks, not checked again.
+
+        gen_scheme draws every entry Hermitian, non-identity and on n qubits.
+        """
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "params", params)
+        object.__setattr__(scheme, "table", table)
+        return scheme
+
 
 def _check_dimension(dim: int) -> None:
     n = dim.bit_length() - 1
@@ -251,7 +264,7 @@ def gen_scheme(
             register.append(op)
         states.append(state)
         table.append(tuple(register))
-    return SecretKey(tuple(states)), MoneyScheme(params, tuple(table))
+    return SecretKey(tuple(states)), MoneyScheme._trusted(params, tuple(table))
 
 
 def honest_money(secret: SecretKey) -> MoneyState:

@@ -75,6 +75,21 @@ class PauliOp:
         object.__setattr__(self, "phase", self.phase % 4)
 
     @classmethod
+    def _trusted(cls, n: int, x: int, z: int, phase: int) -> "PauliOp":
+        """An operator whose fields already pass __post_init__, not checked again.
+
+        n >= 1, 0 <= x, z < 2**n and phase in 0..3.  The fields are set with
+        object.__setattr__, as the dataclass __init__ sets them; writing
+        through the instance __dict__ would materialise a dict per operator.
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", n)
+        object.__setattr__(op, "x", x)
+        object.__setattr__(op, "z", z)
+        object.__setattr__(op, "phase", phase)
+        return op
+
+    @classmethod
     def identity(cls, n: int) -> "PauliOp":
         return cls(n, 0, 0, 0)
 
@@ -196,12 +211,14 @@ def random_pauli(
     With ``allow_identity=False`` the two operators +-I are excluded by
     resampling, leaving the uniform distribution on the rest.
     """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     while True:
         bits = _random_bits(rng, 2 * n + 1)
         x = bits & ((1 << n) - 1)
         z = (bits >> n) & ((1 << n) - 1)
         if x | z or allow_identity:
-            return PauliOp(n, x, z, 2 * (bits >> (2 * n)))
+            return PauliOp._trusted(n, x, z, 2 * (bits >> (2 * n)))
 
 
 def _check_capacity(n: int) -> None:

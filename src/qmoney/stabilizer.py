@@ -24,6 +24,15 @@ nothing.  The symplectic inner product of rows v, w is popcount(v &
 swap_halves(w)) mod 2, so "all operators commuting with a set" is a GF(2)
 null space.
 
+Work is done once per group.  Sampled and completed states are built
+commuting and independent, so they skip the constructor's checks
+(``StabilizerState._trusted``); the public constructor keeps them.  The
+fully reduced signed echelon is unique to the group, so its query table
+is too: greedy_consistent_subset, once it keeps n ops, builds the table
+from its own echelon and reads every later op by lookup, and the
+completed state takes that table over; a state found equal to another
+(every generator a +1 member of the other's group) can share its table.
+
 Sampling is uniform over the full stabilizer-state set: at each step the
 next generator is drawn uniformly from the symplectic complement of the
 rows so far (minus their span, by rejection), then given a uniform sign.
@@ -65,8 +74,9 @@ def _swap_halves(row: int, n: int) -> int:
 
 
 def _op_from_row(row: int, n: int, phase: int = 0) -> PauliOp:
+    """The operator i**phase of a row below 2**(2n), n >= 1; built unchecked."""
     mask = (1 << n) - 1
-    return PauliOp(n, row & mask, (row >> n) & mask, phase)
+    return PauliOp._trusted(n, row & mask, (row >> n) & mask, phase & 3)
 
 
 # An echelon element: pivot x mask, pivot z mask, x, z, folded phase.
@@ -102,10 +112,29 @@ def _folded(op: PauliOp) -> tuple[int, int, int]:
 
 # Key bits one table lookup reads.  A chunk's table has 2**_CHUNK entries,
 # each a packed int of 3n to 4n bits.  At n=50 a state's two tables take
-# about 25 KiB with 4-bit chunks and 58 KiB with 6-bit ones, which save a
-# third of the lookups.
-_CHUNK = 4
+# about 25 KiB with 4-bit chunks and 61 KiB with 6-bit ones, which read 9
+# chunks per lookup instead of 13.
+_CHUNK = 6
 _CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _cross_masks(rows: list[int], n: int) -> list[int]:
+    """Per row k of [x | z], the mask of rows j > k with <z_k, x_j> odd.
+
+    One GF(2) matrix product instead of a popcount per pair: the rows'
+    bits are unpacked, z @ x.T is taken in float64 (exact for integers
+    this small) and reduced mod 2, and its strict upper triangle is packed
+    back into ints.
+    """
+    nbytes = (2 * n + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes), axis=1, bitorder="little"
+    ).astype(np.float64)
+    odd = np.triu((bits[:, n:2 * n] @ bits[:, :n].T).astype(np.int64) & 1, 1)
+    packed = np.packbits(odd.astype(np.uint8), axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
 
 
 class _SubsetProducts:
@@ -132,11 +161,8 @@ class _SubsetProducts:
         used = [(k, *slot) for k, slot in enumerate(slots) if slot]
         self.odd = sum(1 << k for k, _, q in used if q & 1)
         self.twos = sum(1 << k for k, _, q in used if q & 2)
-        packed: list[int] = [0] * len(slots)
-        for i, (k, r, _) in enumerate(used):
-            z = r >> n
-            cross = sum(1 << j for j, rj, _ in used[i + 1:] if (z & rj).bit_count() & 1)
-            packed[k] = cross | r << self.key_bits
+        rows = [slot[0] if slot else 0 for slot in slots]
+        packed = [u | r << self.key_bits for u, r in zip(_cross_masks(rows, n), rows)]
         self.chunks: list[tuple[int, list[int]]] = []
         for shift in range(0, len(slots), _CHUNK):
             part = packed[shift:shift + _CHUNK]
@@ -168,6 +194,36 @@ class _SubsetProducts:
         )
 
 
+def _echelon_table(basis: list[_Element], n: int) -> _SubsetProducts:
+    """The query table of a group from a signed echelon of its n elements; reduces basis in place.
+
+    Back-substitution clears each element at every later pivot, so no
+    element touches another's pivot.  Element j holds a later pivot only
+    above its own lowest bit, so its pivot stays.  An operator is then
+    +-(a group element) iff it is the product of the elements whose pivots
+    it holds, that is, iff the rows its chunks select XOR to its own row.
+    This fully reduced signed echelon is unique to the group, and so is
+    the table.
+    """
+    slots: list[tuple[int, int] | None] = [None] * (2 * n)
+    for j in reversed(range(n)):
+        x, z, q = _reduce(basis[j + 1:], *basis[j][2:])
+        basis[j] = _element(x, z, q)
+        row = x | z << n
+        slots[gf2._lowest_bit(row)] = (row, q)
+    return _SubsetProducts(slots, n)
+
+
+def _expectation(table: _SubsetProducts, op: PauliOp) -> int:
+    """+1/-1 if +-op is in the query table's group, with op's own sign; else 0."""
+    x, z = op.x, op.z
+    row = x | z << op.n
+    acc = table.lookup(row)
+    if acc >> table.key_bits != row:
+        return 0
+    return 1 if (op.phase + (x & z).bit_count() - table.phase(row, acc)) & 3 == 0 else -1
+
+
 def _anticommuting(x: int, z: int, others: list[tuple[int, int]]) -> int | None:
     """Index of the first (x, z) pair in ``others`` that anticommutes with (x, z)."""
     for i, (ox, oz) in enumerate(others):
@@ -194,23 +250,21 @@ class _Extension:
         self.rref: list[tuple[int, int]] = []
         self.free = list(range(2 * n))
         for row in rows:
-            self.add(row)
+            self.add(self.residue(row))
 
-    def _residue(self, row: int) -> int:
+    def residue(self, row: int) -> int:
+        """The swapped row reduced against the RREF: zero iff the row is in the span."""
         c = _swap_halves(row, self.n)
         for p, r in self.rref:
             if (c >> p) & 1:
                 c ^= r
         return c
 
-    def add(self, row: int) -> None:
-        c = self._residue(row)
+    def add(self, c: int) -> None:
+        """Add the row whose residue (nonzero) is c."""
         p = gf2._lowest_bit(c)
         self.rref = [(q, r ^ c if (r >> p) & 1 else r) for q, r in self.rref] + [(p, c)]
         self.free.remove(p)
-
-    def spans(self, row: int) -> bool:
-        return self._residue(row) == 0
 
     def vector(self, mask: int) -> int:
         """XOR of the null-space basis vectors that mask selects (bit j: the j-th free column)."""
@@ -253,32 +307,37 @@ class StabilizerState:
         if gf2.rank(self.rows) != self.n:
             raise ValueError("generators are not independent")
 
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        generators: tuple[PauliOp, ...],
+        query_table: _SubsetProducts | None = None,
+    ) -> StabilizerState:
+        """A state of generators that already pass __post_init__'s checks, not checked again.
+
+        random_stabilizer_state and complete_to_stabilizer_state build
+        theirs independent and commuting.  query_table, if given, must be
+        the group's (``_echelon_table``); otherwise it is built on first use.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "generators", generators)
+        if query_table is not None:
+            object.__setattr__(state, "_query_table", query_table)
+        return state
+
     @property
     def rows(self) -> tuple[int, ...]:
         return tuple(g.row for g in self.generators)
 
     @cached_property
     def _query_table(self) -> _SubsetProducts:
-        """Subset products of the group's signed echelon, keyed by pivot bits; built on first query.
-
-        The generators are reduced against each other into an echelon, then
-        back-substitution clears each element at every later pivot, so no
-        element touches another's pivot.  Element j holds a later pivot only
-        above its own lowest bit, so its pivot stays.  An operator is then
-        +-(a group element) iff it is the product of the elements whose
-        pivots it holds, that is, iff the rows its chunks select XOR to its
-        own row.
-        """
+        """Subset products of the group's fully reduced signed echelon; built on first query."""
         basis: list[_Element] = []
         for g in self.generators:
             basis.append(_element(*_reduce(basis, *_folded(g))))
-        slots: list[tuple[int, int] | None] = [None] * (2 * self.n)
-        for j in reversed(range(self.n)):
-            x, z, q = _reduce(basis[j + 1:], *basis[j][2:])
-            basis[j] = _element(x, z, q)
-            row = x | z << self.n
-            slots[gf2._lowest_bit(row)] = (row, q)
-        return _SubsetProducts(slots, self.n)
+        return _echelon_table(basis, self.n)
 
     @cached_property
     def _draw_table(self) -> _SubsetProducts:
@@ -305,16 +364,19 @@ def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState
     with the rows so far but are outside their span; rejection against the
     span succeeds with probability >= 3/4 per draw.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0 qubits, got n={n}")
     gens: list[PauliOp] = []
     ext = _Extension(n, [])
     while len(gens) < n:
         while True:
             v = ext.vector(_random_bits(rng, 2 * n - len(gens)))
-            if not ext.spans(v):
+            c = ext.residue(v)
+            if c:
                 break
         gens.append(_op_from_row(v, n, 2 * _random_bits(rng, 1)))
-        ext.add(v)
-    return StabilizerState(n, tuple(gens))
+        ext.add(c)
+    return StabilizerState._trusted(n, tuple(gens))
 
 
 def random_stabilizer_element(state: StabilizerState, rng: np.random.Generator) -> PauliOp:
@@ -328,21 +390,36 @@ def stab_expectation(state: StabilizerState, op: PauliOp) -> int:
         raise DimensionError(f"operator on {op.n} qubits vs state on {state.n}")
     if not op.is_hermitian:
         raise ValueError("expectation defined for Hermitian operators only")
-    row, table = op.row, state._query_table
-    acc = table.lookup(row)
-    if acc >> table.key_bits != row:
-        return 0
-    return 1 if (_folded(op)[2] - table.phase(row, acc)) & 3 == 0 else -1
+    return _expectation(state._query_table, op)
+
+
+def _share_query_table(source: StabilizerState, target: StabilizerState) -> None:
+    """Give target source's query table if the two are the same state.
+
+    n lookups, none through stab_expectation: if every target generator is
+    a +1 member of source's group, the groups (2**n elements each) are
+    equal, and so are their tables.
+    """
+    table = source._query_table
+    if target.n == source.n and all(_expectation(table, g) == 1 for g in target.generators):
+        object.__setattr__(target, "_query_table", table)
 
 
 def greedy_consistent_subset(
     ops: list[PauliOp] | tuple[PauliOp, ...],
+    *,
+    _tables: list[_SubsetProducts] | None = None,
 ) -> tuple[list[int], list[tuple[int, str]]]:
     """Largest-prefix scan keeping ops that extend a consistent signed group.
 
     Returns (kept, dropped); ``dropped`` holds (index, reason) pairs with
     reason "anticommutes" or "sign".  Ops already implied with the correct
     sign are absorbed silently (kept contains only an independent set).
+
+    n kept ops span a maximal commuting set, so each later op is +-(a
+    member) or anticommutes with a kept op.  Those ops are read by lookup
+    in the kept group's query table, built from the kept echelon when the
+    first of them arrives; ``_tables``, if given, receives that table.
     """
     if not ops:
         return [], []
@@ -351,11 +428,19 @@ def greedy_consistent_subset(
     kept_xz: list[tuple[int, int]] = []
     basis: list[_Element] = []
     dropped: list[tuple[int, str]] = []
+    table: _SubsetProducts | None = None
     for idx, op in enumerate(ops):
         if op.n != n:
             raise DimensionError("operators act on different qubit counts")
         if not op.is_hermitian:
             raise ValueError(f"operator {op} is not Hermitian")
+        if len(kept) == n:
+            if table is None:
+                table = _echelon_table(basis, n)
+            e = _expectation(table, op)
+            if e != 1:
+                dropped.append((idx, "anticommutes" if e == 0 else "sign"))
+            continue
         # A member of the kept span commutes with every kept op, so only
         # the rest need the anticommutation scan.
         x, z, q = _reduce(basis, *_folded(op))
@@ -368,6 +453,8 @@ def greedy_consistent_subset(
             kept.append(idx)
             kept_xz.append((op.x, op.z))
             basis.append(_element(x, z, q))
+    if table is not None and _tables is not None:
+        _tables.append(table)
     return kept, dropped
 
 
@@ -378,24 +465,29 @@ def complete_to_stabilizer_state(
 
     Returns (state, dropped), with ``dropped`` as greedy_consistent_subset
     reports it.  Extension generators are chosen deterministically (first
-    admissible null-space basis vector, sign +).
+    admissible null-space basis vector, sign +).  If greedy kept n ops and
+    read more by lookup, the state comes with the query table it built.
     """
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n
-    kept, dropped = greedy_consistent_subset(ops)
+    tables: list[_SubsetProducts] = []
+    kept, dropped = greedy_consistent_subset(ops, _tables=tables)
     gens = [ops[k] for k in kept]
+    if len(gens) == n:
+        return StabilizerState._trusted(n, tuple(gens), *tables), dropped
     ext = _Extension(n, [g.row for g in gens])
     while len(gens) < n:
         for j in range(2 * n - len(gens)):
             v = ext.vector(1 << j)
-            if not ext.spans(v):
+            c = ext.residue(v)
+            if c:
                 gens.append(_op_from_row(v, n))
-                ext.add(v)
+                ext.add(c)
                 break
         else:  # complement dim 2n-t always exceeds span dim t for t < n
             raise AssertionError("symplectic complement exhausted early")
-    return StabilizerState(n, tuple(gens)), dropped
+    return StabilizerState._trusted(n, tuple(gens)), dropped
 
 
 def dense_projector(state: StabilizerState) -> np.ndarray:

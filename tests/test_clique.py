@@ -1,5 +1,6 @@
 """Measurement graphs, clique finders, and the high-epsilon attack."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from qmoney import (
 )
 import qmoney.clique as clique_module
 import qmoney.pauli as pauli_module
+import qmoney.stabilizer as stabilizer_module
 from qmoney.clique import _degree_order, _greedy_from_order, _sign_matrix, _top_eigenpairs
 from qmoney.harness import trial_rng
 
@@ -568,6 +570,32 @@ def test_run_clique_attack_end_to_end_small():
         assert rep.p1_estimate > 0.7
     accs = [verify(scheme, attack.money, rng).accepted for _ in range(50)]
     assert np.mean(accs) > 0.9
+
+
+def test_attack_scores_with_exactly_2lm_queries_and_one_table_per_group(monkeypatch):
+    # The benchmark pins stab_expectation at 2*l*m calls per attack with the
+    # secret given; the secret's adoption check must not add to them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        secret, scheme = gen_scheme(SchemeParams(10, 150, 6, 0.6), np.random.default_rng(43))
+    calls = []
+    original = stab_expectation
+
+    def counted(state, op):
+        calls.append(op)
+        return original(state, op)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qmoney" or name.startswith("qmoney.")) and getattr(
+            module, "stab_expectation", None
+        ) is original:
+            monkeypatch.setattr(module, "stab_expectation", counted)
+    assert stabilizer_module.stab_expectation is counted
+    attack = run_clique_attack(scheme, secret, np.random.default_rng(44))
+    assert attack.failed_registers == ()
+    assert len(calls) == 2 * 6 * 150
+    for state, recovered in zip(secret.states, attack.money.registers):
+        assert vars(state)["_query_table"] is vars(recovered)["_query_table"]
 
 
 def test_run_clique_attack_epsilon_zero_flags_failures():

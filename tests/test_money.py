@@ -76,6 +76,15 @@ def test_epsilon_zero_table_is_rarely_stabilizing():
     assert hits <= 12
 
 
+@pytest.mark.parametrize("shape", [(1, 8, 3, 0.5), (6, 64, 16, 1 / 128), (12, 40, 4, 0.9)])
+def test_gen_scheme_builds_what_the_public_constructors_accept(shape):
+    secret, scheme = make(*shape, seed=4)
+    again = MoneyScheme(scheme.params, scheme.table)
+    assert again == scheme
+    for state in secret.states:
+        assert StabilizerState(state.n, state.generators).generators == state.generators
+
+
 def test_gen_scheme_epsilon_half_entry_split():
     secret, scheme = make(16, 1000, 1, 0.5, seed=3)
     members = sum(

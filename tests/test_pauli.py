@@ -1,5 +1,7 @@
 """Pauli algebra against dense-matrix oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,39 @@ def test_random_pauli_allow_identity_flag():
     rng = np.random.default_rng(19)
     for _ in range(500):
         assert not random_pauli(2, rng, allow_identity=False).is_identity
+
+
+def _footprint(make, fields):
+    """Bytes tracemalloc sees kept by the operators made from fields."""
+    tracemalloc.start()
+    ops = [make(*f) for f in fields]
+    kept, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(ops) == len(fields)
+    return kept
+
+
+def test_trusted_ops_equal_public_ops_and_take_the_same_memory():
+    rng = np.random.default_rng(20)
+    fields = []
+    for n in (1, 2, 6, 50, 64, 65, 128):
+        for _ in range(300):
+            fields.append((n, _random_bits(rng, n), _random_bits(rng, n), int(rng.integers(4))))
+    for f in fields:
+        fast, public = PauliOp._trusted(*f), PauliOp(*f)
+        assert fast == public and hash(fast) == hash(public) and str(fast) == str(public)
+    for n in (1, 7, 50, 128):
+        op = random_pauli(n, rng)
+        public = PauliOp(op.n, op.x, op.z, op.phase)
+        assert op == public and hash(op) == hash(public) and str(op) == str(public)
+    _footprint(PauliOp, fields)  # warm up
+    public, fast = _footprint(PauliOp, fields), _footprint(PauliOp._trusted, fields)
+    assert fast <= public * 1.01, (fast, public)
+
+
+def test_random_pauli_rejects_zero_qubits():
+    with pytest.raises(ValueError):
+        random_pauli(0, np.random.default_rng(21))
 
 
 @pytest.mark.parametrize("nbits", [0, 1, 13, 31, 32, 33, 64, 65, 96, 101, 129])

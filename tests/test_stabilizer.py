@@ -23,6 +23,7 @@ from qmoney import (
     stab_expectation,
 )
 from qmoney.pauli import _random_bits
+from qmoney.stabilizer import _cross_masks, _share_query_table
 
 
 def P(s):
@@ -406,3 +407,105 @@ def test_canonical_generators_invariant_under_shuffles_and_products(n, seed, dat
         gens[i] = pauli_mul(gens[i], gens[j])
     other = StabilizerState(n, tuple(gens))
     assert other.canonical_generators() == state.canonical_generators()
+
+
+# --- states built once: trusted construction, handed-over and shared tables --
+
+
+def pairwise_cross_masks(rows, n):
+    """Bit j of mask k set iff j > k and <z_k, x_j> is odd, one popcount per pair."""
+    return [
+        sum(1 << j for j in range(k + 1, len(rows)) if ((rk >> n) & rows[j]).bit_count() & 1)
+        for k, rk in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize("n", ECHELON_NS)
+def test_cross_masks_are_the_pairwise_parities(n):
+    rng = np.random.default_rng(1200 + n)
+    for size in (1, n, 2 * n):
+        rows = [_random_bits(rng, 2 * n) if rng.random() < 0.6 else 0 for _ in range(size)]
+        assert _cross_masks(rows, n) == pairwise_cross_masks(rows, n)
+
+
+def _table_fields(table):
+    return table.key_bits, table.chunks, table.odd, table.twos
+
+
+def _ops_filling_the_basis_early(n, rng):
+    """A state's elements up front, then ops read after the kept set is full.
+
+    The tail holds duplicates, sign flips, random (mostly anticommuting)
+    Paulis and elements of a neighbouring state that shares half of the
+    group's generators, so a stray that commutes may also be kept before
+    the basis is full.
+    """
+    st = random_stabilizer_state(n, rng)
+    half = list(st.generators[: (n + 1) // 2])
+    neighbour = complete_to_stabilizer_state(half + [random_pauli(n, rng) for _ in range(n)])[0]
+    head = [random_stabilizer_element(st, rng) for _ in range(n + 2)]
+    head += [random_stabilizer_element(neighbour, rng) for _ in range(2)]
+    rng.shuffle(head)
+    tail = [random_stabilizer_element(st, rng) for _ in range(4)]
+    tail += [head[int(rng.integers(len(head)))] for _ in range(4)]
+    tail += [-random_stabilizer_element(st, rng) for _ in range(4)]
+    tail += [random_stabilizer_element(neighbour, rng) for _ in range(4)]
+    tail += [random_pauli(n, rng) for _ in range(4)]
+    rng.shuffle(tail)
+    return head + tail
+
+
+@pytest.mark.parametrize("n", ECHELON_NS + [11, 12, 13])
+def test_greedy_lookups_after_full_rank_match_the_walk(n):
+    rng = np.random.default_rng(1300 + n)
+    full = 0
+    for _ in range(8):
+        ops = _ops_filling_the_basis_early(n, rng)
+        tables = []
+        got = greedy_consistent_subset(ops, _tables=tables)
+        assert got == reference_greedy(ops)
+        assert got == greedy_consistent_subset(ops)
+        full += bool(tables)
+        if tables:
+            assert len(got[0]) == n
+            assert {reason for _, reason in got[1]} <= {"anticommutes", "sign"}
+    assert full >= 6
+
+
+@pytest.mark.parametrize("n", ECHELON_NS + [11, 12, 13])
+def test_handed_over_and_shared_tables_equal_fresh_builds(n):
+    rng = np.random.default_rng(1400 + n)
+    secret = random_stabilizer_state(n, rng)
+    ops = [random_stabilizer_element(secret, rng) for _ in range(2 * n + 8)]
+    recovered, dropped = complete_to_stabilizer_state(ops)
+    assert dropped == [] and recovered.group_equal(secret)
+    handed = vars(recovered)["_query_table"]
+    fresh = StabilizerState(n, recovered.generators)._query_table
+    assert _table_fields(handed) == _table_fields(fresh)
+
+    flipped = StabilizerState(n, (-secret.generators[0],) + secret.generators[1:])
+    _share_query_table(recovered, flipped)
+    assert "_query_table" not in vars(flipped)
+    _share_query_table(recovered, secret)
+    assert vars(secret)["_query_table"] is handed
+    assert _table_fields(handed) == _table_fields(StabilizerState(n, secret.generators)._query_table)
+
+
+@pytest.mark.parametrize("n", SAMPLER_NS)
+def test_trusted_states_pass_the_public_constructor(n):
+    rng = np.random.default_rng(1500 + n)
+    for _ in range(3):
+        st = random_stabilizer_state(n, rng)
+        ops = [random_stabilizer_element(st, rng) for _ in range(n + 2)] + [random_pauli(n, rng)]
+        for built in (st, complete_to_stabilizer_state(ops)[0],
+                      complete_to_stabilizer_state(ops[: (n + 1) // 2])[0]):
+            assert StabilizerState(built.n, built.generators).generators == built.generators
+
+
+def test_completion_of_exactly_n_ops_builds_no_table():
+    rng = np.random.default_rng(1600)
+    st = random_stabilizer_state(50, rng)
+    done, dropped = complete_to_stabilizer_state(st.generators)
+    assert dropped == [] and "_query_table" not in vars(done)
+    longer, _ = complete_to_stabilizer_state(st.generators + (st.generators[0],))
+    assert "_query_table" in vars(longer)
