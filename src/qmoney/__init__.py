@@ -4,6 +4,12 @@ Subpackages by topic: pauli/stabilizer for the group algebra, money for
 scheme generation and thresholded verification, clique and phase for the
 two attacks, postselect for the collision-free construction with its
 Markov-chain verifier, harness/cli for seeded experiments and files.
+
+Importing the package loads numpy only.  clique (scipy.linalg) and phase
+(scipy.special) are imported on first use: ``qmoney.clique``,
+``qmoney.phase`` and their re-exported names below resolve through the
+module ``__getattr__`` (PEP 562), so ``from qmoney import spectral_clique``
+still works.
 """
 
 from .errors import (
@@ -48,30 +54,6 @@ from .money import (
     register_expectation,
     verify,
 )
-from .clique import (
-    MeasurementGraph,
-    attack_register,
-    bootstrap_clique,
-    build_graph,
-    degree_sort_clique,
-    exact_max_clique,
-    max_eigenvalue_check,
-    run_clique_attack,
-    second_eigenvector,
-    spectral_clique,
-)
-from .phase import (
-    accept_window,
-    ancilla_qubits,
-    eigenvalue_phases,
-    forge_low_eps_with_records,
-    moments,
-    pe_distribution,
-    pe_sample,
-    register_fractions,
-    register_hamiltonian,
-    window_probability,
-)
 from .postselect import (
     LabelScheme,
     apply_M,
@@ -103,3 +85,47 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# The attack modules' names, served on first access so that a process that
+# never attacks never loads scipy.
+_LAZY = {
+    "clique": (
+        "MeasurementGraph",
+        "attack_register",
+        "bootstrap_clique",
+        "build_graph",
+        "degree_sort_clique",
+        "exact_max_clique",
+        "max_eigenvalue_check",
+        "run_clique_attack",
+        "second_eigenvector",
+        "spectral_clique",
+    ),
+    "phase": (
+        "accept_window",
+        "ancilla_qubits",
+        "eigenvalue_phases",
+        "forge_low_eps_with_records",
+        "moments",
+        "pe_distribution",
+        "pe_sample",
+        "register_fractions",
+        "register_hamiltonian",
+        "window_probability",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = name if name in _LAZY else _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})

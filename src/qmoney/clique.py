@@ -164,7 +164,7 @@ def _top_eigenpairs(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if m <= k or not matvec(ones).any():
         w, v = scipy.linalg.eigh(b, subset_by_index=(m - k, m - 1))
     else:
-        # Imported here so that `import qmoney` does not load scipy.sparse.
+        # Imported here so that `import qmoney.clique` does not load scipy.sparse.
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         op = LinearOperator((m, m), matvec=matvec, dtype=float)

@@ -5,6 +5,9 @@ Per-trial seeds come from a counter-based split of the master seed
 trials can be reproduced in isolation and in any order.  Trial 17 of a
 run is the same experiment no matter how many trials surround it.
 
+The clique and phase runners import their attack module, and with it
+scipy, when they run; the other kinds run on numpy alone.
+
 Files are versioned UTF-8 text with one operator per line in the
 sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.
 """
@@ -20,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import clique, phase, postselect
+from . import postselect
 from .errors import CapacityError, InconsistentGeneratorsError, SchemeFormatError
 from .money import (
     MoneyScheme,
@@ -160,6 +163,8 @@ def _run_honest_acceptance(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 
 
 def _run_clique_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
+    from . import clique
+
     rng0 = setup_rng(config.master_seed)
     scheme, secret = _scheme_and_secret(config, rng0)
     attack = clique.run_clique_attack(scheme, secret, rng0)
@@ -178,6 +183,8 @@ def _run_clique_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 
 
 def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
+    from . import phase
+
     scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
     hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
     mode = config.options.get("mode", "sample")
@@ -199,6 +206,8 @@ def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 
 
 def _run_eigenvalue_check(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
+    from . import clique
+
     p = config.scheme
     bound = 10.0 * math.sqrt(p.m)
     for rng in rngs:

@@ -363,17 +363,43 @@ def kraus_equivalence_check(verifier: MarkovVerifier) -> float:
     return float(np.abs(kraus - matrix_M(verifier)).max())
 
 
-def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(members, M restricted to the class {x : L(x) = ell}); rules never leave it."""
-    members, local = _class_rules(scheme, ell)
+def _class_matrix(ell: int, members: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """M on the class that _class_rules gives as (members, local)."""
     if len(members) == 0:
         raise ValueError(f"label {ell} has empty preimage")
     k = len(members)
     mat = np.zeros((k, k))
     cols = np.arange(k)
     for target in local:
-        mat[target, cols] += 1.0 / scheme.n
-    return members, mat
+        mat[target, cols] += 1.0 / len(local)
+    return mat
+
+
+def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, M restricted to the class {x : L(x) = ell}); rules never leave it."""
+    members, local = _class_rules(scheme, ell)
+    return members, _class_matrix(ell, members, local)
+
+
+def _component_roots(local: np.ndarray) -> np.ndarray:
+    """Per class position, the smallest position in its rule-graph component.
+
+    Min-label propagation with pointer jumping.  Each position starts as
+    its own label.  A round lowers every label to the least label among
+    its rule images (the rules are involutions, so this crosses every
+    edge both ways), then follows labels (root = root[root]) until they
+    stop moving.  A label only falls and always names a position of the
+    same component, so the rounds stop, and at their fixed point each
+    component carries its smallest position.
+    """
+    root = np.arange(local.shape[1])
+    while True:
+        lowered = np.minimum(root, root[local].min(axis=0))
+        while not np.array_equal(jumped := lowered[lowered], lowered):
+            lowered = jumped
+        if np.array_equal(lowered, root):
+            return root
+        root = lowered
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,13 +417,10 @@ def component_analysis(scheme: LabelScheme, ell: int) -> ComponentAnalysis:
     The +1 eigenspace of the class-restricted M is spanned by the uniform
     vectors of the components, so its dimension equals the component count.
     """
-    # Imported here: at module level it adds ~40 ms to every package import.
-    from scipy.sparse.csgraph import connected_components
-
-    members, mat = class_markov_matrix(scheme, ell)
-    _, component_of = connected_components(mat, directed=False)
+    members, local = _class_rules(scheme, ell)
+    mat = _class_matrix(ell, members, local)
     groups: dict[int, list[int]] = {}
-    for x, c in zip(members.tolist(), component_of.tolist()):
+    for x, c in zip(members.tolist(), _component_roots(local).tolist()):
         groups.setdefault(c, []).append(x)
     components = tuple(tuple(g) for g in sorted(groups.values()))
     eigenvalues = np.linalg.eigvalsh(mat)

@@ -32,8 +32,9 @@ def test_demo_exits_zero(demo):
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # clique._top_eigenpairs and postselect.component_analysis import
-    # these on first use, so that importing the package stays cheap.
+    # clique._top_eigenpairs imports scipy.sparse.linalg on first use, and
+    # postselect.component_analysis finds components without csgraph, so
+    # importing the package stays cheap.
     proc = run_python(
         "-c",
         "import sys, qmoney; print(sorted(m for m in ('scipy.sparse', "

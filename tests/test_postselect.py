@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmoney import (
     LabelScheme,
@@ -388,6 +390,82 @@ def test_components_match_union_find_oracle(params):
     sch = make_label_scheme(*params)
     for ell in sorted(set(label_table(sch).tolist())):
         assert component_analysis(sch, ell).components == union_find_components(sch, ell), ell
+
+
+def scipy_component_analysis(scheme, ell):
+    """Oracle: the class matrix, its components by scipy's connected_components
+    and its spectrum, computed as component_analysis did before its numpy walk."""
+    from scipy.sparse.csgraph import connected_components
+
+    members = np.flatnonzero(label_table(scheme) == ell)
+    k = len(members)
+    mat = np.zeros((k, k))
+    for perm in scheme._rules:
+        mat[np.searchsorted(members, perm[members]), np.arange(k)] += 1.0 / scheme.n
+    _, component_of = connected_components(mat, directed=False)
+    groups = {}
+    for x, c in zip(members.tolist(), component_of.tolist()):
+        groups.setdefault(c, []).append(x)
+    eigenvalues = np.linalg.eigvalsh(mat)
+    return (
+        members,
+        tuple(tuple(g) for g in sorted(groups.values())),
+        eigenvalues,
+        int(np.sum(eigenvalues > 1.0 - 1e-9)),
+        float(eigenvalues[-2]) if k >= 2 else None,
+    )
+
+
+def assert_components_match_scipy(scheme):
+    """Every non-empty label of the scheme, byte for byte; returns the class sizes."""
+    sizes = []
+    for ell in sorted(set(label_table(scheme).tolist())):
+        ca = component_analysis(scheme, ell)
+        members, components, eigenvalues, plus_dim, second = scipy_component_analysis(scheme, ell)
+        assert np.array_equal(ca.members, members), ell
+        assert ca.components == components, ell
+        assert all(type(x) is int for c in ca.components for x in c), ell
+        assert ca.eigenvalues.tobytes() == eigenvalues.tobytes(), ell
+        assert ca.plus_dim == plus_dim and type(ca.plus_dim) is int, ell
+        assert repr(ca.second_eigenvalue) == repr(second), ell
+        sizes.append(len(members))
+    return sizes
+
+
+@pytest.mark.parametrize("params", [(12, 8, 2, 0), (12, 4, 2, 0), (10, 4, 2, 0)])
+def test_component_walk_matches_scipy_connected_components(params):
+    assert_components_match_scipy(make_label_scheme(*params))
+
+
+def test_component_walk_handles_singleton_classes():
+    # (4, 3, 2, 0): all 8 labels occur, 5 of them on a single string
+    sizes = assert_components_match_scipy(make_label_scheme(4, 3, 2, 0))
+    assert sorted(sizes) == [1, 1, 1, 1, 1, 3, 3, 5]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 8),
+    s=st.integers(1, 6),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_component_walk_matches_scipy_on_drawn_schemes(n, s, d, seed):
+    assume(d <= s)
+    try:
+        sch = make_label_scheme(n, s, d, seed)
+    except ValueError:  # a rare unrealizable assignment
+        assume(False)
+    assert_components_match_scipy(sch)
+
+
+def test_component_analysis_of_an_empty_class_raises():
+    sch = make_label_scheme(3, 3, 2, 0)
+    empty = sorted(set(range(8)) - set(label_table(sch).tolist()))
+    assert empty  # labels 2, 3, 6 and 7 have no string
+    for ell in empty:
+        with pytest.raises(ValueError, match="empty preimage"):
+            component_analysis(sch, ell)
 
 
 def test_component_analysis_plus_dim_equals_component_count():
