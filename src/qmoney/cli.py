@@ -8,7 +8,8 @@ harness's records.  An option flag left out stays out of the options, so
 every option default lives in the harness.  Every subcommand is
 deterministic given --seed.  Exit code is 0 exactly when all requested
 trials completed (per-trial pass/fail lives in the records) and 2 on a
-usage error, such as a missing required flag.
+usage error, such as a missing required flag or an option value the
+harness config refuses.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from .money import SchemeParams, gen_scheme
 
 def _run(args) -> int:
     options = {k: v for k, v in vars(args).items() if k in harness._KINDS[args.kind].options}
-    config = harness.ExperimentConfig(
-        args.kind, args.trials, args.seed, options=options, **args.inputs(args)
-    )
+    try:
+        config = harness.ExperimentConfig(
+            args.kind, args.trials, args.seed, options=options, **args.inputs(args)
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))  # exits with status 2
     records = harness.run_experiment(config)
     if args.out:
         harness.emit_results(records, args.out, args.format)
@@ -91,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--out", default=None, help="write result records here")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.set_defaults(func=_run, kind=kind, inputs=inputs)
+        p.set_defaults(func=_run, kind=kind, inputs=inputs, parser=p)
         return p
 
     p = writer("gen-scheme", "generate a scheme file", _cmd_gen_scheme)

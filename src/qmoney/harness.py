@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} reads no option {sorted(unknown)}")
         if self.options.get("mode", "sample") not in ("sample", "analysis"):
             raise ValueError(f"mode must be 'sample' or 'analysis', got {self.options['mode']!r}")
+        if not math.isfinite(float(self.options.get("beta", 0.0))):
+            raise ValueError(f"beta must be finite, got {self.options['beta']!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ fragments or freezes, which is the scheme's soundness slack.
 Both iterations, the verifier's rounds and the beta chain's exact kernel,
 run on reused buffers with one gather and one axis-0 reduce per step.
 Their rows are added in the order of the plain per-rule loops, so every
-result is bit-for-bit what those loops give.
+result is bit-for-bit what those loops give.  Neither redoes exact work:
+the verifier's walk stops at the first round that leaves its bytes
+unchanged, and the unbiased chain's kernel is evolved once per scheme and
+step count, then translated to each start.
 
 Cryptographic-scale parameters (s = ceil(sqrt(n)) subsets, d = 10) need
 n >= 100, far beyond dense vectors; (s, d) stay free so small instances
@@ -147,6 +150,14 @@ class LabelScheme:
             perms[i] = np.where(table[flipped] == table[x], flipped, x)
         perms.setflags(write=False)
         return perms
+
+    @cached_property
+    def _plain_kernels(self) -> dict[int, np.ndarray]:
+        """Read-only plain lazy-walk kernels from string 0, keyed by step count.
+
+        Filled by beta_chain_mixing when every Metropolis ratio is 1.0.
+        """
+        return {}
 
 
 def make_label_scheme(n: int, s: int, d: int, seed: int) -> LabelScheme:
@@ -299,14 +310,20 @@ def _class_rules(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]
     return members, np.searchsorted(members, scheme._rules[:, members])
 
 
-def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> np.ndarray:
-    """M^r applied to the note's label projection, as a 2**n vector.
+def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> tuple[np.ndarray, int]:
+    """(M^r applied to the note's label projection as a 2**n vector, rounds run).
 
-    Every rule keeps the label, so the r rounds run on the class vector
+    Every rule keeps the label, so the rounds run on the class vector
     only.  Each round adds the gathered rows in rule order, as apply_M
     does on the full vector, so the entries equal apply_M's exactly.  A
     round is apply_M's mean(axis=0) spelled out on reused buffers: a
     take, an axis-0 add.reduce and a divide by the rule count.
+
+    That round is a fixed function of the vector's bytes, so the walk
+    stops at the first round that leaves them unchanged: every later round
+    would give the same bytes, and the result is the r-round walk's exactly.
+    Bytes, not values, are compared, so -0.0 and 0.0 stay apart.  A minted
+    note stops within a few rounds; other vectors may run all r.
     """
     if money.state.shape != (1 << verifier.scheme.n,):
         raise DimensionError("money and verifier act on different string lengths")
@@ -315,14 +332,20 @@ def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> np.ndarray:
     # two wide: numpy sums an (n, 1) gather pairwise, not row by row.
     local = np.hstack([local, np.full((len(local), 1), len(members))])
     w = np.append(money.state[members], 0.0)
+    nxt = np.empty_like(w)
     gathered = np.empty(local.shape, dtype=w.dtype)
-    for _ in range(verifier.r):
+    rounds = 0
+    while rounds < verifier.r:
         np.take(w, local, out=gathered, mode="clip")  # in range; clip skips a copy
-        np.add.reduce(gathered, axis=0, out=w)
-        np.divide(w, len(local), out=w)
+        np.add.reduce(gathered, axis=0, out=nxt)
+        np.divide(nxt, len(local), out=nxt)
+        rounds += 1
+        if nxt.tobytes() == w.tobytes():
+            break
+        w, nxt = nxt, w
     full = np.zeros(money.state.shape, dtype=w.dtype)
     full[members] = w[:-1]
-    return full
+    return full, rounds
 
 
 def verify_money(
@@ -330,13 +353,15 @@ def verify_money(
 ) -> tuple[bool, float]:
     """Label projection, then acceptance probability ||M^r v||**2.
 
-    The r rounds walk the label's class vector only (see _walk).  The
+    The r rounds walk the label's class vector only, and stop early once
+    a round leaves its bytes unchanged (see _walk), so a legal r, however
+    large, costs no more than the rounds that change the vector.  The
     probability is computed exactly from the vector (simulation
     privilege); the returned boolean samples it, mirroring the protocol.
     """
     # The norm runs over the full 2**n vector: BLAS blocks the dot product
     # by length, so a class-length norm can differ in the last bit.
-    prob = float(min(1.0, np.linalg.norm(_walk(verifier, money)) ** 2))
+    prob = float(min(1.0, np.linalg.norm(_walk(verifier, money)[0]) ** 2))
     return bool(rng.random() < prob), prob
 
 
@@ -478,6 +503,32 @@ def _autocorr_time(series: np.ndarray) -> float:
     return math.inf
 
 
+def _evolve_kernel(ratios: np.ndarray, flips: np.ndarray, x0: int, steps: int) -> np.ndarray:
+    """The exact chain's distribution after steps kernel steps from x0.
+
+    One step: q = p - out_0 + out_0[f_0] - out_1 + out_1[f_1] ..., with
+    out_i = p * ratio_i * (0.5/n).  Rows 1, 3, ... of the stack hold
+    -out_i and rows 2, 4, ... the gathers out_i[f_i]; an axis-0 reduce adds
+    them in that order, and a - b is a + (-b) exactly, so every entry sees
+    the float operations of the per-flip loop.  The stack is 2**n >= 2
+    wide, so numpy adds its rows in order, not pairwise.
+    """
+    n, size = flips.shape
+    stack = np.empty((2 * n + 1, size))
+    out = np.empty((n, size))
+    gather = (np.arange(n) * size)[:, None] + flips  # out_i[f_i] in out.flat
+    p = np.zeros(size)
+    p[x0] = 1.0
+    for _ in range(steps):
+        np.multiply(p, ratios, out=out)
+        np.multiply(out, 0.5 / n, out=out)
+        stack[0] = p
+        np.negative(out, out=stack[1::2])
+        np.take(out, gather, out=stack[2::2])
+        np.add.reduce(stack, axis=0, out=p)
+    return p
+
+
 def beta_chain_mixing(
     scheme: LabelScheme,
     ell: int,
@@ -494,10 +545,15 @@ def beta_chain_mixing(
     n <= 12 the exact kernel is also evolved from the start state and the
     total-variation distance to exp(-beta*c)/Z after the budget is
     reported; each kernel step moves the probability of all n flips in one
-    pass and keeps the per-flip loop's summation order.  The
-    autocorrelation time is estimated from the energy trace.  ell must be
-    an s-bit label and start, if given, an n-bit string.
+    pass and keeps the per-flip loop's summation order.  When every
+    Metropolis ratio is 1.0 (beta = 0, or a beta too small to move one),
+    the chain is the plain walk, and its kernel is evolved once per scheme
+    and step count and read off by XOR translation.  The autocorrelation
+    time is estimated from the energy trace.  beta must be finite, ell an
+    s-bit label and start, if given, an n-bit string.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if scheme.n > 24:
         raise CapacityError("beta chain supports n <= 24")
     if steps < 1:
@@ -541,24 +597,18 @@ def beta_chain_mixing(
         idx = np.arange(size)
         flips = idx ^ (1 << np.arange(n))[:, None]
         ratios = np.minimum(1.0, np.exp(-beta * (c_all[flips] - c_all)))
-        # One step: q = p - out_0 + out_0[f_0] - out_1 + out_1[f_1] ..., with
-        # out_i = p * ratio_i * (0.5/n).  Rows 1, 3, ... of the stack hold
-        # -out_i and rows 2, 4, ... the gathers out_i[f_i]; an axis-0 reduce
-        # adds them in that order, and a - b is a + (-b) exactly, so every
-        # entry sees the float operations of the per-flip loop.  The stack is
-        # 2**n >= 2 wide, so numpy adds its rows in order, not pairwise.
-        stack = np.empty((2 * n + 1, size))
-        out = np.empty((n, size))
-        gather = (np.arange(n) * size)[:, None] + flips  # out_i[f_i] in out.flat
-        p = np.zeros(size)
-        p[x0] = 1.0
-        for _ in range(steps):
-            np.multiply(p, ratios, out=out)
-            np.multiply(out, 0.5 / n, out=out)
-            stack[0] = p
-            np.negative(out, out=stack[1::2])
-            np.take(out, gather, out=stack[2::2])
-            np.add.reduce(stack, axis=0, out=p)
+        if np.all(ratios == 1.0):
+            # Every flip is accepted: the plain lazy walk on Z_2^n.  Its kernel
+            # from x0 is its kernel from 0 with every string XORed by x0, and
+            # each entry sees the same float operations on either side.
+            base = scheme._plain_kernels.get(steps)
+            if base is None:
+                base = _evolve_kernel(ratios, flips, 0, steps)
+                base.setflags(write=False)
+                scheme._plain_kernels[steps] = base
+            p = base[idx ^ x0]
+        else:
+            p = _evolve_kernel(ratios, flips, x0, steps)
         pi = np.exp(-beta * c_all)
         pi /= pi.sum()
         tv = float(0.5 * np.abs(p - pi).sum())

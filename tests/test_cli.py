@@ -188,6 +188,34 @@ def test_beta_mix_cli_target_label_outside_s_bits_is_rejected(target):
         main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--target-label", target])
 
 
+@pytest.mark.parametrize("beta", ["--beta=inf", "--beta=-inf", "--beta=nan"])
+def test_beta_mix_cli_refuses_a_nonfinite_beta_as_a_usage_error(beta, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", beta, "--start-frozen"])
+    assert exc.value.code == 2
+    assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_beta_mix_cli_takes_a_finite_negative_beta(capsys):
+    assert main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta=-1.5"]) == 0
+    assert "tv_distance" in capsys.readouterr().out
+
+
+def test_verify_note_cli_huge_r_costs_only_the_rounds_that_change_the_note(tmp_path):
+    note_path = str(tmp_path / "big_r.note")
+    assert main(["mint", "--n", "12", "--s", "4", "--d", "2", "--label-seed", "0",
+                 "--seed", "3", "--out", note_path]) == 0
+    rows = {}
+    for name, r_flag in (("auto", []), ("huge", ["--r", "1000000000"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["verify-note", "--note", note_path, "--trials", "2",
+                     "--out", str(out), *r_flag]) == 0
+        rows[name] = list(csv.DictReader(open(out)))
+    assert [row.pop("r") for row in rows["huge"]] == ["1000000000"] * 2
+    assert [row.pop("r") for row in rows["auto"]] != ["1000000000"] * 2
+    assert rows["huge"] == rows["auto"]
+
+
 def test_verify_note_cli_verifies_the_note_once(tmp_path, monkeypatch):
     note_path = str(tmp_path / "once.note")
     assert main(["mint", "--n", "8", "--s", "4", "--d", "2", "--label-seed", "1",

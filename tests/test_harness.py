@@ -576,6 +576,8 @@ _FROZEN = {"beta": 12.0, "start_frozen": True}
         ("postselect-suite", {"label": LabelParams(6, 3, 2, 0)}, {}, {"build": 1}),
         ("postselect-suite", {"source": "note"}, {}, {"load_note": 1}),
         ("beta-mixing", {"label": _BETA}, _FROZEN, {"build": 1, "find_frozen_strings": 1}),
+        # the unbiased chain's exact kernel is evolved once, then translated
+        ("beta-mixing", {"label": _BETA}, {"beta": 0.0}, {"build": 1, "_evolve_kernel": 1}),
     ],
 )
 def test_each_kind_sets_up_once_for_all_its_trials(
@@ -597,11 +599,20 @@ def test_each_kind_sets_up_once_for_all_its_trials(
         "run_clique_attack": clique,
         "register_hamiltonian": phase,
         "find_frozen_strings": postselect,
+        "_evolve_kernel": postselect,
     }
     calls = {name: counted_calls(monkeypatch, owners[name], name) for name in setup}
     records = run_experiment(ExperimentConfig(kind, 3, 7, options=options, **inputs))
     assert [rec.trial for rec in records] == [0, 1, 2]
     assert {name: len(log) for name, log in calls.items()} == setup
+
+
+def test_each_beta_mixing_run_evolves_its_own_plain_kernel(monkeypatch):
+    calls = counted_calls(monkeypatch, postselect, "_evolve_kernel")
+    config = ExperimentConfig("beta-mixing", 3, 7, label=_BETA, options={"beta": 0.0})
+    first = run_experiment(config)
+    assert run_experiment(config) == first
+    assert len(calls) == 2  # no kernel outlives its run's scheme
 
 
 @pytest.mark.parametrize("results", [1, 2, 4])
@@ -654,6 +665,10 @@ def test_run_experiment_validates_config():
     for mode in ("analysys", "Sample", "", None):  # a typo must not run sample mode
         with pytest.raises(ValueError, match="mode"):
             ExperimentConfig("low-eps-attack", 1, 0, low_eps, options={"mode": mode})
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"beta": beta})
+    ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"beta": -2.5})  # finite stays legal
 
 
 def test_config_rejects_option_keys_its_kind_does_not_read():

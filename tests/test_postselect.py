@@ -22,6 +22,7 @@ from qmoney import (
     make_label_scheme,
     mint,
     parse_label_bits,
+    postselect,
     verify_money,
 )
 from qmoney.postselect import (
@@ -285,7 +286,7 @@ def test_class_walk_is_byte_identical_to_full_vector_walk(params):
             for r in rounds[ell]:
                 ver = build_verifier(sch, r)
                 want = np.where(table == ell, walks[r], 0.0)
-                assert _walk(ver, note).tobytes() == want.tobytes(), (ell, r)
+                assert _walk(ver, note)[0].tobytes() == want.tobytes(), (ell, r)
                 assert verify_money(ver, note, rng)[1] == reference_prob(want), (ell, r)
         # the shared walk stands in for each label's own full-vector walk
         sizes = np.bincount(table)
@@ -308,8 +309,91 @@ def test_class_walk_of_empty_class_and_wrong_label_is_zero():
         bad = LabeledMoney(ell, note.state, note.support_size)
         ver = build_verifier(sch, 50)
         want = full_vector_walk(ver, bad)
-        assert _walk(ver, bad).tobytes() == want.tobytes()
+        assert _walk(ver, bad)[0].tobytes() == want.tobytes()
         assert verify_money(ver, bad, rng) == (False, 0.0) and reference_prob(want) == 0.0
+
+
+def walk_without_exit(verifier, money):
+    """Reference: the class walk's r rounds with no fixed-point exit."""
+    members = np.flatnonzero(label_table(verifier.scheme) == money.label)
+    local = np.searchsorted(members, verifier.scheme._rules[:, members])
+    local = np.hstack([local, np.full((len(local), 1), len(members))])
+    w = np.append(money.state[members], 0.0)
+    gathered = np.empty(local.shape, dtype=w.dtype)
+    for _ in range(verifier.r):
+        np.take(w, local, out=gathered, mode="clip")
+        np.add.reduce(gathered, axis=0, out=w)
+        np.divide(w, len(local), out=w)
+    full = np.zeros(money.state.shape, dtype=w.dtype)
+    full[members] = w[:-1]
+    return full
+
+
+def class_notes(scheme, ell, rng):
+    """(kind, note) for a label: the minted note, a note uniform over a
+    random half of the class, and the whole class with random phases."""
+    members = np.flatnonzero(label_table(scheme) == ell)
+    size = 1 << scheme.n
+    half = rng.choice(members, size=max(1, len(members) // 2), replace=False)
+    halved = np.zeros(size, dtype=complex)
+    halved[half] = 1.0 / math.sqrt(len(half))
+    phased = np.zeros(size, dtype=complex)
+    phased[members] = np.exp(2j * math.pi * rng.random(len(members))) / math.sqrt(len(members))
+    return [
+        ("minted", money_from_label(scheme, ell)),
+        ("half", LabeledMoney(ell, halved, len(half))),
+        ("phased", LabeledMoney(ell, phased, len(members))),
+    ]
+
+
+@pytest.mark.parametrize("params", [(12, 8, 2, 0), (12, 4, 2, 0)])
+def test_walk_exit_is_byte_identical_to_the_walk_without_it(params):
+    sch = make_label_scheme(*params)
+    rng = np.random.default_rng(params[1])
+    for ell in sorted(set(label_table(sch).tolist())):
+        ver = build_verifier(sch, default_iteration_count(component_analysis(sch, ell)))
+        for kind, note in class_notes(sch, ell, rng):
+            got, rounds = _walk(ver, note)
+            assert got.tobytes() == walk_without_exit(ver, note).tobytes(), (ell, kind)
+            assert 1 <= rounds <= ver.r
+            if kind == "minted":
+                assert rounds <= 4, (ell, rounds)
+
+
+def test_walk_with_no_fixed_point_runs_every_round(constant_scheme):
+    # Every rule flips its bit in the one class, and the parity vector is a
+    # -1 eigenvector: each round negates it exactly, so no round repeats.
+    parity = np.array([(-1.0) ** x.bit_count() for x in range(256)]) / 16.0
+    note = LabeledMoney(0, parity.astype(complex), 256)
+    for r in (1, 2, 7, 64):
+        ver = build_verifier(constant_scheme, r)
+        got, rounds = _walk(ver, note)
+        assert rounds == r
+        assert got.tobytes() == walk_without_exit(ver, note).tobytes()
+        assert np.array_equal(got, (-1.0) ** r * note.state)
+
+
+def test_walk_exit_tells_signed_zeros_apart():
+    # A frozen string holds the note; the rest of its class holds -0.0 but
+    # for one +0.0.  The frozen entry is fixed from round 1 on, while +0.0
+    # spreads over its component (-0.0 + 0.0 is +0.0) for several rounds:
+    # equal values, different bytes, until the spread ends.
+    sch = make_label_scheme(10, 4, 2, 0)
+    x0 = int(find_frozen_strings(sch)[0])
+    ell = int(label_table(sch)[x0])
+    members = np.flatnonzero(label_table(sch) == ell)
+    big = max(component_analysis(sch, ell).components, key=len)
+    assert len(big) > 2
+    state = np.zeros(1 << sch.n, dtype=complex)
+    state.view(float)[np.repeat(2 * members, 2) + np.tile([0, 1], len(members))] = -0.0
+    state[big[0]] = 0.0
+    state[x0] = 1.0
+    note = LabeledMoney(ell, state, 1)
+    ver = build_verifier(sch, 50)
+    got, rounds = _walk(ver, note)
+    assert 1 < rounds < ver.r
+    assert got.tobytes() == walk_without_exit(ver, note).tobytes()
+    assert not np.signbit(got.real[list(big)]).any()
 
 
 def test_random_in_class_vector_acceptance_matches_eigendecomposition():
@@ -541,6 +625,25 @@ def test_chain_tv_none_above_exact_limit():
     assert diag.tv_distance is None
 
 
+def reference_kernel(sch, ell, beta, x0, steps):
+    """The exact kernel's distribution after steps steps from x0, moved flip by flip."""
+    n, size = sch.n, 1 << sch.n
+    c_all = np.array([int(v).bit_count() for v in label_table(sch) ^ np.uint32(ell)])
+    idx = np.arange(size)
+    flips = [idx ^ (1 << i) for i in range(n)]
+    ratios = [np.minimum(1.0, np.exp(-beta * (c_all[f] - c_all))) for f in flips]
+    p = np.zeros(size)
+    p[x0] = 1.0
+    for _ in range(steps):
+        q = p.copy()
+        for f, ratio in zip(flips, ratios):
+            out = p * ratio * (0.5 / n)
+            q -= out
+            q += out[f]
+        p = q
+    return p
+
+
 def reference_beta_chain(sch, ell, beta, steps, rng, start=None):
     """(acceptance_rate, tv_distance, mean_energy) of beta_chain_mixing as a
     plain loop: the exact kernel moves probability flip by flip."""
@@ -560,19 +663,8 @@ def reference_beta_chain(sch, ell, beta, steps, rng, start=None):
             x, e = y, ey
             accepted += 1
         energies.append(e)
+    p = reference_kernel(sch, ell, beta, x0, steps)
     c_all = np.array([int(v).bit_count() for v in table ^ np.uint32(ell)])
-    idx = np.arange(size)
-    flips = [idx ^ (1 << i) for i in range(n)]
-    ratios = [np.minimum(1.0, np.exp(-beta * (c_all[f] - c_all))) for f in flips]
-    p = np.zeros(size)
-    p[x0] = 1.0
-    for _ in range(steps):
-        q = p.copy()
-        for f, ratio in zip(flips, ratios):
-            out = p * ratio * (0.5 / n)
-            q -= out
-            q += out[f]
-        p = q
     pi = np.exp(-beta * c_all)
     pi /= pi.sum()
     tv = float(0.5 * np.abs(p - pi).sum())
@@ -593,6 +685,95 @@ def test_beta_kernel_equals_the_per_flip_loop_bit_for_bit(n):
         got = beta_chain_mixing(sch, ell, beta, 60, np.random.default_rng(n), start)
         want = reference_beta_chain(sch, ell, beta, 60, np.random.default_rng(n), start)
         assert (got.acceptance_rate, got.tv_distance, got.mean_energy) == want, (beta, start)
+
+
+def count_kernel_evolutions(monkeypatch):
+    """Log each exact-kernel evolution as (start, steps)."""
+    calls = []
+    evolve = postselect._evolve_kernel
+
+    def counted(ratios, flips, x0, steps):
+        calls.append((x0, steps))
+        return evolve(ratios, flips, x0, steps)
+
+    monkeypatch.setattr(postselect, "_evolve_kernel", counted)
+    return calls
+
+
+def chain_summary(diag):
+    return diag.acceptance_rate, diag.tv_distance, diag.mean_energy
+
+
+@pytest.mark.parametrize(
+    "params, starts, steps",
+    [((6, 3, 2, 0), range(64), 60), ((10, 4, 2, 0), range(7, 1024, 51), 300)],
+)
+def test_plain_walk_kernel_is_each_start_evolution_translated(
+    monkeypatch, params, starts, steps
+):
+    calls = count_kernel_evolutions(monkeypatch)
+    reused = make_label_scheme(*params)
+    idx = np.arange(1 << reused.n)
+    for x0 in starts:
+        ell = int(label_table(reused)[x0 // 2])
+        want = reference_beta_chain(reused, ell, 0.0, steps, np.random.default_rng(x0), x0)
+        for sch in (make_label_scheme(*params), reused):
+            got = beta_chain_mixing(sch, ell, 0.0, steps, np.random.default_rng(x0), x0)
+            assert chain_summary(got) == want, x0
+        kernel = reference_kernel(reused, ell, 0.0, x0, steps)
+        assert reused._plain_kernels[steps][idx ^ x0].tobytes() == kernel.tobytes(), x0
+    # one evolution per fresh scheme, and one for the reused scheme
+    assert len(calls) == len(starts) + 1
+
+
+def test_plain_walk_kernels_are_read_only_and_kept_per_step_count():
+    sch = make_label_scheme(6, 3, 2, 0)
+    for steps in (10, 20, 10):
+        beta_chain_mixing(sch, 0, 0.0, steps, np.random.default_rng(0))
+    assert sorted(sch._plain_kernels) == [10, 20]
+    for kernel in sch._plain_kernels.values():
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0] = 1.0
+
+
+@pytest.mark.parametrize("beta", [12.0, 0.5, -1.0])
+def test_biased_chains_never_touch_the_plain_walk_memo(monkeypatch, beta):
+    calls = count_kernel_evolutions(monkeypatch)
+    sch = make_label_scheme(10, 4, 2, 0)
+    frozen = find_frozen_strings(sch)
+    for x0 in (int(frozen[0]), 5, 77):
+        ell = int(label_table(sch)[x0])
+        got = beta_chain_mixing(sch, ell, beta, 50, np.random.default_rng(x0), x0)
+        want = reference_beta_chain(sch, ell, beta, 50, np.random.default_rng(x0), x0)
+        assert chain_summary(got) == want
+    assert "_plain_kernels" not in vars(sch)
+    assert len(calls) == 3
+
+
+def test_a_beta_too_small_to_move_a_ratio_runs_the_plain_walk(monkeypatch):
+    # At beta = 2e-17 every ratio exp(-beta * dc), |dc| <= d = 2, rounds to
+    # 1.0, but exp(-beta * 3) does not: pi is not uniform, so the tv distance
+    # sees whether the shared kernel is translated to each start.
+    calls = count_kernel_evolutions(monkeypatch)
+    sch = make_label_scheme(6, 3, 2, 0)
+    beta = 2e-17
+    assert len(set(np.exp(-beta * np.arange(4)).tolist())) > 1
+    for x0 in range(0, 64, 3):
+        got = beta_chain_mixing(sch, 0, beta, 40, np.random.default_rng(x0), x0)
+        want = reference_beta_chain(sch, 0, beta, 40, np.random.default_rng(x0), x0)
+        assert chain_summary(got) == want, x0
+    assert len(calls) == 1 and list(sch._plain_kernels) == [40]
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_beta_chain_refuses_a_nonfinite_beta(beta):
+    sch = make_label_scheme(6, 3, 2, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="beta must be finite"):
+        beta_chain_mixing(sch, 0, beta, 10, rng, int(find_frozen_strings(sch)[0]))
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 @pytest.mark.parametrize(
