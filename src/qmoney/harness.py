@@ -6,7 +6,10 @@ trials can be reproduced in isolation and in any order.  Trial 17 of a
 run is the same experiment no matter how many trials surround it.
 
 The clique and phase runners import their attack module, and with it
-scipy, when they run; the other kinds run on numpy alone.
+scipy, when they run; the other kinds run on numpy alone.  The low-epsilon
+runner walks the scheme's registers first and its trials second, so one
+register Hamiltonian is alive at a time and a run's memory does not grow
+with l.
 
 Files are versioned UTF-8 text with one operator per line in the
 sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.
@@ -27,6 +30,7 @@ from . import postselect
 from .errors import CapacityError, InconsistentGeneratorsError, SchemeFormatError
 from .money import (
     MoneyScheme,
+    MoneyState,
     SchemeParams,
     SecretKey,
     completely_mixed_money,
@@ -102,6 +106,11 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'sample' or 'analysis', got {self.options['mode']!r}")
         if not math.isfinite(float(self.options.get("beta", 0.0))):
             raise ValueError(f"beta must be finite, got {self.options['beta']!r}")
+        if int(self.options.get("steps", 1)) < 1:
+            raise ValueError("need steps >= 1")
+        target = self.options.get("target_label")
+        if target is not None and not 0 <= int(target) < (1 << self.label.s):
+            raise ValueError(f"target label {target} is not an s={self.label.s} bit label")
 
 
 @dataclass(frozen=True)
@@ -185,19 +194,38 @@ def _run_clique_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 
 
 def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
+    """Forge register by register, then verify each trial's note.
+
+    Each register's Hamiltonian is built, read by the analysis forge and
+    by every trial's sample forge in trial order, and dropped before the
+    next is built, so one eigenbasis is alive at a time.  Each trial
+    generator still draws its registers in order and then verifies, as
+    forge_low_eps_with_records followed by verify would.
+    """
     from . import phase
 
     scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
-    hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
     mode = config.options.get("mode", "sample")
-    analysis_money, analysis_recs = phase.forge_low_eps_with_records(hams, mode="analysis")
-    mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
-    for rng in rngs:
+    rngs = list(rngs)
+    analysis_regs, analysis_recs = [], []
+    forged = [([], []) for _ in rngs]  # each trial's registers and records
+    for ops in scheme.table:
+        ham = phase.register_hamiltonian(ops)
+        reg, rec = phase.generate_rho_with_record(ham, mode="analysis")
+        analysis_recs.append(rec)
         if mode == "analysis":
-            money, recs = analysis_money, analysis_recs  # deterministic: forged once
+            analysis_regs.append(reg)  # deterministic: forged once for every trial
         else:
-            money, recs = phase.forge_low_eps_with_records(hams, rng, "sample")
-        out = verify(scheme, money, rng)
+            for rng, (regs, recs) in zip(rngs, forged):
+                reg, rec = phase.generate_rho_with_record(ham, rng, "sample")
+                regs.append(reg)
+                recs.append(rec)
+        del ham  # before the next register's eigensolve
+    mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
+    if mode == "analysis":
+        forged = [(analysis_regs, analysis_recs)] * len(rngs)
+    for rng, (regs, recs) in zip(rngs, forged):
+        out = verify(scheme, MoneyState(tuple(regs)), rng)
         metrics = {
             "q_value": out.q_value,
             "accepted": int(out.accepted),

@@ -57,7 +57,7 @@ _DENSE_1Q = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliOp:
     """A signed (more generally, i-power-phased) Pauli operator on n qubits."""
 
@@ -78,9 +78,9 @@ class PauliOp:
     def _trusted(cls, n: int, x: int, z: int, phase: int) -> "PauliOp":
         """An operator whose fields already pass __post_init__, not checked again.
 
-        n >= 1, 0 <= x, z < 2**n and phase in 0..3.  The fields are set with
-        object.__setattr__, as the dataclass __init__ sets them; writing
-        through the instance __dict__ would materialise a dict per operator.
+        n >= 1, 0 <= x, z < 2**n and phase in 0..3.  The fields are slots,
+        set with object.__setattr__ as the frozen dataclass __init__ sets
+        them.
         """
         op = object.__new__(cls)
         object.__setattr__(op, "n", n)

@@ -31,9 +31,12 @@ A RegisterHamiltonian holds its table's ops and its eigenpairs, which is
 all the forger reads.  H itself is dropped once the eigensolve has been
 checked against it, and rebuilt bit for bit from the ops on first read of
 h_matrix.  The checks run over blocks of rows, so they add no 2**n x 2**n
-temporary to H, the eigenvectors and the eigensolve's own workspace.  The
-forged registers view the eigenvectors, whose unit norms
-register_hamiltonian has checked.
+temporary to H, the eigenvectors and the eigensolve's own workspace.  A
+sample-mode register that accepts a draw holds a read-only copy of its one
+eigenvector, so it does not keep the 2**n x 2**n eigenbasis alive; the
+analysis and fully mixed registers read every eigenvector and view the
+eigenbasis.  Either way the vectors' unit norms were checked by
+register_hamiltonian.
 """
 
 from __future__ import annotations
@@ -422,10 +425,12 @@ def generate_rho_with_record(
               mixture w_j = (a_j / 2**n) * (1 - (1-abar)**(m**2)) / abar
               + (1-abar)**(m**2) / 2**n without sampling.
 
-    The register's vectors are rows of ham.eigenvectors.T: read-only views
-    that share the Hamiltonian's eigenbasis instead of copying it.  Their
-    unit norms were checked by register_hamiltonian, so the register is
-    not validated again.
+    The register's vectors are rows of ham.eigenvectors.T.  An accepted
+    draw keeps a read-only copy of its one row, so the forged register does
+    not hold the Hamiltonian's eigenbasis alive; the analysis and fully
+    mixed registers use every row and view the eigenbasis instead of
+    copying it.  The unit norms were checked by register_hamiltonian, so
+    the register is not validated again.
     """
     if ham.m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
@@ -440,7 +445,9 @@ def generate_rho_with_record(
             j = int(rng.integers(dim))
             z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
-                reg = DenseMixedRegister._trusted(np.ones(1), ham.eigenvectors.T[j : j + 1])
+                vector = ham.eigenvectors.T[j : j + 1].copy()
+                vector.setflags(write=False)
+                reg = DenseMixedRegister._trusted(np.ones(1), vector)
                 return reg, RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
         reg = DenseMixedRegister._trusted(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
         return reg, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)

@@ -177,15 +177,19 @@ def test_beta_mix_cli_reports_frozen_chains_as_nonfinite(capsys):
     assert "nonfinite=3" in line
 
 
-def test_beta_mix_cli_steps_zero_is_rejected_not_the_default():
-    with pytest.raises(ValueError, match="steps >= 1"):
+def test_beta_mix_cli_steps_zero_is_rejected_not_the_default(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--steps", "0"])
+    assert exc.value.code == 2
+    assert "steps >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["999", "-5"])
-def test_beta_mix_cli_target_label_outside_s_bits_is_rejected(target):
-    with pytest.raises(ValueError, match=f"target label {target} is not an s=3 bit label"):
+def test_beta_mix_cli_target_label_outside_s_bits_is_rejected(target, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--target-label", target])
+    assert exc.value.code == 2
+    assert f"target label {target} is not an s=3 bit label" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beta", ["--beta=inf", "--beta=-inf", "--beta=nan"])

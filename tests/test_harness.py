@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import struct
 import time
 import tracemalloc
 import warnings
@@ -31,6 +32,7 @@ from qmoney import (
     save_note,
     save_scheme,
     summarize,
+    verify,
 )
 from qmoney import clique, harness, phase, postselect
 from qmoney.harness import setup_rng, trial_rng
@@ -546,6 +548,80 @@ def test_postselect_suite_verifies_each_distinct_label_once(monkeypatch):
     assert sorted(calls) == sorted(labels) and len(labels) < 40
 
 
+def trial_major_low_eps_attack(config):
+    """low-eps-attack as a plain loop: every Hamiltonian first, then one whole forge per trial."""
+    _, scheme = gen_scheme(config.scheme, setup_rng(config.master_seed))
+    hams = [phase.register_hamiltonian(ops) for ops in scheme.table]
+    analysis_money, analysis_recs = phase.forge_low_eps_with_records(hams, mode="analysis")
+    mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
+    records = []
+    for trial in range(config.trials):
+        rng, seed = trial_rng(config.master_seed, trial)
+        if config.options["mode"] == "analysis":
+            money, recs = analysis_money, analysis_recs
+        else:
+            money, recs = phase.forge_low_eps_with_records(hams, rng, "sample")
+        out = verify(scheme, money, rng)
+        metrics = {
+            "q_value": out.q_value,
+            "accepted": int(out.accepted),
+            "frac_fully_mixed": float(np.mean([rec.fully_mixed for rec in recs])),
+            "mean_p1_analysis": mean_p1,
+        }
+        records.append(ResultRecord(config.kind, trial, seed, metrics, out.accepted))
+    return records
+
+
+def record_bytes(records):
+    """The records with every float as its 8 bytes, so -0.0, 0.0 and NaNs stay apart."""
+    return [
+        (rec.experiment, rec.trial, rec.seed, rec.passed,
+         {k: struct.pack("<d", v) if isinstance(v, float) else v for k, v in rec.metrics.items()})
+        for rec in records
+    ]
+
+
+@pytest.mark.parametrize("mode", ["sample", "analysis"])
+@pytest.mark.parametrize("n, m", [(3, 32), (6, 64)])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_low_eps_records_equal_the_trial_major_loop(mode, n, m, seed):
+    config = ExperimentConfig(
+        "low-eps-attack", 3, seed, SchemeParams(n, m, 16, 1 / 128), options={"mode": mode}
+    )
+    assert record_bytes(run_experiment(config)) == record_bytes(trial_major_low_eps_attack(config))
+
+
+def test_low_eps_records_equal_the_trial_major_loop_when_every_draw_misses(monkeypatch):
+    # phase 0 lies below the accept window, so every register takes the fully mixed fallback
+    monkeypatch.setattr(phase, "pe_sample", lambda phi, q, rng: 0)
+    config = ExperimentConfig(
+        "low-eps-attack", 3, 5, SchemeParams(3, 32, 16, 1 / 128), options={"mode": "sample"}
+    )
+    records = run_experiment(config)
+    assert all(rec.metrics["frac_fully_mixed"] == 1.0 for rec in records)
+    assert record_bytes(records) == record_bytes(trial_major_low_eps_attack(config))
+
+
+def test_low_eps_run_memory_does_not_grow_with_the_register_count():
+    def peak(l):
+        config = ExperimentConfig(
+            "low-eps-attack", 3, 2, SchemeParams(8, 64, l, 1 / 128), options={"mode": "sample"}
+        )
+        tracemalloc.start()
+        try:
+            records = run_experiment(config)
+            return tracemalloc.get_traced_memory()[1], records
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm up: imports and caches
+    (small, _), (large, records) = peak(2), peak(8)
+    # a fully mixed register views its eigenbasis (1 MiB at n=8); none is forged here
+    assert all(rec.metrics["frac_fully_mixed"] == 0.0 for rec in records)
+    # each of the 6 more registers costs 1 MiB of eigenbasis if they are all kept alive
+    assert large - small <= 0.5 * 2**20, (small, large)
+
+
 def counted_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that logs each call; return the log."""
     calls = []
@@ -669,6 +745,15 @@ def test_run_experiment_validates_config():
         with pytest.raises(ValueError, match="beta must be finite"):
             ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"beta": beta})
     ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"beta": -2.5})  # finite stays legal
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="need steps >= 1"):
+            ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"steps": steps})
+    ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"steps": 1})
+    for target in (-1, 16, 999):  # _BETA has s=4: labels 0..15
+        with pytest.raises(ValueError, match=f"target label {target} is not an s=4 bit label"):
+            ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"target_label": target})
+    for target in (0, 15):
+        ExperimentConfig("beta-mixing", 1, 0, label=_BETA, options={"target_label": target})
 
 
 def test_config_rejects_option_keys_its_kind_does_not_read():

@@ -210,6 +210,8 @@ def test_trusted_ops_equal_public_ops_and_take_the_same_memory():
         op = random_pauli(n, rng)
         public = PauliOp(op.n, op.x, op.z, op.phase)
         assert op == public and hash(op) == hash(public) and str(op) == str(public)
+    for op in (PauliOp._trusted(*fields[0]), PauliOp(*fields[0])):
+        assert not hasattr(op, "__dict__")  # slots: no dict per operator
     _footprint(PauliOp, fields)  # warm up
     public, fast = _footprint(PauliOp, fields), _footprint(PauliOp._trusted, fields)
     assert fast <= public * 1.01, (fast, public)

@@ -575,11 +575,16 @@ def test_forged_registers_view_the_hamiltonians_eigenbasis(monkeypatch):
     fallback, rec = generate_rho_with_record(ham, np.random.default_rng(1), mode="sample")
     assert rec.fully_mixed == 1.0
     for reg in (analysis, accepted, fallback):
-        assert np.shares_memory(reg.vectors, ham.eigenvectors)
         assert not reg.vectors.flags.writeable
-    np.testing.assert_array_equal(analysis.vectors, ham.eigenvectors.T)
-    np.testing.assert_array_equal(fallback.vectors, ham.eigenvectors.T)
-    assert (ham.eigenvectors.T == accepted.vectors[0]).all(axis=1).sum() == 1
+    for reg in (analysis, fallback):  # these read every eigenvector
+        assert np.shares_memory(reg.vectors, ham.eigenvectors)
+        np.testing.assert_array_equal(reg.vectors, ham.eigenvectors.T)
+    # the accepted draw keeps a copy of its one eigenvector, not the eigenbasis
+    assert not np.shares_memory(accepted.vectors, ham.eigenvectors)
+    (j,) = np.flatnonzero((ham.eigenvectors.T == accepted.vectors[0]).all(axis=1))
+    want = ham.eigenvectors.T[j : j + 1]
+    assert accepted.vectors.shape == want.shape and accepted.vectors.dtype == want.dtype
+    assert accepted.vectors.tobytes() == want.tobytes()
 
 
 def test_analysis_trace_beats_quarter_bound():
