@@ -1,15 +1,15 @@
 """Command-line front end.
 
-gen-scheme and mint write input files.  Every other subcommand declares
-its harness kind, how its input arguments become the ExperimentConfig's
-scheme, label or source, and its option flags.  _run maps its arguments
-to that one config and runs harness.run_experiment, so the CLI emits the
-harness's records.  An option flag left out stays out of the options, so
-every option default lives in the harness.  Every subcommand is
-deterministic given --seed.  Exit code is 0 exactly when all requested
-trials completed (per-trial pass/fail lives in the records) and 2 on a
-usage error, such as a missing required flag or an option value the
-harness config refuses.
+gen-scheme and mint build scheme or label params and write input files.
+Every other subcommand declares its harness kind, how its input arguments
+become the ExperimentConfig's scheme, label or source, and its option
+flags; _config maps its arguments to that one config and _run runs
+harness.run_experiment on it, so the CLI emits the harness's records.  An
+option flag left out stays out of the options, so every option default
+lives in the harness.  Every subcommand is deterministic given --seed.
+Exit code is 0 exactly when all requested trials completed (per-trial
+pass/fail lives in the records) and 2 on a usage error: a missing
+required flag, or a value the params or the config refuse when built.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from . import harness, postselect
 from .money import SchemeParams, gen_scheme
 
 
-def _run(args) -> int:
+def _config(args) -> harness.ExperimentConfig:
     options = {k: v for k, v in vars(args).items() if k in harness._KINDS[args.kind].options}
-    try:
-        config = harness.ExperimentConfig(
-            args.kind, args.trials, args.seed, options=options, **args.inputs(args)
-        )
-    except ValueError as exc:
-        args.parser.error(str(exc))  # exits with status 2
+    return harness.ExperimentConfig(
+        args.kind, args.trials, args.seed, options=options, **args.inputs(args)
+    )
+
+
+def _run(args, config: harness.ExperimentConfig) -> int:
     records = harness.run_experiment(config)
     if args.out:
         harness.emit_results(records, args.out, args.format)
@@ -48,18 +48,14 @@ def _source_file(args) -> dict:
     return {"source": args.source}
 
 
-def _cmd_gen_scheme(args) -> int:
-    rng = harness.setup_rng(args.seed)
-    secret, scheme = gen_scheme(SchemeParams(args.n, args.m, args.l, args.epsilon), rng)
-    harness.save_scheme(
-        args.out, scheme, secret if args.include_secret else None, seed=args.seed
-    )
+def _cmd_gen_scheme(args, params: SchemeParams) -> int:
+    secret, scheme = gen_scheme(params, harness.setup_rng(args.seed))
+    harness.save_scheme(args.out, scheme, secret if args.include_secret else None, seed=args.seed)
     print(f"wrote scheme n={args.n} m={args.m} l={args.l} epsilon={args.epsilon} -> {args.out}")
     return 0
 
 
-def _cmd_mint(args) -> int:
-    params = harness.LabelParams(args.n, args.s, args.d, args.label_seed)
+def _cmd_mint(args, params: harness.LabelParams) -> int:
     scheme, money = harness.mint_note(params, args.seed)
     harness.save_note(args.out, scheme, money)
     print(
@@ -81,11 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def writer(name, help, func):
+    # build: the subcommand's inputs from its arguments; func(args, inputs) runs it
+    def writer(name, help, build, func):
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", required=True, help="write the file here")
-        p.set_defaults(func=func)
+        p.set_defaults(build=build, func=func, parser=p)
         return p
 
     def trials(name, kind, help, inputs):
@@ -95,10 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--out", default=None, help="write result records here")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.set_defaults(func=_run, kind=kind, inputs=inputs, parser=p)
+        p.set_defaults(build=_config, func=_run, kind=kind, inputs=inputs, parser=p)
         return p
 
-    p = writer("gen-scheme", "generate a scheme file", _cmd_gen_scheme)
+    p = writer(
+        "gen-scheme", "generate a scheme file",
+        lambda a: SchemeParams(a.n, a.m, a.l, a.epsilon), _cmd_gen_scheme,
+    )
     for flag in ("--n", "--m", "--l"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
@@ -127,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = writer("mint", "mint a postselection note", _cmd_mint)
+    p = writer(
+        "mint", "mint a postselection note",
+        lambda a: harness.LabelParams(a.n, a.s, a.d, a.label_seed), _cmd_mint,
+    )
     _add_label_params(p)
 
     p = trials(
@@ -135,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         _source_file,
     )
     p.add_argument("--note", dest="source", required=True)
-    p.add_argument("--r", type=int, help="iteration count (default: auto)")
 
     p = trials(
         "beta-mix", "beta-mixing", "Metropolis chain mixing diagnostics",
@@ -152,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        inputs = args.build(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))  # exits with status 2
+    return args.func(args, inputs)
 
 
 if __name__ == "__main__":

@@ -65,6 +65,9 @@ class LabelParams:
     d: int
     seed: int
 
+    def __post_init__(self):
+        postselect.check_label_shape(self.n, self.s, self.d)
+
     def build(self) -> postselect.LabelScheme:
         return postselect.make_label_scheme(self.n, self.s, self.d, self.seed)
 
@@ -197,35 +200,30 @@ def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     """Forge register by register, then verify each trial's note.
 
     Each register's Hamiltonian is built, read by the analysis forge and
-    by every trial's sample forge in trial order, and dropped before the
-    next is built, so one eigenbasis is alive at a time.  Each trial
-    generator still draws its registers in order and then verifies, as
-    forge_low_eps_with_records followed by verify would.
+    by every trial's forge in trial order, and dropped before the next is
+    built, so one eigenbasis is alive at a time.  In analysis mode every
+    trial takes the analysis forge's register, which draws nothing.  Each
+    trial generator still draws its registers in order and then verifies,
+    as forge_low_eps_with_records followed by verify would.
     """
     from . import phase
 
     scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
-    mode = config.options.get("mode", "sample")
+    sample = config.options.get("mode", "sample") == "sample"
     rngs = list(rngs)
-    analysis_regs, analysis_recs = [], []
-    forged = [([], []) for _ in rngs]  # each trial's registers and records
+    analysis_recs = []
+    forged = [[] for _ in rngs]  # each trial's (register, record) pairs
     for ops in scheme.table:
         ham = phase.register_hamiltonian(ops)
-        reg, rec = phase.generate_rho_with_record(ham, mode="analysis")
-        analysis_recs.append(rec)
-        if mode == "analysis":
-            analysis_regs.append(reg)  # deterministic: forged once for every trial
-        else:
-            for rng, (regs, recs) in zip(rngs, forged):
-                reg, rec = phase.generate_rho_with_record(ham, rng, "sample")
-                regs.append(reg)
-                recs.append(rec)
+        analysis = phase.generate_rho_with_record(ham, mode="analysis")
+        analysis_recs.append(analysis[1])
+        for rng, pairs in zip(rngs, forged):
+            pairs.append(phase.generate_rho_with_record(ham, rng, "sample") if sample else analysis)
         del ham  # before the next register's eigensolve
     mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
-    if mode == "analysis":
-        forged = [(analysis_regs, analysis_recs)] * len(rngs)
-    for rng, (regs, recs) in zip(rngs, forged):
-        out = verify(scheme, MoneyState(tuple(regs)), rng)
+    for rng, pairs in zip(rngs, forged):
+        regs, recs = zip(*pairs)
+        out = verify(scheme, MoneyState(regs), rng)
         metrics = {
             "q_value": out.q_value,
             "accepted": int(out.accepted),
@@ -249,24 +247,23 @@ def _run_eigenvalue_check(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 def _run_postselect_suite(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     """Mint (or take the source note), verify, and check the class structure.
 
-    ``options["r"]`` fixes the verifier's iteration count; otherwise it is
-    postselect.default_iteration_count of the label's class.  A note, and
-    so every metric, depends on its label alone: each distinct label is
-    checked once, by the first trial that mints it, and later trials reuse
-    its metrics.  The trial rng is not read after verification, so no draw
-    moves.
+    The verifier runs postselect.default_iteration_count of the label's
+    class rounds.  Every note here is honest, a +1 eigenvector of M, so
+    no round count changes its acceptance.  A note, and so every metric,
+    depends on its label alone: each distinct label is checked once, by
+    the first trial that mints it, and later trials reuse its metrics.
+    The trial rng is not read after verification, so no draw moves.
     """
     if config.source is None:
         scheme, note = config.label.build(), None
     else:
         scheme, note = load_note(config.source)
-    fixed_r = config.options.get("r")
     checked: dict[int, tuple[dict, bool]] = {}
     for rng in rngs:
         money = postselect.mint(scheme, rng) if note is None else note
         if money.label not in checked:
             analysis = postselect.component_analysis(scheme, money.label)
-            r = postselect.default_iteration_count(analysis) if fixed_r is None else fixed_r
+            r = postselect.default_iteration_count(analysis)
             verifier = postselect.build_verifier(scheme, r)
             _, prob = postselect.verify_money(verifier, money, rng)
             mv_residual = float(
@@ -342,7 +339,7 @@ _KINDS = {
     "clique-attack": _Kind("scheme", True, frozenset(), _run_clique_attack),
     "low-eps-attack": _Kind("scheme", True, frozenset({"mode"}), _run_low_eps_attack),
     "eigenvalue-check": _Kind("scheme", False, frozenset(), _run_eigenvalue_check),
-    "postselect-suite": _Kind("label", True, frozenset({"r"}), _run_postselect_suite),
+    "postselect-suite": _Kind("label", True, frozenset(), _run_postselect_suite),
     "beta-mixing": _Kind(
         "label", False, frozenset({"beta", "steps", "target_label", "start_frozen"}),
         _run_beta_mixing,

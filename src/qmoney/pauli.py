@@ -134,14 +134,6 @@ class PauliOp:
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return (self.x | self.z).bit_count()
-
-    def adjoint(self) -> "PauliOp":
-        return PauliOp(self.n, self.x, self.z, -self.phase)
-
     def __neg__(self) -> "PauliOp":
         return PauliOp(self.n, self.x, self.z, self.phase + 2)
 
@@ -173,17 +165,10 @@ def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
     qubits that is four popcounts.
     """
     _check_same_n(a, b)
-    return PauliOp(a.n, *_mul((a.x, a.z, a.phase), (b.x, b.z, b.phase)))
-
-
-def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """``pauli_mul`` on ``(x, z, phase)`` ints; the phase comes back mod 4."""
-    ax, az, ap = a
-    bx, bz, bp = b
-    x = ax ^ bx
-    z = az ^ bz
-    g = (ax & az).bit_count() + (bx & bz).bit_count() + 2 * (az & bx).bit_count()
-    return x, z, (ap + bp + g - (x & z).bit_count()) & 3
+    x = a.x ^ b.x
+    z = a.z ^ b.z
+    g = (a.x & a.z).bit_count() + (b.x & b.z).bit_count() + 2 * (a.z & b.x).bit_count()
+    return PauliOp(a.n, x, z, a.phase + b.phase + g - (x & z).bit_count())
 
 
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:

@@ -44,6 +44,7 @@ __all__ = [
     "MarkovVerifier",
     "ComponentAnalysis",
     "BetaChainDiagnostics",
+    "check_label_shape",
     "make_label_scheme",
     "label",
     "label_table",
@@ -160,6 +161,15 @@ class LabelScheme:
         return {}
 
 
+def check_label_shape(n: int, s: int, d: int) -> None:
+    """Refuse an (n, s, d) that no label scheme has.
+
+    Within these bounds every subset size, at most ceil(n*d/s), fits in n bits.
+    """
+    if n < 1 or s < 1 or not 1 <= d <= s:
+        raise ValueError(f"need n, s >= 1 and 1 <= d <= s, got {(n, s, d)}")
+
+
 def make_label_scheme(n: int, s: int, d: int, seed: int) -> LabelScheme:
     """Random d-regular assignment of bits to s subsets, sizes as equal as possible.
 
@@ -167,12 +177,9 @@ def make_label_scheme(n: int, s: int, d: int, seed: int) -> LabelScheme:
     (configuration model); rare dead ends are resampled.  The same seed
     always yields the same scheme.
     """
-    if n < 1 or s < 1 or not 1 <= d <= s:
-        raise ValueError(f"need n, s >= 1 and 1 <= d <= s, got {(n, s, d)}")
+    check_label_shape(n, s, d)
     total = n * d
     sizes = np.array([total // s + (1 if t < total % s else 0) for t in range(s)])
-    if sizes.max() > n:
-        raise ValueError(f"(s={s}, d={d}) infeasible: a subset would need repeats")
     rng = np.random.default_rng(seed)
     for _ in range(200):
         remaining = sizes.copy()
@@ -272,10 +279,6 @@ class MarkovVerifier:
     r: int
     permutations: np.ndarray
 
-    @property
-    def n_rules(self) -> int:
-        return self.permutations.shape[0]
-
 
 def build_verifier(scheme: LabelScheme, r: int) -> MarkovVerifier:
     if r < 1:
@@ -296,11 +299,7 @@ def matrix_M(verifier: MarkovVerifier) -> np.ndarray:
     """Dense M for oracle comparisons (n <= 10)."""
     if verifier.scheme.n > 10:
         raise CapacityError("dense M is an oracle for n <= 10")
-    size = verifier.permutations.shape[1]
-    m = np.zeros((size, size))
-    for perm in verifier.permutations:
-        np.add.at(m, (perm, np.arange(size)), 1.0 / verifier.n_rules)
-    return m
+    return _class_matrix(verifier.permutations)
 
 
 def _class_rules(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,6 +307,14 @@ def _class_rules(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]
     local holds P_i on that class as positions in members."""
     members = np.flatnonzero(label_table(scheme) == ell)
     return members, np.searchsorted(members, scheme._rules[:, members])
+
+
+def _nonempty_class_rules(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """_class_rules, refusing a label that no string has."""
+    members, local = _class_rules(scheme, ell)
+    if len(members) == 0:
+        raise ValueError(f"label {ell} has empty preimage")
+    return members, local
 
 
 def _walk(verifier: MarkovVerifier, money: LabeledMoney) -> tuple[np.ndarray, int]:
@@ -375,7 +382,7 @@ def kraus_equivalence_check(verifier: MarkovVerifier) -> float:
     if n > 6:
         raise CapacityError("Kraus check builds a (2**n * n)-dim operator; need n <= 6")
     size = 1 << n
-    n_rules = verifier.n_rules
+    n_rules = len(verifier.permutations)
     big = np.zeros((size * n_rules, size * n_rules))
     for i, perm in enumerate(verifier.permutations):
         p_mat = np.zeros((size, size))
@@ -388,11 +395,12 @@ def kraus_equivalence_check(verifier: MarkovVerifier) -> float:
     return float(np.abs(kraus - matrix_M(verifier)).max())
 
 
-def _class_matrix(ell: int, members: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """M on the class that _class_rules gives as (members, local)."""
-    if len(members) == 0:
-        raise ValueError(f"label {ell} has empty preimage")
-    k = len(members)
+def _class_matrix(local: np.ndarray) -> np.ndarray:
+    """Dense M on k positions, row i of local holding rule P_i as positions 0..k-1.
+
+    Each rule adds 1/n at distinct (row, column) pairs, in rule order.
+    """
+    k = local.shape[1]
     mat = np.zeros((k, k))
     cols = np.arange(k)
     for target in local:
@@ -402,8 +410,8 @@ def _class_matrix(ell: int, members: np.ndarray, local: np.ndarray) -> np.ndarra
 
 def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """(members, M restricted to the class {x : L(x) = ell}); rules never leave it."""
-    members, local = _class_rules(scheme, ell)
-    return members, _class_matrix(ell, members, local)
+    members, local = _nonempty_class_rules(scheme, ell)
+    return members, _class_matrix(local)
 
 
 def _component_roots(local: np.ndarray) -> np.ndarray:
@@ -442,8 +450,8 @@ def component_analysis(scheme: LabelScheme, ell: int) -> ComponentAnalysis:
     The +1 eigenspace of the class-restricted M is spanned by the uniform
     vectors of the components, so its dimension equals the component count.
     """
-    members, local = _class_rules(scheme, ell)
-    mat = _class_matrix(ell, members, local)
+    members, local = _nonempty_class_rules(scheme, ell)
+    mat = _class_matrix(local)
     groups: dict[int, list[int]] = {}
     for x, c in zip(members.tolist(), _component_roots(local).tolist()):
         groups.setdefault(c, []).append(x)

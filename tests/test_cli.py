@@ -80,6 +80,33 @@ def test_file_writers_take_no_format_flag(argv, tmp_path):
     assert not (tmp_path / "file").exists()
 
 
+# (CLI arguments without --out; what stderr must say)
+BAD_VALUE_CASES = [
+    (["gen-scheme", "--n", "0", "--m", "8", "--l", "4", "--epsilon", "0.5"],
+     "n, m, l must all be >= 1"),
+    (["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "1.5"],
+     "epsilon must be in [0, 1], got 1.5"),
+    (["mint", "--n", "6", "--s", "3", "--d", "5"],
+     "need n, s >= 1 and 1 <= d <= s, got (6, 3, 5)"),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "5"],
+     "need n, s >= 1 and 1 <= d <= s, got (6, 3, 5)"),
+    (["eig-check", "--n", "4", "--m", "0"], "n, m, l must all be >= 1"),
+    (["verify-note", "--note", "n.note", "--r", "5"], "unrecognized arguments: --r 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_VALUE_CASES, ids=[" ".join(argv) for argv, _ in BAD_VALUE_CASES]
+)
+def test_bad_input_values_are_usage_errors(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "file")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "file").exists()
+
+
 def test_each_harness_kind_is_the_kind_of_exactly_one_subcommand():
     (subparsers,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -93,7 +120,6 @@ OPTION_CASES = [
     (["attack-low-eps", "--scheme", "s.scheme"], {}),
     (["attack-low-eps", "--scheme", "s.scheme", "--mode", "analysis"], {"mode": "analysis"}),
     (["verify-note", "--note", "n.note"], {}),
-    (["verify-note", "--note", "n.note", "--r", "5"], {"r": 5}),
     (["beta-mix", "--n", "6", "--s", "3", "--d", "2"], {}),
     (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta", "12"], {"beta": 12.0}),
     (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--steps", "200"], {"steps": 200}),
@@ -205,21 +231,6 @@ def test_beta_mix_cli_takes_a_finite_negative_beta(capsys):
     assert "tv_distance" in capsys.readouterr().out
 
 
-def test_verify_note_cli_huge_r_costs_only_the_rounds_that_change_the_note(tmp_path):
-    note_path = str(tmp_path / "big_r.note")
-    assert main(["mint", "--n", "12", "--s", "4", "--d", "2", "--label-seed", "0",
-                 "--seed", "3", "--out", note_path]) == 0
-    rows = {}
-    for name, r_flag in (("auto", []), ("huge", ["--r", "1000000000"])):
-        out = tmp_path / f"{name}.csv"
-        assert main(["verify-note", "--note", note_path, "--trials", "2",
-                     "--out", str(out), *r_flag]) == 0
-        rows[name] = list(csv.DictReader(open(out)))
-    assert [row.pop("r") for row in rows["huge"]] == ["1000000000"] * 2
-    assert [row.pop("r") for row in rows["auto"]] != ["1000000000"] * 2
-    assert rows["huge"] == rows["auto"]
-
-
 def test_verify_note_cli_verifies_the_note_once(tmp_path, monkeypatch):
     note_path = str(tmp_path / "once.note")
     assert main(["mint", "--n", "8", "--s", "4", "--d", "2", "--label-seed", "1",
@@ -297,10 +308,6 @@ CLI_CASES = {
         ["verify-note", "--note", "{note}"],
         lambda f: ExperimentConfig("postselect-suite", 3, 7, source=f["note"]),
     ),
-    "verify-note-r": (
-        ["verify-note", "--note", "{note}", "--r", "5"],
-        lambda f: ExperimentConfig("postselect-suite", 3, 7, source=f["note"], options={"r": 5}),
-    ),
     "beta-mix": (
         ["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--beta", "12",
          "--steps", "200", "--start-frozen"],
@@ -323,11 +330,3 @@ def test_cli_out_is_the_harness_run_of_its_config(case, input_files, tmp_path):
     assert main([*argv, "--trials", "3", "--seed", "7", "--out", str(cli_out)]) == 0
     emit_results(run_experiment(config(input_files)), harness_out)
     assert cli_out.read_bytes() == harness_out.read_bytes()
-
-
-def test_verify_note_fixed_r(input_files, tmp_path):
-    csv_path = tmp_path / "r.csv"
-    assert main(["verify-note", "--note", input_files["note"], "--r", "5",
-                 "--trials", "2", "--out", str(csv_path)]) == 0
-    rows = list(csv.DictReader(open(csv_path)))
-    assert [row["r"] for row in rows] == ["5", "5"]

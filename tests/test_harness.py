@@ -1,9 +1,12 @@
 """File formats, counter-based seeding, and the experiment runner."""
 
+import ast
 import csv
+import inspect
 import json
 import math
 import struct
+import textwrap
 import time
 import tracemalloc
 import warnings
@@ -482,9 +485,7 @@ def per_trial_postselect_suite(config, scheme, note=None):
         rng, seed = trial_rng(config.master_seed, trial)
         money = postselect.mint(scheme, rng) if note is None else note
         analysis = postselect.component_analysis(scheme, money.label)
-        r = config.options.get("r")
-        if r is None:
-            r = postselect.default_iteration_count(analysis)
+        r = postselect.default_iteration_count(analysis)
         verifier = postselect.build_verifier(scheme, r)
         _, prob = postselect.verify_money(verifier, money, rng)
         mv_residual = float(
@@ -510,15 +511,10 @@ def per_trial_postselect_suite(config, scheme, note=None):
 
 
 @pytest.mark.parametrize(
-    "params, trials, options",
-    [
-        (LabelParams(6, 3, 2, 0), 40, {}),
-        (LabelParams(6, 3, 2, 0), 12, {"r": 3}),
-        (LabelParams(9, 4, 2, 1), 30, {}),
-    ],
+    "params, trials", [(LabelParams(6, 3, 2, 0), 40), (LabelParams(9, 4, 2, 1), 30)]
 )
-def test_postselect_suite_records_equal_the_per_trial_loop(params, trials, options):
-    config = ExperimentConfig("postselect-suite", trials, 5, label=params, options=options)
+def test_postselect_suite_records_equal_the_per_trial_loop(params, trials):
+    config = ExperimentConfig("postselect-suite", trials, 5, label=params)
     want = per_trial_postselect_suite(config, params.build())
     assert run_experiment(config) == want
     assert len({rec.metrics["support_size"] for rec in want}) > 1  # labels differ
@@ -763,8 +759,12 @@ def test_config_rejects_option_keys_its_kind_does_not_read():
         )
     with pytest.raises(ValueError):
         ExperimentConfig("postselect-suite", 1, 0, label=LabelParams(8, 4, 2, 0), options={"mode": "x"})
-    with pytest.raises(ValueError):
-        ExperimentConfig("clique-attack", 1, 0, SchemeParams(6, 16, 8, 0.5), options={"r": 3})
+    for kind, inputs in (
+        ("clique-attack", {"scheme": SchemeParams(6, 16, 8, 0.5)}),
+        ("postselect-suite", {"label": LabelParams(8, 4, 2, 0)}),  # r is always derived
+    ):
+        with pytest.raises(ValueError, match=r"reads no option \['r'\]"):
+            ExperimentConfig(kind, 1, 0, options={"r": 3}, **inputs)
     ExperimentConfig(
         "beta-mixing",
         1,
@@ -774,12 +774,41 @@ def test_config_rejects_option_keys_its_kind_does_not_read():
     )
 
 
-def test_postselect_suite_r_zero_is_rejected_not_automatic():
-    config = ExperimentConfig(
-        "postselect-suite", 1, 0, label=LabelParams(8, 4, 2, 0), options={"r": 0}
-    )
-    with pytest.raises(ValueError, match="r >= 1"):
-        run_experiment(config)
+def _option_keys_read(run) -> set[str]:
+    """The keys run reads as config.options.get("key", ...) or config.options["key"].
+
+    Every use of config.options must be one of these two reads with a
+    literal key, so no read escapes the count.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run)))
+    uses = [node for node in ast.walk(tree) if ast.unparse(node) == "config.options"]
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr != "get" or not node.args:
+                continue
+            target, key = node.func.value, node.args[0]
+        else:
+            continue
+        if ast.unparse(target) == "config.options":
+            assert isinstance(key, ast.Constant) and isinstance(key.value, str), ast.unparse(node)
+            keys.append(key.value)
+    assert len(keys) == len(uses), f"{run.__name__} uses config.options other than by key"
+    return set(keys)
+
+
+@pytest.mark.parametrize("kind", sorted(harness._KINDS))
+def test_each_runner_reads_exactly_the_option_keys_its_kind_declares(kind):
+    declared = harness._KINDS[kind]
+    assert _option_keys_read(declared.run) == declared.options
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (6, 0, 1), (6, 3, 0), (6, 3, 5)])
+def test_label_params_refuse_a_shape_no_scheme_has(shape):
+    with pytest.raises(ValueError, match=r"need n, s >= 1 and 1 <= d <= s"):
+        LabelParams(*shape, 0)
 
 
 def test_start_frozen_without_frozen_strings_is_an_error():

@@ -90,6 +90,15 @@ def test_make_label_scheme_infeasible():
         make_label_scheme(4, 2, 3, 0)  # would need a 6-bit subset of 4 bits
 
 
+def test_every_shape_the_check_admits_is_realized():
+    # 1 <= d <= s bounds every subset size, ceil(n*d/s), by n
+    for n in range(1, 7):
+        for s in range(1, 7):
+            for d in range(1, s + 1):
+                sch = make_label_scheme(n, s, d, 0)
+                assert (sch.n, sch.s, sch.d) == (n, s, d)
+
+
 def test_label_deterministic_and_local():
     sch = make_label_scheme(16, 6, 3, 5)
     x = 0b1010110010110001
@@ -199,6 +208,19 @@ def test_minted_money_is_fixed_point_and_accepted():
         accepted, prob = verify_money(ver, money, rng)
         assert accepted
         assert abs(prob - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("params", [(12, 8, 2, 0), (12, 4, 2, 0)])
+def test_round_count_cannot_change_a_minted_notes_acceptance(params):
+    # a minted note is a +1 eigenvector of M, so any r accepts it
+    sch = make_label_scheme(*params)
+    rng = np.random.default_rng(0)
+    for ell in sorted(set(label_table(sch).tolist())):
+        note = money_from_label(sch, ell)
+        auto = default_iteration_count(component_analysis(sch, ell))
+        for r in (1, auto, 10**9):
+            prob = verify_money(build_verifier(sch, r), note, rng)[1]
+            assert abs(prob - 1.0) <= 1e-12, (ell, r, prob)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -451,6 +473,12 @@ def test_single_rule_M_is_the_permutation_average():
     for perm in ver.permutations:
         want[perm, np.arange(16)] += 1 / 4
     assert np.allclose(mat, want)
+
+
+def test_matrix_M_is_the_class_matrix_when_every_string_has_label_0(constant_scheme):
+    members, mat = class_markov_matrix(constant_scheme, 0)
+    assert np.array_equal(members, np.arange(256))
+    assert matrix_M(build_verifier(constant_scheme, 3)).tobytes() == mat.tobytes()
 
 
 def test_component_analysis_constant_scheme(constant_scheme):
