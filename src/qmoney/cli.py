@@ -9,7 +9,8 @@ option flag left out stays out of the options, so every option default
 lives in the harness.  Every subcommand is deterministic given --seed.
 Exit code is 0 exactly when all requested trials completed (per-trial
 pass/fail lives in the records) and 2 on a usage error: a missing
-required flag, or a value the params or the config refuse when built.
+required flag, a negative seed, or a value the params or the config
+refuse when built.
 """
 
 from __future__ import annotations
@@ -79,10 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     # build: the subcommand's inputs from its arguments; func(args, inputs) runs it
     def writer(name, help, build, func):
+        # --seed is no field of a writer's params, so it is checked here
+        def checked(args):
+            if args.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {args.seed}")
+            return build(args)
+
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", required=True, help="write the file here")
-        p.set_defaults(build=build, func=func, parser=p)
+        p.set_defaults(build=checked, func=func, parser=p)
         return p
 
     def trials(name, kind, help, inputs):

@@ -67,6 +67,8 @@ class LabelParams:
 
     def __post_init__(self):
         postselect.check_label_shape(self.n, self.s, self.d)
+        if self.seed < 0:
+            raise ValueError(f"label seed must be >= 0, got {self.seed}")
 
     def build(self) -> postselect.LabelScheme:
         return postselect.make_label_scheme(self.n, self.s, self.d, self.seed)
@@ -96,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         if self.source is not None and not kind.from_source:
             raise ValueError(f"{self.kind} cannot run from a source file")
         if (getattr(self, kind.params) is None) == (self.source is None):

@@ -138,9 +138,13 @@ class _Ensemble:
     def _cumweights(self) -> np.ndarray:
         return np.cumsum(self.weights)
 
-    def sample_component(self, rng: np.random.Generator) -> int:
-        k = int(np.searchsorted(self._cumweights, rng.random(), side="right"))
-        return min(k, len(self.weights) - 1)
+    def component(self, u: float) -> int:
+        """The component that the uniform u in [0, 1) draws."""
+        last = len(self.weights) - 1
+        if not last:
+            # the search gives 0 or 1, clamped to 0; most forged registers have one vector
+            return 0
+        return min(int(np.searchsorted(self._cumweights, u, side="right")), last)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,14 +302,52 @@ def measure_register(register: Register, op: PauliOp, rng: np.random.Generator) 
         e = float(stab_expectation(register, op))
     else:
         _check_mixed_query(register, op)
-        k = register.sample_component(rng)
+        k = register.component(rng.random())
         if isinstance(register, DenseMixedRegister):
             e = vector_expectation(op, register.vectors[k])
-        elif op.x:
-            e = 0.0
-        else:  # i**phase is 1 - phase: a Hermitian phase is 0 or 2
-            e = float((1 - op.phase) * (1 - 2 * ((op.z & k).bit_count() & 1)))
+        else:
+            e = _basis_expectation(op, k)
     return 1 if rng.random() < (1.0 + e) / 2.0 else -1
+
+
+def _basis_expectation(op: PauliOp, b: int) -> float:
+    """<b|op|b> for a Hermitian op: 0 if op flips a bit, else its sign times (-1)**popcount(z & b)."""
+    if op.x:
+        return 0.0
+    # i**phase is 1 - phase: a Hermitian phase is 0 or 2
+    return float((1 - op.phase) * (1 - 2 * ((op.z & b).bit_count() & 1)))
+
+
+# Entries of verify's (registers, 2**n) complex temporaries per block of
+# dense registers: 16 KiB each, so n=6 takes 16 registers per block and
+# n >= 10 one.
+_VERIFY_ENTRIES = 1 << 10
+
+
+def _dense_outcome_sum(block: list[tuple[np.ndarray, PauliOp, float]]) -> int:
+    """Sum of the +-1 outcomes of measuring op on each vector, given its outcome's uniform.
+
+    op|v> is built for the whole block at once by apply_pauli's formula:
+    its coefficients are +-1 and +-i, so every product is exact.  Each
+    <v|op|v> is then its own np.vdot, clipped to [-1, 1], which is
+    pauli.expectation bit for bit.
+    """
+    if not block:
+        return 0
+    vectors, ops, uniforms = zip(*block)
+    v = np.stack(vectors)
+    col = np.arange(v.shape[1], dtype=np.uint64)
+    x = np.array([op.x for op in ops], dtype=np.uint64)[:, None]
+    z = np.array([op.z for op in ops], dtype=np.uint64)[:, None]
+    coeff = np.array([1j ** ((op.phase + (op.x & op.z).bit_count()) % 4) for op in ops])
+    parities = np.bitwise_count(col & z).astype(np.int8) & 1
+    out = np.empty_like(v)
+    np.put_along_axis(out, col ^ x, coeff[:, None] * (1 - 2 * parities) * v, axis=1)
+    total = 0
+    for a, b, u in zip(v, out, uniforms):
+        e = float(min(1.0, max(-1.0, np.vdot(a, b).real)))
+        total += 1 if u < (1.0 + e) / 2.0 else -1
+    return total
 
 
 def register_expectation(register: Register, op: PauliOp) -> float:
@@ -332,6 +374,13 @@ def verify(
 ) -> VerificationOutcome:
     """Measure one uniformly chosen table operator per register and threshold.
 
+    One pass, drawing what a measure_register call per register would draw:
+    the l column choices, then one block of uniforms in which each mixed
+    register takes its component's uniform and then its outcome's, and each
+    stabilizer register its outcome's.  Stabilizer registers are queried by
+    stab_expectation, one call each, and dense registers are measured in
+    blocks of _VERIFY_ENTRIES vector entries (_dense_outcome_sum).
+
     Accepts iff the outcome average is >= epsilon/2; the comparison is done
     with Fractions (q_value is a multiple of 1/l) against the decimal that
     epsilon prints as, so a tie with the typed epsilon is accepted and not
@@ -343,9 +392,25 @@ def verify(
     if money.n != p.n:
         raise DimensionError(f"money on {money.n} qubits, scheme wants n={p.n}")
     chosen = rng.integers(0, p.m, size=p.l).tolist()
-    total = sum(
-        measure_register(money.registers[i], scheme.table[i][j], rng)
-        for i, j in enumerate(chosen)
-    )
+    mixed = sum(not isinstance(reg, StabilizerState) for reg in money.registers)
+    uniforms = iter(rng.random(p.l + mixed).tolist())
+    block_size = max(1, _VERIFY_ENTRIES >> p.n)
+    block = []  # dense registers' (vector, op, outcome uniform), measured a block at a time
+    total = 0
+    for reg, row, j in zip(money.registers, scheme.table, chosen):
+        op = row[j]
+        if isinstance(reg, StabilizerState):
+            e = float(stab_expectation(reg, op))
+        else:
+            k = reg.component(next(uniforms))
+            if isinstance(reg, DenseMixedRegister):
+                block.append((reg.vectors[k], op, next(uniforms)))
+                if len(block) == block_size:
+                    total += _dense_outcome_sum(block)
+                    block = []
+                continue
+            e = _basis_expectation(op, k)
+        total += 1 if next(uniforms) < (1.0 + e) / 2.0 else -1
+    total += _dense_outcome_sum(block)
     accepted = Fraction(total, p.l) >= Fraction(str(p.epsilon)) / 2
     return VerificationOutcome(total / p.l, bool(accepted))

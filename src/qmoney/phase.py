@@ -22,10 +22,11 @@ RegisterHamiltonian records the table size m, which fixes q, the accept
 window and the m**2 cap.
 
 The kernel runs once per drawn eigenstate and once per eigenphase, so a
-call costs a few numpy operations: one zeta(2, .) = psi1 call per window
-sum, and a direct kernel sum for windows shorter than the image sum.  H
-is built by one scatter per block of operators, and each register's
-accept-loop constants are computed once.
+call costs a few numpy operations on small arrays: a window sum reads a
+layout cached per window, makes one zeta(2, .) = psi1 call and two
+sums, and a window shorter than the image sum is summed from the kernel
+directly.  H is built by one scatter per block of operators, and each
+register's accept-loop constants are computed once.
 
 A RegisterHamiltonian holds its table's ops and its eigenpairs, which is
 all the forger reads.  H itself is dropped once the eigensolve has been
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -320,42 +321,48 @@ def _tail_offset(v: float, theta: float, scale: float) -> int:
     return sign * hi
 
 
-@cache
-def _image_shifts(size: int, n_images: int) -> np.ndarray:
-    """size * k for k = -n_images..n_images, the shifts of the window's images."""
-    shifts = size * np.arange(-n_images, n_images + 1, dtype=float)
-    shifts.setflags(write=False)
-    return shifts
+# Window plans and layouts kept at once: the forger uses one window per
+# table size, and a layout at small q holds about 4 * 2e10 / 2**q floats.
+_WINDOW_CACHE = 16
 
 
-def _image_sum(a: float, z0: int, lo_z: int, hi_z: int, shifts: np.ndarray) -> float:
-    """Sum over the images alpha = a + shift and z in [lo_z, hi_z] of 1/(alpha - z)**2.
+@lru_cache(maxsize=_WINDOW_CACHE)
+def _window_plan(q: int, lo: float, hi: float) -> tuple[int, int, int, int]:
+    """(2**q, lo_z, hi_z, K): the window's outcomes lo_z..hi_z and its image count K."""
+    size = 1 << q
+    lo_z = max(0, math.ceil(lo * size))
+    hi_z = min(size - 1, math.floor(hi * size))
+    return size, lo_z, hi_z, max(8, math.ceil(2e10 / size))
 
-    For one image, the outcomes z <= alpha give psi1(alpha - top) -
-    psi1(alpha - lo_z + 1) with top = min(hi_z, floor(alpha)), and the
-    outcomes z > alpha give psi1(bottom - alpha) - psi1(hi_z - alpha + 1)
-    with bottom = max(lo_z, floor(alpha) + 1).  With 0 <= a < 2**q every
-    image k >= 1 lies above the whole window and every k <= -1 below it,
-    so only k = 0 (alpha = a) can fall on both sides.  All trigamma values
-    come from one zeta(2, .) call, and each side is summed in image order.
+
+@lru_cache(maxsize=_WINDOW_CACHE)
+def _window_layout(
+    size: int, lo_z: int, hi_z: int, n_images: int, top_in: bool, bottom_in: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Read-only templates of the image sum's trigamma arguments, and the high side's length.
+
+    The images alpha = a + size*k with window outcomes at or below them
+    (k >= 0 if top_in, else k >= 1) and those with outcomes above them
+    (k <= 0 if bottom_in, else k <= -1) are laid out as [high | low | high
+    | low].  ((alpha * sign) + offset) + plus is then alpha - hi_z,
+    lo_z - alpha, (alpha - lo_z) + 1 and (hi_z - alpha) + 1 bit for bit:
+    x - y is x + (-y), a product with +-1 is exact, and adding 0.0 to a
+    nonzero value is exact.  The 1 is added last, as written, because near
+    a = 0 hi_z - a rounds.
     """
-    k = len(shifts) // 2
-    alphas = a + shifts
-    top, bottom = min(hi_z, z0), max(lo_z, z0 + 1)
-    high = alphas[k if top >= lo_z else k + 1 :]
-    low = alphas[: k + 1 if bottom <= hi_z else k]
-    to_top = high - hi_z
-    if top >= lo_z:
-        to_top[0] = a - top
-    to_bottom = lo_z - low
-    if bottom <= hi_z:
-        to_bottom[-1] = bottom - a
-    nh, nl = len(high), len(low)
-    # (x - lo_z) + 1 and (hi_z - x) + 1 as written: near a = 0, hi_z - a rounds
-    t = zeta(2, np.concatenate([to_top, (high - lo_z) + 1, to_bottom, (hi_z - low) + 1]))
-    return float((t[:nh] - t[nh : 2 * nh]).sum()) + float(
-        (t[2 * nh : 2 * nh + nl] - t[2 * nh + nl :]).sum()
+    shifts = size * np.arange(-n_images, n_images + 1, dtype=float)
+    high = shifts[n_images if top_in else n_images + 1 :]
+    low = shifts[: n_images + 1 if bottom_in else n_images]
+    counts = [len(high), len(low)] * 2
+    templates = (
+        np.concatenate([high, low, high, low]),
+        np.repeat([1.0, -1.0, 1.0, -1.0], counts),
+        np.repeat([-float(hi_z), float(lo_z), -float(lo_z), float(hi_z)], counts),
+        np.repeat([0.0, 1.0], [len(high) + len(low)] * 2),
     )
+    for t in templates:
+        t.setflags(write=False)
+    return (*templates, len(high))
 
 
 def window_probability(phi: float, q: int, lo: float, hi: float) -> float:
@@ -363,17 +370,25 @@ def window_probability(phi: float, q: int, lo: float, hi: float) -> float:
 
     Uses the same partial-fraction picture as pe_sample: the window sum
     of the kernel is scale times an image sum over the 2K+1 shifted copies
-    a + k*2**q, |k| <= K = max(8, ceil(2e10 / 2**q)), of the window, each
-    a difference of two trigamma values; K is where the remainder falls
-    below 1e-11.  A window of fewer outcomes than 2K+1 is summed directly
-    from the kernel instead, so small q costs the window's length, not
-    2e10 / 2**q images.
+    alpha = a + k*2**q, |k| <= K = max(8, ceil(2e10 / 2**q)), of the
+    window; K is where the remainder falls below 1e-11.  For one image,
+    the outcomes z <= alpha give psi1(alpha - top) - psi1(alpha - lo_z + 1)
+    with top = min(hi_z, floor(alpha)), and the outcomes z > alpha give
+    psi1(bottom - alpha) - psi1(hi_z - alpha + 1) with bottom =
+    max(lo_z, floor(alpha) + 1).  With 0 <= a < 2**q every image k >= 1
+    lies above the whole window and every k <= -1 below it, so only k = 0
+    (alpha = a) can fall on both sides; its alpha - top and bottom - alpha
+    are written as scalars.  Four array operations on a cached layout
+    (_window_layout) give every other trigamma argument, one zeta(2, .)
+    call all the values, and each side is summed in image order.
+
+    A window of fewer outcomes than 2K+1 is summed directly from the
+    kernel instead, so small q costs the window's length, not 2e10 / 2**q
+    images.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phase must lie in [0, 1]")
-    size = 1 << q
-    lo_z = max(0, math.ceil(lo * size))
-    hi_z = min(size - 1, math.floor(hi * size))
+    size, lo_z, hi_z, n_images = _window_plan(q, lo, hi)
     if hi_z < lo_z:
         return 0.0
     a = phi * size
@@ -381,11 +396,25 @@ def window_probability(phi: float, q: int, lo: float, hi: float) -> float:
     theta = a - z0
     if theta == 0.0:
         return float(lo_z <= z0 % size <= hi_z)
-    n_images = max(8, math.ceil(2e10 / size))
     if hi_z - lo_z < 2 * n_images:
         prob = float(np.sum(_kernel(a, np.arange(lo_z, hi_z + 1), size)))
     else:
-        total = _image_sum(a, z0, lo_z, hi_z, _image_shifts(size, n_images))
+        top_in, bottom_in = z0 >= lo_z, z0 < hi_z  # top >= lo_z, bottom <= hi_z
+        shifts, signs, offsets, plus, n_high = _window_layout(
+            size, lo_z, hi_z, n_images, top_in, bottom_in
+        )
+        t = shifts + a
+        t *= signs
+        t += offsets
+        t += plus
+        half = len(t) // 2
+        if top_in:
+            t[0] = a - min(hi_z, z0)
+        if bottom_in:
+            t[half - 1] = max(lo_z, z0 + 1) - a
+        zeta(2.0, t, out=t)
+        d = t[:half] - t[half:]
+        total = float(np.add.reduce(d[:n_high])) + float(np.add.reduce(d[n_high:]))
         prob = math.sin(math.pi * theta) ** 2 / math.pi**2 * total
     return float(min(1.0, max(0.0, prob)))
 

@@ -92,6 +92,14 @@ BAD_VALUE_CASES = [
      "need n, s >= 1 and 1 <= d <= s, got (6, 3, 5)"),
     (["eig-check", "--n", "4", "--m", "0"], "n, m, l must all be >= 1"),
     (["verify-note", "--note", "n.note", "--r", "5"], "unrecognized arguments: --r 5"),
+    (["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "0.5", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["mint", "--n", "6", "--s", "3", "--d", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["eig-check", "--n", "4", "--m", "8", "--seed", "-1"], "master seed must be >= 0, got -1"),
+    (["mint", "--n", "6", "--s", "3", "--d", "2", "--label-seed", "-1"],
+     "label seed must be >= 0, got -1"),
+    (["beta-mix", "--n", "6", "--s", "3", "--d", "2", "--label-seed", "-1"],
+     "label seed must be >= 0, got -1"),
 ]
 
 

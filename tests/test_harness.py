@@ -637,6 +637,14 @@ _BETA = LabelParams(10, 4, 2, 0)
 _FROZEN = {"beta": 12.0, "start_frozen": True}
 
 
+@pytest.mark.parametrize("mode", ["sample", "analysis"])
+def test_low_eps_run_weighs_each_eigenphase_once(mode, monkeypatch):
+    # the benchmark's self-test pins window_probability at l * 2**n calls per run
+    calls = counted_calls(monkeypatch, phase, "window_probability")
+    run_experiment(ExperimentConfig("low-eps-attack", 3, 4, _LOW_EPS, options={"mode": mode}))
+    assert len(calls) == _LOW_EPS.l << _LOW_EPS.n
+
+
 @pytest.mark.parametrize(
     "kind, inputs, options, setup",
     [
@@ -721,6 +729,8 @@ def test_run_experiment_validates_config():
         ExperimentConfig("nonsense", 1, 0)
     with pytest.raises(ValueError):
         ExperimentConfig("honest-acceptance", 0, 0)
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
+        ExperimentConfig("honest-acceptance", 1, -1, _SETUP)  # numpy seeds from n >= 0 only
     with pytest.raises(ValueError):
         ExperimentConfig("honest-acceptance", 1, 0)  # neither scheme nor source
     with pytest.raises(ValueError):
@@ -809,6 +819,12 @@ def test_each_runner_reads_exactly_the_option_keys_its_kind_declares(kind):
 def test_label_params_refuse_a_shape_no_scheme_has(shape):
     with pytest.raises(ValueError, match=r"need n, s >= 1 and 1 <= d <= s"):
         LabelParams(*shape, 0)
+
+
+def test_label_params_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="label seed must be >= 0, got -1"):
+        LabelParams(6, 3, 2, -1)
+    assert LabelParams(6, 3, 2, 0).build() == make_label_scheme(6, 3, 2, 0)
 
 
 def test_start_frozen_without_frozen_strings_is_an_error():

@@ -19,15 +19,19 @@ from qmoney import (
     StabilizerState,
     completely_mixed_money,
     dense_statevector,
+    forge_low_eps_with_records,
     gen_scheme,
     honest_money,
     measure_register,
     random_pauli,
     random_stabilizer_state,
     register_expectation,
+    register_hamiltonian,
     stab_expectation,
     verify,
 )
+import qmoney.money as money_module
+import qmoney.phase as phase_module
 from qmoney.money import BasisMixedRegister, completely_mixed_register
 
 
@@ -324,3 +328,96 @@ def test_verify_uses_one_column_draw_per_register():
         total += 1 if replay.random() < (1.0 + e) / 2.0 else -1
     assert out.q_value == total / 6
     assert rng.random() == replay.random()
+
+
+def per_register_verify(scheme, money, rng):
+    """verify as one measure_register call per register: the one-pass verify's oracle."""
+    p = scheme.params
+    chosen = rng.integers(0, p.m, size=p.l)
+    total = sum(
+        measure_register(reg, row[j], rng)
+        for reg, row, j in zip(money.registers, scheme.table, chosen)
+    )
+    return total / p.l, Fraction(total, p.l) >= Fraction(str(p.epsilon)) / 2
+
+
+def forged_money(scheme, rng, monkeypatch=None):
+    """Sample-mode low-eps forgery; given monkeypatch, every register falls back."""
+    hams = [register_hamiltonian(ops) for ops in scheme.table]
+    if monkeypatch is None:
+        return forge_low_eps_with_records(hams, rng)[0]
+    with monkeypatch.context() as patch:
+        # phase 0 lies below the accept window, so every draw misses it
+        patch.setattr(phase_module, "pe_sample", lambda phi, q, rng: 0)
+        return forge_low_eps_with_records(hams, rng)[0]
+
+
+# (n, m, l): l = 37 is no multiple of the dense blocks (16 registers at n=6)
+_ONE_PASS_SHAPES = [(3, 16, 37), (6, 64, 37), (1, 8, 5)]
+
+
+@pytest.mark.parametrize("entries", [None, 1, 3 << 6])
+@pytest.mark.parametrize("n, m, l", _ONE_PASS_SHAPES)
+def test_one_pass_verify_equals_the_per_register_loop(n, m, l, entries, monkeypatch):
+    if entries is not None:  # one register per block, and 3 per block at n=6
+        monkeypatch.setattr(money_module, "_VERIFY_ENTRIES", entries)
+    secret, scheme = make(n, m, l, 0.25, seed=n)
+    rng = np.random.default_rng(n + 1)
+    forged = forged_money(scheme, rng)
+    fallback = forged_money(scheme, rng, monkeypatch)
+    analysis = forge_low_eps_with_records(
+        [register_hamiltonian(ops) for ops in scheme.table], mode="analysis"
+    )[0]
+    assert any(len(reg.weights) == 1 for reg in forged.registers)
+    assert all(len(reg.weights) == 1 << n for reg in fallback.registers)
+    kinds = [honest_money(secret), completely_mixed_money(scheme.params), forged, fallback]
+    interleaved = MoneyState(
+        tuple(kinds[i % 4].registers[i] if i % 5 else analysis.registers[i] for i in range(l))
+    )
+    for money in (*kinds, analysis, interleaved):
+        for seed in range(4):
+            ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = verify(scheme, money, ours)
+            assert (out.q_value, out.accepted) == per_register_verify(scheme, money, loop)
+            assert ours.bit_generator.state == loop.bit_generator.state
+
+
+def test_verify_queries_each_stabilizer_register_once(monkeypatch):
+    # the benchmark's self-test pins clique-attack's stab_expectation calls at 2*l*m + trials*l
+    calls = []
+    original = money_module.stab_expectation
+    monkeypatch.setattr(
+        money_module, "stab_expectation", lambda *args: calls.append(args) or original(*args)
+    )
+    secret, scheme = make(4, 8, 9, 0.5, seed=6)
+    honest = honest_money(secret)
+    verify(scheme, honest, np.random.default_rng(0))
+    assert [state for state, _ in calls] == list(secret.states)
+    calls.clear()
+    mixed = completely_mixed_money(scheme.params)
+    money = MoneyState(tuple((honest, mixed)[i % 2].registers[i] for i in range(9)))
+    verify(scheme, money, np.random.default_rng(0))
+    assert [state for state, _ in calls] == list(secret.states[::2])
+
+
+def test_verify_transient_memory_is_a_block_at_the_bench_shape():
+    # low-eps-forgery's shape: n=6, l=512 dense registers, single vectors and fallbacks
+    _, scheme = make(6, 8, 512, 1 / 128, seed=7)
+    rng = np.random.default_rng(8)
+    vectors = rng.normal(size=(512, 64)) + 1j * rng.normal(size=(512, 64))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    uniform = DenseMixedRegister(np.full(64, 1 / 64), np.linalg.qr(vectors[:64].T)[0].T)
+    money = MoneyState(
+        tuple(
+            uniform if i % 8 == 0 else DenseMixedRegister([1.0], v[None])
+            for i, v in enumerate(vectors)
+        )
+    )
+    verify(scheme, money, np.random.default_rng(0))  # warm up: imports and each register's cumsum
+    tracemalloc.start()
+    try:
+        verify(scheme, money, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19, peak

@@ -30,6 +30,7 @@ from qmoney import (
     window_probability,
 )
 import qmoney.phase as phase_module
+from qmoney.harness import setup_rng
 from qmoney.phase import (
     _WALK_CAP,
     RegisterHamiltonian,
@@ -396,15 +397,40 @@ def window_phases(q, lo, hi, rng, count):
     return [float(p) for p in (*rng.random(count), *near_lo, *near_zero, *near_one, *edges)]
 
 
+def bench_register_phases(registers):
+    """Eigenphases of the first registers of the low-eps-forgery benchmark's table at seed 1.
+
+    gen_scheme draws register by register, so a shorter table starts with
+    the same registers as the benchmark's l=512.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        _, scheme = gen_scheme(SchemeParams(6, 64, registers, 1 / 128), setup_rng(1))
+    hams = [register_hamiltonian(ops) for ops in scheme.table]
+    return [float(p) for ham in hams for p in eigenvalue_phases(ham.eigenvalues)]
+
+
+def window_layout_case(phi, q, lo, hi):
+    """(top_in, bottom_in): whether image k = 0 has window outcomes below and above it."""
+    size = 1 << q
+    lo_z, hi_z = math.ceil(lo * size), math.floor(hi * size)
+    z0 = math.floor(phi * size)
+    return min(hi_z, z0) >= lo_z, max(lo_z, z0 + 1) <= hi_z
+
+
 @pytest.mark.parametrize("q, m", [(27, 40), (31, 64), (40, 64)])
 def test_window_probability_is_bitwise_the_masked_image_sum(q, m):
     assert q in (default_q(m), 40)  # the accept loop's q at m, and one beyond it
     lo, hi = accept_window(m)
     rng = np.random.default_rng(q)
-    for phi in window_phases(q, lo, hi, rng, 2000):
+    phases = window_phases(q, lo, hi, rng, 2000) + bench_register_phases(4)
+    for phi in phases:
         want = masked_window_probability(phi, q, lo, hi)
         got = window_probability(phi, q, lo, hi)
         assert got == want and math.copysign(1, got) == math.copysign(1, want), phi
+    # each layout occurs; (False, False) cannot, as the window holds at least one outcome
+    cases = {window_layout_case(phi, q, lo, hi) for phi in phases}
+    assert cases == {(True, True), (True, False), (False, True)}
 
 
 def test_trigamma_is_zeta_of_two_bit_for_bit():
@@ -585,6 +611,22 @@ def test_forged_registers_view_the_hamiltonians_eigenbasis(monkeypatch):
     want = ham.eigenvectors.T[j : j + 1]
     assert accepted.vectors.shape == want.shape and accepted.vectors.dtype == want.dtype
     assert accepted.vectors.tobytes() == want.tobytes()
+
+
+def test_analysis_forge_weighs_each_eigenphase_once(monkeypatch):
+    # the benchmark's self-test pins window_probability at 2**n calls per register
+    calls = []
+    original = phase_module.window_probability
+    monkeypatch.setattr(
+        phase_module, "window_probability", lambda *args: calls.append(args) or original(*args)
+    )
+    rng = np.random.default_rng(62)
+    for n, m in ((3, 32), (6, 64)):
+        ham = register_hamiltonian(random_duplicate_free_ops(rng, n, m))
+        calls.clear()
+        generate_rho_with_record(ham, mode="analysis")
+        assert len(calls) == 1 << n
+        assert [args[0] for args in calls] == eigenvalue_phases(ham.eigenvalues).tolist()
 
 
 def test_analysis_trace_beats_quarter_bound():
