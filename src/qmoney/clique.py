@@ -400,7 +400,8 @@ def run_clique_attack(
     expected_k = round(params.epsilon * params.m)
     registers = []
     reports = []
-    for i, table_ops in enumerate(scheme.table):
+    for i in range(params.l):
+        table_ops = scheme.register(i)
         try:
             result = attack_register(table_ops, expected_k)
             state = result.recovered_state

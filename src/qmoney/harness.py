@@ -9,7 +9,8 @@ The clique and phase runners import their attack module, and with it
 scipy, when they run; the other kinds run on numpy alone.  The low-epsilon
 runner walks the scheme's registers first and its trials second, so one
 register Hamiltonian is alive at a time and a run's memory does not grow
-with l.
+with l.  It drops the secret key as soon as the scheme is drawn, and its
+trials share each forged register they drew alike.
 
 Files are versioned UTF-8 text with one operator per line in the
 sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.
@@ -203,35 +204,40 @@ def _run_clique_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
     """Forge register by register, then verify each trial's note.
 
-    Each register's Hamiltonian is built, read by the analysis forge and
-    by every trial's forge in trial order, and dropped before the next is
-    built, so one eigenbasis is alive at a time.  In analysis mode every
+    The secret key is never read, so it is dropped as soon as the scheme
+    is drawn.  Each register's Hamiltonian is built from the packed table,
+    read by the analysis forge and by every trial's forge in trial order,
+    and dropped before the next is built, so one eigenbasis is alive at a
+    time.  Trials that accept the same eigenvector hold its one shared
+    register (see phase.generate_rho_with_record), and of each forge's
+    record only its fully_mixed value is kept.  In analysis mode every
     trial takes the analysis forge's register, which draws nothing.  Each
     trial generator still draws its registers in order and then verifies,
     as forge_low_eps_with_records followed by verify would.
     """
     from . import phase
 
-    scheme, _ = _scheme_and_secret(config, setup_rng(config.master_seed))
+    scheme = _scheme_and_secret(config, setup_rng(config.master_seed))[0]
     sample = config.options.get("mode", "sample") == "sample"
     rngs = list(rngs)
-    analysis_recs = []
-    forged = [[] for _ in rngs]  # each trial's (register, record) pairs
-    for ops in scheme.table:
-        ham = phase.register_hamiltonian(ops)
+    traces = []  # the analysis forge's Tr[H rho] per register
+    forged = [([], []) for _ in rngs]  # each trial's registers and fully_mixed values
+    for i in range(scheme.params.l):
+        ham = phase.register_hamiltonian(scheme.register(i))
         analysis = phase.generate_rho_with_record(ham, mode="analysis")
-        analysis_recs.append(analysis[1])
-        for rng, pairs in zip(rngs, forged):
-            pairs.append(phase.generate_rho_with_record(ham, rng, "sample") if sample else analysis)
-        del ham  # before the next register's eigensolve
-    mean_p1 = float(np.mean([(1.0 + rec.trace_h_rho) / 2.0 for rec in analysis_recs]))
-    for rng, pairs in zip(rngs, forged):
-        regs, recs = zip(*pairs)
-        out = verify(scheme, MoneyState(regs), rng)
+        traces.append(analysis[1].trace_h_rho)
+        for rng, (regs, mixed) in zip(rngs, forged):
+            reg, rec = phase.generate_rho_with_record(ham, rng, "sample") if sample else analysis
+            regs.append(reg)
+            mixed.append(rec.fully_mixed)
+        del ham, analysis  # before the next register's eigensolve
+    mean_p1 = float(np.mean([(1.0 + trace) / 2.0 for trace in traces]))
+    for rng, (regs, mixed) in zip(rngs, forged):
+        out = verify(scheme, MoneyState(tuple(regs)), rng)
         metrics = {
             "q_value": out.q_value,
             "accepted": int(out.accepted),
-            "frac_fully_mixed": float(np.mean([rec.fully_mixed for rec in recs])),
+            "frac_fully_mixed": float(np.mean(mixed)),
             "mean_p1_analysis": mean_p1,
         }
         yield metrics, out.accepted
@@ -379,9 +385,9 @@ def save_scheme(
     if seed is not None:
         lines.append(f"seed {seed}")
     lines.append("table")
-    for i, register in enumerate(scheme.table):
+    for i in range(p.l):
         lines.append(f"register {i}")
-        lines.extend(op.to_string() for op in register)
+        lines.extend(op.to_string() for op in scheme.register(i))
     if secret is not None:
         lines.append("secret")
         for i, state in enumerate(secret.states):

@@ -1,6 +1,8 @@
 """Stabilizer money: secret states, public measurement tables, verification.
 
-A scheme is an l x m table of signed Paulis.  Entry (i, j) stabilizes the
+A scheme is an l x m table of signed Paulis, stored as packed words (x
+and z bits in uint64 words, phases in uint8); PauliOps are built on read,
+a register or a chosen entry at a time.  Entry (i, j) stabilizes the
 i-th secret state with probability epsilon and is otherwise uniformly
 random, so measuring a random column against honest money averages to
 epsilon.  The verifier draws one operator per register, averages the +-1
@@ -28,17 +30,19 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, SoundnessWarning
-from .pauli import DENSE_LIMIT, PauliOp, expectation as vector_expectation, random_pauli
-from .stabilizer import (
-    StabilizerState,
-    random_stabilizer_element,
-    random_stabilizer_state,
-    stab_expectation,
+from .pauli import (
+    DENSE_LIMIT,
+    PauliOp,
+    _pack_words,
+    _random_bits,
+    expectation as vector_expectation,
 )
+from .stabilizer import StabilizerState, random_stabilizer_state, stab_expectation
 
 __all__ = [
     "SchemeParams",
@@ -81,16 +85,27 @@ class SecretKey:
         return len(self.states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MoneyScheme:
-    params: SchemeParams
-    table: tuple[tuple[PauliOp, ...], ...]
+    """The public table: l registers of m signed Paulis on n qubits, as packed words.
 
-    def __post_init__(self):
-        p = self.params
-        if len(self.table) != p.l:
-            raise ValueError(f"table has {len(self.table)} registers, expected l={p.l}")
-        for register in self.table:
+    Entry (i, j) has x bits x[i, j] and z bits z[i, j], W = ceil(n/64)
+    uint64 words each (word 0 the lowest), and phase phases[i, j] (0 for +,
+    2 for -); all three arrays are read-only.  PauliOps are built on read:
+    register(i) builds one register, entries(columns) one entry of each,
+    and table all l*m of them.
+    """
+
+    params: SchemeParams
+    x: np.ndarray
+    z: np.ndarray
+    phases: np.ndarray
+
+    def __init__(self, params: SchemeParams, table: Sequence[Sequence[PauliOp]]):
+        p = params
+        if len(table) != p.l:
+            raise ValueError(f"table has {len(table)} registers, expected l={p.l}")
+        for register in table:
             if len(register) != p.m:
                 raise ValueError(f"register has {len(register)} entries, expected m={p.m}")
             for op in register:
@@ -100,19 +115,90 @@ class MoneyScheme:
                     raise ValueError(f"table entry {op} is not Hermitian")
                 if op.is_identity:
                     raise ValueError("table entries may not be +-identity")
+        x, z, phases = _empty_table(p)
+        for i, register in enumerate(table):
+            _pack_register(x, z, phases, i, [(op.x, op.z, op.phase) for op in register])
+        _set_table(self, p, x, z, phases)
 
     @classmethod
     def _trusted(
-        cls, params: SchemeParams, table: tuple[tuple[PauliOp, ...], ...]
+        cls, params: SchemeParams, x: np.ndarray, z: np.ndarray, phases: np.ndarray
     ) -> MoneyScheme:
-        """A scheme whose table already passes __post_init__'s checks, not checked again.
+        """A scheme of packed entries that already pass __init__'s checks, not checked again.
 
         gen_scheme draws every entry Hermitian, non-identity and on n qubits.
         """
         scheme = object.__new__(cls)
-        object.__setattr__(scheme, "params", params)
-        object.__setattr__(scheme, "table", table)
+        _set_table(scheme, params, x, z, phases)
         return scheme
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MoneyScheme):
+            return NotImplemented
+        return self.params == other.params and all(
+            np.array_equal(a, b)
+            for a, b in ((self.x, other.x), (self.z, other.z), (self.phases, other.phases))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.x.tobytes(), self.z.tobytes(), self.phases.tobytes()))
+
+    def register(self, i: int) -> tuple[PauliOp, ...]:
+        """Register i's m entries."""
+        return _ops(self.params.n, self.x[i], self.z[i], self.phases[i])
+
+    def entries(self, columns: np.ndarray) -> tuple[PauliOp, ...]:
+        """Entry columns[i] of each register i."""
+        rows = np.arange(self.params.l)
+        return _ops(
+            self.params.n, self.x[rows, columns], self.z[rows, columns], self.phases[rows, columns]
+        )
+
+    @property
+    def table(self) -> tuple[tuple[PauliOp, ...], ...]:
+        """Every register's entries: l*m PauliOps, built on each read."""
+        return tuple(self.register(i) for i in range(self.params.l))
+
+
+def _empty_table(p: SchemeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized (x, z, phases) arrays of MoneyScheme's layout for these params."""
+    shape = (p.l, p.m, (p.n + 63) // 64)
+    return np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape[:2], np.uint8)
+
+
+def _pack_register(
+    x: np.ndarray, z: np.ndarray, phases: np.ndarray, i: int, entries: list[tuple[int, int, int]]
+) -> None:
+    """Write register i's (x, z, phase) entries into the packed arrays."""
+    xs, zs, ps = zip(*entries)
+    x[i] = _pack_words(xs, x.shape[2]).T
+    z[i] = _pack_words(zs, z.shape[2]).T
+    phases[i] = ps
+
+
+def _set_table(
+    scheme: MoneyScheme, params: SchemeParams, x: np.ndarray, z: np.ndarray, phases: np.ndarray
+) -> None:
+    object.__setattr__(scheme, "params", params)
+    for name, array in (("x", x), ("z", z), ("phases", phases)):
+        array.setflags(write=False)
+        object.__setattr__(scheme, name, array)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """The ints of (k, W) uint64 words, word 0 the lowest: one tolist per word column."""
+    vals = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        vals = [v | u << (64 * w) for v, u in zip(vals, words[:, w].tolist())]
+    return vals
+
+
+def _ops(n: int, x: np.ndarray, z: np.ndarray, phases: np.ndarray) -> tuple[PauliOp, ...]:
+    """The PauliOps of packed (k, W) x and z words and (k,) phases."""
+    return tuple(
+        PauliOp._trusted(n, xi, zi, p)
+        for xi, zi, p in zip(_ints(x), _ints(z), phases.tolist())
+    )
 
 
 def _check_dimension(dim: int) -> None:
@@ -244,7 +330,12 @@ def gen_scheme(
 
     Each entry is a fresh Bernoulli(epsilon) choice: a uniform stabilizer
     element of its register's state (resampled if +I, the group's only
-    identity) or a uniform non-identity signed Pauli.
+    identity) or a uniform non-identity signed Pauli.  The draws are
+    random_stabilizer_element's and random_pauli(..., allow_identity=False)'s,
+    made in the same order from the same generator, but each entry is
+    written straight into the packed table, not built as a PauliOp.  A
+    register's element draws read a draw table made for it and dropped
+    after it, not one cached on the secret state.
     """
     if params.epsilon > 0 and params.l / params.epsilon**2 < params.n:
         warnings.warn(
@@ -253,22 +344,30 @@ def gen_scheme(
             SoundnessWarning,
             stacklevel=2,
         )
+    n = params.n
+    mask, row_bits = (1 << n) - 1, 2 * n
+    x, z, phases = _empty_table(params)
     states = []
-    table = []
-    for _ in range(params.l):
-        state = random_stabilizer_state(params.n, rng)
-        register = []
+    for i in range(params.l):
+        state = random_stabilizer_state(n, rng)
+        draws = None  # the state's draw table, made at its first element draw
+        entries = []
         for _ in range(params.m):
+            row = 0  # the identity row, resampled on either side
             if rng.random() < params.epsilon:
-                op = random_stabilizer_element(state, rng)
-                while op.is_identity:
-                    op = random_stabilizer_element(state, rng)
+                if draws is None:
+                    draws = state._draw_products()
+                while not row:
+                    row, phase = draws.signed_row(_random_bits(rng, n))
             else:
-                op = random_pauli(params.n, rng, allow_identity=False)
-            register.append(op)
+                while not row:
+                    bits = _random_bits(rng, row_bits + 1)
+                    row = bits & ((1 << row_bits) - 1)
+                phase = 2 * (bits >> row_bits)
+            entries.append((row & mask, row >> n, phase))
+        _pack_register(x, z, phases, i, entries)
         states.append(state)
-        table.append(tuple(register))
-    return SecretKey(tuple(states)), MoneyScheme._trusted(params, tuple(table))
+    return SecretKey(tuple(states)), MoneyScheme._trusted(params, x, z, phases)
 
 
 def honest_money(secret: SecretKey) -> MoneyState:
@@ -375,9 +474,10 @@ def verify(
     """Measure one uniformly chosen table operator per register and threshold.
 
     One pass, drawing what a measure_register call per register would draw:
-    the l column choices, then one block of uniforms in which each mixed
-    register takes its component's uniform and then its outcome's, and each
-    stabilizer register its outcome's.  Stabilizer registers are queried by
+    the l column choices, whose entries alone are built as PauliOps, then
+    one block of uniforms in which each mixed register takes its
+    component's uniform and then its outcome's, and each stabilizer
+    register its outcome's.  Stabilizer registers are queried by
     stab_expectation, one call each, and dense registers are measured in
     blocks of _VERIFY_ENTRIES vector entries (_dense_outcome_sum).
 
@@ -391,14 +491,13 @@ def verify(
         raise DimensionError(f"money has {money.l} registers, scheme wants l={p.l}")
     if money.n != p.n:
         raise DimensionError(f"money on {money.n} qubits, scheme wants n={p.n}")
-    chosen = rng.integers(0, p.m, size=p.l).tolist()
+    chosen = scheme.entries(rng.integers(0, p.m, size=p.l))
     mixed = sum(not isinstance(reg, StabilizerState) for reg in money.registers)
     uniforms = iter(rng.random(p.l + mixed).tolist())
     block_size = max(1, _VERIFY_ENTRIES >> p.n)
     block = []  # dense registers' (vector, op, outcome uniform), measured a block at a time
     total = 0
-    for reg, row, j in zip(money.registers, scheme.table, chosen):
-        op = row[j]
+    for reg, op in zip(money.registers, chosen):
         if isinstance(reg, StabilizerState):
             e = float(stab_expectation(reg, op))
         else:

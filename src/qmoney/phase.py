@@ -33,11 +33,12 @@ all the forger reads.  H itself is dropped once the eigensolve has been
 checked against it, and rebuilt bit for bit from the ops on first read of
 h_matrix.  The checks run over blocks of rows, so they add no 2**n x 2**n
 temporary to H, the eigenvectors and the eigensolve's own workspace.  A
-sample-mode register that accepts a draw holds a read-only copy of its one
-eigenvector, so it does not keep the 2**n x 2**n eigenbasis alive; the
-analysis and fully mixed registers read every eigenvector and view the
-eigenbasis.  Either way the vectors' unit norms were checked by
-register_hamiltonian.
+sample-mode forge that accepts eigenvector j returns the one read-only
+register for (H, j), a copy of that eigenvector with a shared unit weight,
+so it does not keep the 2**n x 2**n eigenbasis alive and forges that draw
+the same j share it.  The analysis register and the fully mixed fallback
+(one per H) read every eigenvector and view the eigenbasis.  Either way
+the vectors' unit norms were checked by register_hamiltonian.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ __all__ = [
 ]
 
 
+# The weight of every pure forged register: one shared read-only array.
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class RegisterHamiltonian:
     """Eigenpairs of H = (1/m) sum of a register's m table entries (ops), on n qubits.
@@ -91,6 +97,26 @@ class RegisterHamiltonian:
         h = _hamiltonian_matrix(self.ops, self.n)
         h.setflags(write=False)
         return h
+
+    @cached_property
+    def _fully_mixed(self) -> DenseMixedRegister:
+        """The sample forge's fallback: uniform weights over the eigenbasis, one per Hamiltonian."""
+        dim = 1 << self.n
+        return DenseMixedRegister._trusted(np.full(dim, 1.0 / dim), self.eigenvectors.T)
+
+    @cached_property
+    def _eigenstates(self) -> dict[int, DenseMixedRegister]:
+        """The pure register of each eigenvector j a sample forge has accepted, by j."""
+        return {}
+
+    def _eigenstate(self, j: int) -> DenseMixedRegister:
+        """Eigenvector j as a read-only pure register, built at its first acceptance and shared."""
+        reg = self._eigenstates.get(j)
+        if reg is None:
+            vector = self.eigenvectors.T[j : j + 1].copy()
+            vector.setflags(write=False)
+            reg = self._eigenstates[j] = DenseMixedRegister._trusted(_UNIT_WEIGHT, vector)
+        return reg
 
     @cached_property
     def _accept_loop(self) -> tuple[int, float, float, list[float]]:
@@ -455,11 +481,13 @@ def generate_rho_with_record(
               + (1-abar)**(m**2) / 2**n without sampling.
 
     The register's vectors are rows of ham.eigenvectors.T.  An accepted
-    draw keeps a read-only copy of its one row, so the forged register does
-    not hold the Hamiltonian's eigenbasis alive; the analysis and fully
-    mixed registers use every row and view the eigenbasis instead of
-    copying it.  The unit norms were checked by register_hamiltonian, so
-    the register is not validated again.
+    draw of eigenvector j returns the one read-only register for (ham, j):
+    a copy of its row with a shared unit weight, built at j's first
+    acceptance, so it does not hold the Hamiltonian's eigenbasis alive and
+    forges that accept the same j share it.  The fully mixed fallback is
+    one register per Hamiltonian.  It and the analysis register use every
+    row and view the eigenbasis instead of copying it.  The unit norms were
+    checked by register_hamiltonian, so no register is validated again.
     """
     if ham.m < 8:
         raise ValueError("this forgery needs m >= 8 (accept window empty)")
@@ -474,12 +502,9 @@ def generate_rho_with_record(
             j = int(rng.integers(dim))
             z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
-                vector = ham.eigenvectors.T[j : j + 1].copy()
-                vector.setflags(write=False)
-                reg = DenseMixedRegister._trusted(np.ones(1), vector)
+                reg = ham._eigenstate(j)
                 return reg, RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
-        reg = DenseMixedRegister._trusted(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
-        return reg, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
+        return ham._fully_mixed, RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
     if mode != "analysis":
         raise ValueError(f"unknown mode {mode!r}")
     accept_p = np.array([window_probability(p, q, lo, hi) for p in phases])

@@ -20,9 +20,10 @@ carry what the sign needs (see ``_SubsetProducts``).  The draw table holds
 the same products over chunks of consecutive generators, keyed by the
 random generator mask, so a draw is the exact ordered product.  Each table
 is built on first use, so states that are never queried or drawn from pay
-nothing.  The symplectic inner product of rows v, w is popcount(v &
-swap_halves(w)) mod 2, so "all operators commuting with a set" is a GF(2)
-null space.
+nothing; gen_scheme draws its table entries from a draw table that it does
+not keep on the state.  The symplectic inner product of rows v, w is
+popcount(v & swap_halves(w)) mod 2, so "all operators commuting with a
+set" is a GF(2) null space.
 
 Work is done once per group.  Sampled and completed states are built
 commuting and independent, so they skip the constructor's checks
@@ -181,9 +182,14 @@ class _SubsetProducts:
 
     def element(self, key: int) -> PauliOp:
         """The product that key selects, with its exact sign."""
+        row, phase = self.signed_row(key)
+        return _op_from_row(row, self.n, phase)
+
+    def signed_row(self, key: int) -> tuple[int, int]:
+        """(row, phase) of the product that key selects: the operator i**phase of the row."""
         acc = self.lookup(key)
         row = acc >> self.key_bits
-        return _op_from_row(row, self.n, self.phase(key, acc) - (row & (row >> self.n)).bit_count())
+        return row, (self.phase(key, acc) - (row & (row >> self.n)).bit_count()) & 3
 
     def phase(self, key: int, acc: int) -> int:
         """Folded phase (mod 4, unreduced) of the product that key selects; acc is lookup(key)."""
@@ -341,7 +347,15 @@ class StabilizerState:
 
     @cached_property
     def _draw_table(self) -> _SubsetProducts:
-        """Subset products of the generators, keyed by generator index; built on first draw."""
+        """The draw table (``_draw_products``), built on first draw and kept."""
+        return self._draw_products()
+
+    def _draw_products(self) -> _SubsetProducts:
+        """Subset products of the generators, keyed by generator index; built anew per call.
+
+        gen_scheme draws from one of these for its register and drops it,
+        so the secret state keeps no table for its scheme's draws.
+        """
         return _SubsetProducts([(g.row, _folded(g)[2]) for g in self.generators], self.n)
 
     def canonical_generators(self) -> tuple[PauliOp, ...]:

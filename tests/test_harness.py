@@ -10,7 +10,9 @@ import textwrap
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from qmoney import (
     CapacityError,
+    DenseMixedRegister,
     ExperimentConfig,
     LabelParams,
     MoneyScheme,
@@ -74,6 +77,16 @@ def test_scheme_round_trip_without_secret(tmp_path):
     scheme2, secret2 = load_scheme(path)
     assert scheme2 == scheme
     assert secret2 is None
+
+
+def test_two_word_scheme_round_trip(tmp_path):
+    secret, scheme = small_scheme(seed=3, n=65, m=8, l=3, eps=0.5)
+    assert scheme.x.shape[2] == 2 and (scheme.x[..., 1].any() or scheme.z[..., 1].any())
+    path = tmp_path / "w.scheme"
+    save_scheme(path, scheme, secret)
+    scheme2, secret2 = load_scheme(path)
+    assert scheme2 == scheme and secret2 == secret
+    assert scheme2.table == scheme.table
 
 
 @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -616,6 +629,110 @@ def test_low_eps_run_memory_does_not_grow_with_the_register_count():
     assert all(rec.metrics["frac_fully_mixed"] == 0.0 for rec in records)
     # each of the 6 more registers costs 1 MiB of eigenbasis if they are all kept alive
     assert large - small <= 0.5 * 2**20, (small, large)
+
+
+original_forge = phase.generate_rho_with_record
+
+
+def copy_per_trial_forge(ham, rng=None, mode="sample"):
+    """generate_rho_with_record with a fresh register per sample forge: no register shared."""
+    if mode != "sample":
+        return original_forge(ham, rng, mode)
+    q, lo, hi, phases = ham._accept_loop
+    size, dim, cap = 1 << q, 1 << ham.n, ham.m * ham.m
+    for k in range(1, cap + 1):
+        j = int(rng.integers(dim))
+        if lo <= phase.pe_sample(phases[j], q, rng) / size <= hi:
+            reg = DenseMixedRegister(np.ones(1), ham.eigenvectors.T[j : j + 1].copy())
+            return reg, phase.RegisterForgeRecord(float(ham.eigenvalues[j]), float(k), 0.0)
+    reg = DenseMixedRegister(np.full(dim, 1.0 / dim), ham.eigenvectors.T)
+    return reg, phase.RegisterForgeRecord(float(ham.eigenvalues.mean()), float(cap), 1.0)
+
+
+def verified_notes(monkeypatch):
+    """Replace harness.verify by a wrapper that logs each note it verifies; return the log."""
+    notes = []
+    original = harness.verify
+
+    def logged(scheme, money, rng):
+        notes.append(money)
+        return original(scheme, money, rng)
+
+    monkeypatch.setattr(harness, "verify", logged)
+    return notes
+
+
+@pytest.mark.parametrize("miss", [False, True])
+def test_low_eps_trials_share_each_forged_register(miss, monkeypatch):
+    if miss:  # phase 0 lies below the accept window: every register falls back
+        monkeypatch.setattr(phase, "pe_sample", lambda phi, q, rng: 0)
+    config = ExperimentConfig(
+        "low-eps-attack", 6, 7, SchemeParams(3, 32, 16, 1 / 128), options={"mode": "sample"}
+    )
+    notes = verified_notes(monkeypatch)
+    records = run_experiment(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(phase, "generate_rho_with_record", copy_per_trial_forge)
+        copied = run_experiment(config)
+    assert record_bytes(records) == record_bytes(copied)
+    assert all(rec.metrics["frac_fully_mixed"] == float(miss) for rec in records)
+    shared = distinct = 0
+    for regs in zip(*(note.registers for note in notes[: config.trials])):
+        for reg in regs:
+            assert not reg.weights.flags.writeable and not reg.vectors.flags.writeable
+        for a, b in combinations(regs, 2):
+            # trials that drew the same eigenvector (or fell back) hold one object
+            same = a.vectors.tobytes() == b.vectors.tobytes()
+            assert (a is b) == same
+            shared += same
+            distinct += not same
+    assert shared and (miss or distinct)
+    weights = {id(reg.weights) for note in notes[: config.trials] for reg in note.registers}
+    # a fallback's weights per Hamiltonian, or the one unit weight of every pure register
+    assert len(weights) == (config.scheme.l if miss else 1)
+
+
+def test_low_eps_run_drops_the_secret_before_its_first_eigensolve(monkeypatch):
+    secrets, alive = [], []
+    original_gen, original_ham = harness.gen_scheme, phase.register_hamiltonian
+
+    def drawn(*args):
+        secret, scheme = original_gen(*args)
+        secrets.append(weakref.ref(secret))
+        return secret, scheme
+
+    def solved(ops):
+        alive.append(secrets[0]() is not None)
+        return original_ham(ops)
+
+    monkeypatch.setattr(harness, "gen_scheme", drawn)
+    monkeypatch.setattr(phase, "register_hamiltonian", solved)
+    run_experiment(ExperimentConfig("low-eps-attack", 2, 3, _LOW_EPS, options={"mode": "sample"}))
+    assert len(secrets) == 1 and alive == [False] * _LOW_EPS.l
+
+
+def test_low_eps_run_holds_little_at_its_first_verify(monkeypatch):
+    # the bench shape with l cut from 512 to 128, and the bound cut from 7 MiB to a
+    # quarter of it: with a register per forge, records and the secret kept it held 2.8 MiB
+    params = SchemeParams(6, 64, 128, 1 / 128)
+    live = []
+    original = harness.verify
+
+    def first(*args):
+        if not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(harness, "verify", first)
+    options = {"mode": "sample"}
+    run_experiment(ExperimentConfig("low-eps-attack", 10, 1, replace(params, l=4), options=options))
+    live.clear()  # after a warm-up for imports and caches
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig("low-eps-attack", 10, 1, params, options=options))
+    finally:
+        tracemalloc.stop()
+    assert live[0] <= 7 * 2**20 / 4, live
 
 
 def counted_calls(monkeypatch, owner, name):

@@ -24,6 +24,7 @@ from qmoney import (
     honest_money,
     measure_register,
     random_pauli,
+    random_stabilizer_element,
     random_stabilizer_state,
     register_expectation,
     register_hamiltonian,
@@ -96,6 +97,88 @@ def test_gen_scheme_epsilon_half_entry_split():
     )
     # Binomial(1000, 1/2) plus a ~2^-n trickle of lucky randoms; 5 sigma ~ 79
     assert abs(members - 500) < 80, members
+
+
+def per_entry_gen_scheme(params, rng):
+    """gen_scheme as one PauliOp per entry: the packed draw's oracle.
+
+    (secret states, table of PauliOps); each entry draws as the packed
+    draw must, through random_stabilizer_element (resampling the
+    identity) or random_pauli without the identity.
+    """
+    states, table = [], []
+    for _ in range(params.l):
+        state = random_stabilizer_state(params.n, rng)
+        register = []
+        for _ in range(params.m):
+            if rng.random() < params.epsilon:
+                op = random_stabilizer_element(state, rng)
+                while op.is_identity:
+                    op = random_stabilizer_element(state, rng)
+            else:
+                op = random_pauli(params.n, rng, allow_identity=False)
+            register.append(op)
+        states.append(state)
+        table.append(tuple(register))
+    return states, tuple(table)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("epsilon", [0.0, 1 / 128, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 6, 50, 64, 65, 100])  # 65 and 100 take two words
+def test_packed_draw_equals_the_per_entry_draw(n, epsilon, seed):
+    params = SchemeParams(n, 24, 3, epsilon)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        secret, scheme = gen_scheme(params, ours)
+    states, table = per_entry_gen_scheme(params, theirs)
+    assert scheme.table == table
+    assert [s.generators for s in secret.states] == [s.generators for s in states]
+    # the whole state: the 64-bit word buffer (has_uint32, uinteger) included
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    words = (n + 63) // 64
+    assert scheme.x.shape == scheme.z.shape == (3, 24, words) and scheme.phases.shape == (3, 24)
+    mask = (1 << 64) - 1
+    for i, register in enumerate(table):
+        for j, op in enumerate(register):
+            assert scheme.x[i, j].tolist() == [(op.x >> (64 * w)) & mask for w in range(words)]
+            assert scheme.z[i, j].tolist() == [(op.z >> (64 * w)) & mask for w in range(words)]
+            assert scheme.phases[i, j] == op.phase
+    assert not any(a.flags.writeable for a in (scheme.x, scheme.z, scheme.phases))
+
+
+def test_secret_states_keep_no_draw_table_from_gen_scheme():
+    secret, scheme = make(6, 64, 8, 1.0)
+    for state, ops in zip(secret.states, scheme.table):
+        assert all(stab_expectation(state, op) == 1 for op in ops)
+    assert all("_draw_table" not in vars(state) for state in secret.states)
+    random_stabilizer_element(secret.states[0], np.random.default_rng(0))
+    assert "_draw_table" in vars(secret.states[0])  # the public draw keeps its table
+
+
+def test_drawn_scheme_keeps_packed_words_at_the_bench_shape():
+    # n=6, m=64, l=512: a PauliOp per entry kept 2.27 MiB, the packed table about 0.55 MiB
+    make(6, 64, 4, 1 / 128)  # warm up
+    tracemalloc.start()
+    try:
+        scheme = make(6, 64, 512, 1 / 128, seed=1)[1]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scheme.params.l == 512
+    assert kept <= 0.75 * 2**20, kept
+
+
+def test_schemes_differing_in_one_high_word_bit_are_unequal():
+    _, scheme = make(65, 8, 2, 0.5)
+    table = [list(register) for register in scheme.table]
+    op = table[1][3]
+    table[1][3] = PauliOp(65, op.x ^ (1 << 64), op.z, op.phase)
+    other = MoneyScheme(scheme.params, table)
+    assert other != scheme and other.register(0) == scheme.register(0)
+    assert MoneyScheme(scheme.params, scheme.table) == scheme
+    assert hash(MoneyScheme(scheme.params, scheme.table)) == hash(scheme)
 
 
 def test_verify_threshold_is_exact_rational():
@@ -398,6 +481,26 @@ def test_verify_queries_each_stabilizer_register_once(monkeypatch):
     money = MoneyState(tuple((honest, mixed)[i % 2].registers[i] for i in range(9)))
     verify(scheme, money, np.random.default_rng(0))
     assert [state for state, _ in calls] == list(secret.states[::2])
+
+
+def test_verify_builds_only_the_chosen_entry_of_each_register(monkeypatch):
+    # a whole register per verify would be l*m PauliOps, 327,680 per low-eps-forgery run
+    secret, scheme = make(4, 8, 9, 0.5, seed=6)
+    money = honest_money(secret)
+    built = []
+    original = PauliOp._trusted.__func__
+
+    def counted(cls, *args):
+        op = original(cls, *args)
+        built.append(op)
+        return op
+
+    table = scheme.table
+    with monkeypatch.context() as patch:
+        patch.setattr(PauliOp, "_trusted", classmethod(counted))
+        verify(scheme, money, np.random.default_rng(0))
+    chosen = np.random.default_rng(0).integers(0, 8, size=9)
+    assert built == [table[i][j] for i, j in enumerate(chosen)]
 
 
 def test_verify_transient_memory_is_a_block_at_the_bench_shape():
