@@ -12,13 +12,15 @@ with probability ~1/2.  Three finders cover the regimes:
                        ceil(log2(100/c)) and run the spectral finder on the
                        common neighborhood of each S
 
-All finders, and max_eigenvalue_check's +-1 sign matrix, read the one
-MeasurementGraph that build_graph returns.  The second eigenvector and the
-sign matrix's top eigenvalue both come from _top_eigenpairs: Lanczos
-(ARPACK) on a matvec that reads one triangle of the matrix.  It stops once
-each Ritz residual is at most RESIDUAL_TOL times its Ritz value, which
-implies the contract that an explicit residual check then enforces: each
-residual at most RESIDUAL_TOL * ||B||_F.  A recovered clique's operators
+All finders read the one MeasurementGraph that build_graph returns.
+max_eigenvalue_check builds no graph: it writes its +-1 sign matrix straight
+from the commutation kernel's parity blocks, so the float64 matrix is its
+one m x m array.  The second eigenvector and the sign matrix's top
+eigenvalue both come from _top_eigenpairs: Lanczos (ARPACK) on a matvec
+that reads one triangle of the matrix.  It stops once each Ritz residual
+is at most RESIDUAL_TOL times its Ritz value, which implies the contract
+that an explicit residual check then enforces: each residual at most
+RESIDUAL_TOL * ||B||_F.  A recovered clique's operators
 are completed to a full stabilizer state (dropping sign-contradicting
 strays greedily), which then passes the money verifier whenever the clique
 covers the planted group.
@@ -37,7 +39,7 @@ from scipy.linalg.blas import dsymv
 
 from .errors import AttackFailure
 from .money import MoneyScheme, MoneyState, SecretKey
-from .pauli import PauliOp, commutation_matrix
+from .pauli import PauliBlock, PauliOp, _anticommuting_rows, commutation_matrix
 from .stabilizer import (
     StabilizerState,
     _share_query_table,
@@ -304,20 +306,26 @@ def exact_max_clique(graph: MeasurementGraph) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def _sign_matrix(ops: Sequence[PauliOp]) -> np.ndarray:
-    """The +-1 commutation sign matrix as float64: 2A - 1 off the diagonal
-    and 0 on it, where A is the commutation graph's adjacency."""
-    b = np.multiply(build_graph(ops).adjacency, 2.0)
-    b -= 1
+def _sign_matrix(ops: Sequence[PauliOp] | PauliBlock) -> np.ndarray:
+    """The +-1 commutation sign matrix as float64: +1 where a pair commutes,
+    -1 where it anticommutes, 0 on the diagonal.  Each block of the
+    commutation kernel's parities p is written as 1 - 2p, so no other m x m
+    array is built."""
+    block = PauliBlock.of(ops)
+    b = np.empty((len(block), len(block)))
+    for lo, hi, parity in _anticommuting_rows(block):
+        rows = b[lo:hi]
+        np.multiply(parity, -2.0, out=rows)
+        rows += 1
     np.fill_diagonal(b, 0)
     return b
 
 
-def max_eigenvalue_check(ops: Sequence[PauliOp]) -> float:
-    """Largest eigenvalue of the +-1 commutation sign matrix.
+def max_eigenvalue_check(ops: Sequence[PauliOp] | PauliBlock) -> float:
+    """Largest eigenvalue of the +-1 commutation sign matrix of m operators.
 
-    Lanczos (see _top_eigenpairs), residual checked against
-    RESIDUAL_TOL * ||B||_F.
+    ops is a list of PauliOps, packed once, or a PauliBlock.  Lanczos (see
+    _top_eigenpairs), residual checked against RESIDUAL_TOL * ||B||_F.
     """
     w, _ = _top_eigenpairs(_sign_matrix(ops), 1)
     return float(w[0])

@@ -10,7 +10,9 @@ scipy, when they run; the other kinds run on numpy alone.  The low-epsilon
 runner walks the scheme's registers first and its trials second, so one
 register Hamiltonian is alive at a time and a run's memory does not grow
 with l.  It drops the secret key as soon as the scheme is drawn, and its
-trials share each forged register they drew alike.
+trials share each forged register they drew alike.  The eigenvalue check
+draws each trial's operators as one block of packed words and builds no
+PauliOp.
 
 Files are versioned UTF-8 text with one operator per line in the
 sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.
@@ -34,12 +36,14 @@ from .money import (
     MoneyState,
     SchemeParams,
     SecretKey,
+    _empty_table,
+    _pack_register,
     completely_mixed_money,
     gen_scheme,
     honest_money,
     verify,
 )
-from .pauli import DENSE_LIMIT, PauliOp, random_pauli
+from .pauli import DENSE_LIMIT, PauliOp, random_pauli_block
 from .stabilizer import StabilizerState
 
 __all__ = [
@@ -244,13 +248,17 @@ def _run_low_eps_attack(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
 
 
 def _run_eigenvalue_check(config: ExperimentConfig, rngs: _Rngs) -> _Trials:
+    """Top eigenvalue of m random non-identity operators' sign matrix, per trial.
+
+    The operators are random_pauli_block's draw, the draws of m
+    random_pauli(n, rng, allow_identity=False) calls as packed words.
+    """
     from . import clique
 
     p = config.scheme
     bound = 10.0 * math.sqrt(p.m)
     for rng in rngs:
-        ops = [random_pauli(p.n, rng, allow_identity=False) for _ in range(p.m)]
-        lam = clique.max_eigenvalue_check(ops)
+        lam = clique.max_eigenvalue_check(random_pauli_block(p.n, p.m, rng))
         yield {"lambda_max": lam, "bound": bound}, lam <= bound
 
 
@@ -497,7 +505,11 @@ def _read_register_block(
 
 
 def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
-    """Parse a scheme file; errors carry the offending line number."""
+    """Parse a scheme file; errors carry the offending line number.
+
+    Each register is packed into the table as it is read, so no more than
+    one register's PauliOps are alive at a time.
+    """
     reader = _LineReader(path)
     lineno, text = reader.next()
     if text != _SCHEME_MAGIC:
@@ -514,10 +526,20 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
         except ValueError as exc:
             raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
     params = SchemeParams(**fields)
-    table = tuple(
-        _read_register_block(reader, i, params.m, params.n)[1] for i in range(params.l)
-    )
-    scheme = MoneyScheme(params, table)
+    # The packed table is allocated once register 0 has shown n qubits per
+    # entry, and only if the lines left can hold l registers of m + 1
+    # lines.  A file too short for its header still fails where the reader
+    # first meets the contradiction, with nothing allocated for the table.
+    fits = params.l * (params.m + 1) <= len(reader.lines) - reader.pos
+    table = None
+    for i in range(params.l):
+        _, ops = _read_register_block(reader, i, params.m, params.n)
+        if table is None and fits:
+            table = _empty_table(params)
+        if table is not None:
+            _pack_register(*table, i, [(op.x, op.z, op.phase) for op in ops])
+    # _read_register_block checks every entry as MoneyScheme's constructor does
+    scheme = MoneyScheme._trusted(params, *table)
     secret = None
     lineno, text = reader.next()
     if text == "secret":

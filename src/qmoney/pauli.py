@@ -18,11 +18,19 @@ Two operators commute iff their symplectic inner product
 ``popcount(x1 & z2) + popcount(z1 & x2)`` is even.  Products are computed
 without ever touching a matrix: the accumulated power of i follows from
 four popcounts (see ``pauli_mul``).
+
+A ``PauliBlock`` holds many operators as packed words, x and z as
+(count, W) uint64 with W = ceil(n/64).  ``random_pauli_block`` draws one
+straight from the generator, the draws of a ``random_pauli`` loop without
+a ``PauliOp`` per operator, and the commutation kernel reads the words in
+blocks of rows: ``commutation_matrix`` writes its 0/1 matrix from them,
+and the eigenvalue check its +-1 sign matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +39,12 @@ from .errors import CapacityError, DimensionError
 __all__ = [
     "DENSE_LIMIT",
     "PauliOp",
+    "PauliBlock",
     "symplectic_ip",
     "commutes",
     "pauli_mul",
     "random_pauli",
+    "random_pauli_block",
     "dense_matrix",
     "apply_pauli",
     "expectation",
@@ -247,8 +257,8 @@ def expectation(op: PauliOp, vec: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, val)))
 
 
-# Words per uint64 temporary in commutation_matrix: 512 KiB, so a block of
-# rows stays in cache (32 rows at m=2000).
+# Words per uint64 temporary of the commutation kernel: 512 KiB, so a block
+# of rows stays in cache (32 rows at m=2000).
 _BLOCK_WORDS = 1 << 16
 
 
@@ -259,40 +269,111 @@ def _pack_words(vals: list[int], nwords: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def commutation_matrix(ops: list[PauliOp]) -> np.ndarray:
-    """Symmetric 0/1 matrix: entry (i, j) is 1 iff ops[i] and ops[j] commute.
+@dataclass(frozen=True, eq=False)
+class PauliBlock:
+    """len(phases) signed Paulis on n qubits as packed words.
+
+    Operator i has x bits x[i] and z bits z[i], W = ceil(n/64) uint64
+    words each (word 0 the lowest), and phase phases[i].
+    """
+
+    n: int
+    x: np.ndarray
+    z: np.ndarray
+    phases: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    @classmethod
+    def of(cls, ops: Sequence[PauliOp] | PauliBlock) -> PauliBlock:
+        """A block as it is, or a nonempty list of operators packed once."""
+        if isinstance(ops, PauliBlock):
+            return ops
+        if not ops:
+            raise ValueError("need at least one operator")
+        n = ops[0].n
+        for op in ops:
+            if op.n != n:
+                raise DimensionError("operators act on different qubit counts")
+        nwords = (n + 63) // 64
+        # (count, W) views of (W, count) arrays, which the kernel reads unchanged
+        return cls(
+            n,
+            _pack_words([op.x for op in ops], nwords).T,
+            _pack_words([op.z for op in ops], nwords).T,
+            np.array([op.phase for op in ops], dtype=np.uint8),
+        )
+
+
+def random_pauli_block(n: int, count: int, rng: np.random.Generator) -> PauliBlock:
+    """count draws of random_pauli(n, rng, allow_identity=False), as packed words.
+
+    Each operator reads k = ceil((2n+1)/32) uint32 words, little endian:
+    x is bits 0..n-1, z bits n..2n-1 and the sign bit 2n.  All rows come
+    from rng.integers(2**32, uint32), which reads the words _random_bits
+    reads; a +-I row is dropped and one more row drawn after the rest, as
+    the scalar loop redraws it.  So the operators, and the generator state
+    after the draw, are the loop's.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    k = (2 * n + 32) // 32
+    bits = np.empty((0, 32 * k), dtype=np.uint8)
+    while len(bits) < count:
+        words = rng.integers(2**32, size=(count - len(bits), k), dtype=np.uint32)
+        drawn = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), axis=1, bitorder="little")
+        bits = np.concatenate([bits, drawn[drawn[:, : 2 * n].any(axis=1)]])
+    nbytes = 8 * ((n + 63) // 64)
+
+    def words_of(columns: np.ndarray) -> np.ndarray:
+        out = np.zeros((count, nbytes), dtype=np.uint8)
+        packed = np.packbits(columns, axis=1, bitorder="little")
+        out[:, : packed.shape[1]] = packed
+        return out.view("<u8").astype(np.uint64)
+
+    return PauliBlock(n, words_of(bits[:, :n]), words_of(bits[:, n : 2 * n]), 2 * bits[:, 2 * n])
+
+
+def _anticommuting_rows(block: PauliBlock) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, parity) per block of rows: parity[i - lo, j] is 1 iff ops i and j anticommute.
 
     The symplectic product's parity is the parity of one popcount: the XOR,
     over the 64-bit words, of (x_i & z_j) ^ (z_i & x_j).  Rows go in blocks
-    of at most _BLOCK_WORDS / m, so the uint64 temporaries are a block, not
-    m x m, and each block's popcounts are written straight into the uint8
-    result.  Cost O(m**2 * n / 64).
+    of at most _BLOCK_WORDS / m, so the temporaries are a block, not
+    m x m; parity is a (hi - lo, m) uint8 buffer that the next block
+    overwrites.  Cost O(m**2 * n / 64).
     """
-    m = len(ops)
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    n = ops[0].n
-    for op in ops:
-        if op.n != n:
-            raise DimensionError("operators act on different qubit counts")
-    nwords = (n + 63) // 64
-    xs = _pack_words([op.x for op in ops], nwords)
-    zs = _pack_words([op.z for op in ops], nwords)
+    m = len(block)
+    xs, zs = np.ascontiguousarray(block.x.T), np.ascontiguousarray(block.z.T)
     rows = max(1, min(m, _BLOCK_WORDS // m))
     acc = np.empty((rows, m), dtype=np.uint64)
     tmp = np.empty_like(acc)
-    out = np.empty((m, m), dtype=np.uint8)
+    parity = np.empty((rows, m), dtype=np.uint8)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        a, t = acc[: hi - lo], tmp[: hi - lo]
+        a, t, p = acc[: hi - lo], tmp[: hi - lo], parity[: hi - lo]
         a.fill(0)
-        for w in range(nwords):
+        for w in range(len(xs)):
             np.bitwise_and(xs[w, lo:hi, None], zs[w], out=t)
             a ^= t
             np.bitwise_and(zs[w, lo:hi, None], xs[w], out=t)
             a ^= t
-        block = out[lo:hi]
-        np.bitwise_count(a, out=block)
-        block &= 1
-        block ^= 1  # parity 0 means the pair commutes
+        np.bitwise_count(a, out=p)
+        p &= 1
+        yield lo, hi, p
+
+
+def commutation_matrix(ops: Sequence[PauliOp] | PauliBlock) -> np.ndarray:
+    """Symmetric 0/1 matrix: entry (i, j) is 1 iff ops[i] and ops[j] commute.
+
+    Each block of the commutation kernel's parities is written straight
+    into the uint8 result.
+    """
+    if len(ops) == 0:
+        return np.zeros((0, 0), dtype=np.uint8)
+    block = PauliBlock.of(ops)
+    out = np.empty((len(block), len(block)), dtype=np.uint8)
+    for lo, hi, parity in _anticommuting_rows(block):
+        np.bitwise_xor(parity, 1, out=out[lo:hi])  # parity 0 means the pair commutes
     return out

@@ -47,6 +47,7 @@ canonical, so each draw is the null-space vector ``gf2.nullspace`` gives.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,19 +243,19 @@ class _Extension:
     """Independent commuting rows, kept ready to be extended by one more.
 
     Holds the RREF of the swapped rows as (pivot, row) pairs, and the
-    columns that are no pivot (the free columns) in order.  A vector
-    commutes with every row iff it has even overlap with each RREF row, and
-    lies in the rows' span iff its swap reduces to zero against them.  The
-    null-space basis vector of free column f is e_f plus e_p for each RREF
-    row (pivot p) holding bit f, as ``gf2.nullspace`` builds it, so the XOR
-    of those over a set F of free columns is F plus e_p for each row with
-    odd overlap with F.
+    pivots in ascending order; the other columns are the free ones.  A
+    vector commutes with every row iff it has even overlap with each RREF
+    row, and lies in the rows' span iff its swap reduces to zero against
+    them.  The null-space basis vector of free column f is e_f plus e_p for
+    each RREF row (pivot p) holding bit f, as ``gf2.nullspace`` builds it,
+    so the XOR of those over a set F of free columns is F plus e_p for each
+    row with odd overlap with F.
     """
 
     def __init__(self, n: int, rows: list[int]):
         self.n = n
         self.rref: list[tuple[int, int]] = []
-        self.free = list(range(2 * n))
+        self.pivots: list[int] = []
         for row in rows:
             self.add(self.residue(row))
 
@@ -270,15 +271,15 @@ class _Extension:
         """Add the row whose residue (nonzero) is c."""
         p = gf2._lowest_bit(c)
         self.rref = [(q, r ^ c if (r >> p) & 1 else r) for q, r in self.rref] + [(p, c)]
-        self.free.remove(p)
+        bisect.insort(self.pivots, p)
 
     def vector(self, mask: int) -> int:
         """XOR of the null-space basis vectors that mask selects (bit j: the j-th free column)."""
-        chosen = 0
-        while mask:
-            low = mask & -mask
-            chosen |= 1 << self.free[low.bit_length() - 1]
-            mask ^= low
+        # Bit j of mask moves to the j-th free column: open a zero bit at
+        # each pivot, lowest first, so each later pivot is already in place.
+        chosen = mask
+        for p in self.pivots:
+            chosen = (chosen & ((1 << p) - 1)) | (chosen >> p) << (p + 1)
         v = chosen
         for p, r in self.rref:
             if (r & chosen).bit_count() & 1:

@@ -36,6 +36,7 @@ import qmoney.pauli as pauli_module
 import qmoney.stabilizer as stabilizer_module
 from qmoney.clique import _degree_order, _greedy_from_order, _sign_matrix, _top_eigenpairs
 from qmoney.harness import trial_rng
+from qmoney.pauli import random_pauli_block
 
 
 def gnp(rng, m, p=0.5):
@@ -286,6 +287,23 @@ def test_commutation_kernel_at_word_and_block_edges(n, block_words, monkeypatch)
         commute = (want + 1) // 2 + np.eye(m, dtype=np.int8)  # ops commute with themselves
         assert got.tobytes() == commute.astype(np.uint8).tobytes()
         assert _sign_matrix(ops).tobytes() == want.astype(float).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 64, 65])
+@pytest.mark.parametrize("m", [1, 2, 33, 500])
+def test_sign_matrix_writer_is_twice_the_commutation_matrix_minus_one(m, n):
+    # bit for bit, signbit included: +1.0, -1.0 and +0.0 on the diagonal,
+    # from a list of operators and from a drawn block alike
+    rng = np.random.default_rng(60 + m + n)
+    block = random_pauli_block(n, m, rng)
+    ops = [random_pauli(n, rng, allow_identity=False) for _ in range(m)]
+    for source in (block, ops):
+        want = 2.0 * commutation_matrix(source) - 1
+        np.fill_diagonal(want, 0)
+        got = _sign_matrix(source)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(np.diagonal(got)).any()
 
 
 def test_signed_matrix_moments():

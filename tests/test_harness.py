@@ -42,6 +42,7 @@ from qmoney import (
 )
 from qmoney import clique, harness, phase, postselect
 from qmoney.harness import setup_rng, trial_rng
+from qmoney.pauli import PauliOp, random_pauli
 from qmoney.postselect import (
     find_frozen_strings,
     label_table,
@@ -354,6 +355,44 @@ def test_scheme_counts_in_the_billions_are_refused_without_allocating(tmp_path, 
     assert peak < 0.1 * 2**20
 
 
+def test_a_header_longer_than_its_file_is_refused_before_the_table_is_allocated(tmp_path):
+    # l=4096 registers of m=64 entries at n=6 would take 4.25 MiB of packed
+    # words; the file holds 8 registers, so the reader fails at register 8
+    _, scheme = small_scheme(seed=5, n=6, m=64, l=8, eps=0.5)
+    path = tmp_path / "long.scheme"
+    save_scheme(path, scheme)
+    lines = path.read_text().splitlines()
+    lines[lines.index("l 8")] = "l 4096"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemeFormatError, match="expected 'register 8'") as err:
+            load_scheme(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == lines.index("end") + 1
+    assert peak < 0.5 * 2**20, peak
+
+
+def test_loading_the_bench_shape_table_packs_each_register_as_it_is_read(tmp_path):
+    # n=6, m=64, l=512: all l*m PauliOps held at once peaked at 4.86 MiB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        _, scheme = gen_scheme(SchemeParams(6, 64, 512, 1 / 128), np.random.default_rng(1))
+    path = tmp_path / "bench.scheme"
+    save_scheme(path, scheme)
+    load_scheme(path)  # warm up
+    tracemalloc.start()
+    try:
+        loaded, secret = load_scheme(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == scheme and secret is None
+    assert peak <= 3.0 * 2**20, peak
+
+
 @pytest.mark.parametrize(
     "loader, key, value",
     [
@@ -478,6 +517,48 @@ def test_run_experiment_eigenvalue_check():
     for rec in records:
         assert rec.metrics["lambda_max"] <= rec.metrics["bound"]
         assert rec.passed
+
+
+def test_eigenvalue_check_run_builds_no_pauli_op(monkeypatch):
+    built = []
+    post_init, trusted = PauliOp.__post_init__, PauliOp._trusted.__func__
+
+    def counted_post_init(op):
+        built.append(op)
+        post_init(op)
+
+    def counted_trusted(cls, *fields):
+        built.append(fields)
+        return trusted(cls, *fields)
+
+    monkeypatch.setattr(PauliOp, "__post_init__", counted_post_init)
+    monkeypatch.setattr(PauliOp, "_trusted", classmethod(counted_trusted))
+    random_pauli(3, np.random.default_rng(0))
+    PauliOp.identity(3)
+    assert len(built) == 2  # both ways of building one are counted
+    built.clear()
+    n, m = 65, 120
+    records = run_experiment(ExperimentConfig("eigenvalue-check", 3, 11, SchemeParams(n, m, 1, 0.0)))
+    assert built == []
+    # each trial's lambda is the check of the random_pauli loop on its trial generator
+    for rec in records:
+        rng = trial_rng(11, rec.trial)[0]
+        ops = [random_pauli(n, rng, allow_identity=False) for _ in range(m)]
+        assert rec.metrics["lambda_max"] == clique.max_eigenvalue_check(ops)
+
+
+def test_eigenvalue_check_trial_holds_little_beside_its_sign_matrix():
+    # The bench shape, n=64 and m=2000: the float64 sign matrix is 30.5 MiB.
+    # With a uint8 graph and 2000 PauliOps beside it a trial peaked at 34.4.
+    config = ExperimentConfig("eigenvalue-check", 1, 1, SchemeParams(64, 2000, 1, 0.0))
+    run_experiment(config)  # warm up
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32.5 * 2**20, peak
 
 
 def test_run_experiment_postselect_suite():

@@ -20,7 +20,7 @@ from qmoney import (
     symplectic_ip,
 )
 from qmoney.errors import CapacityError
-from qmoney.pauli import _random_bits
+from qmoney.pauli import PauliBlock, _random_bits, random_pauli_block
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -241,6 +241,46 @@ def test_random_bits_reads_the_rng_bytes_stream(nbits):
         assert word == int(by_words.integers(2**32, dtype=np.uint32))
         assert fast.bit_generator.state == by_bytes.bit_generator.state
         assert fast.bit_generator.state == by_words.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("count", [1, 50])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 63, 64, 65, 100])
+def test_random_pauli_block_is_the_random_pauli_loop(n, count, buffered):
+    # The block draw reads the loop's uint32 words and drops its +-I rows,
+    # also when the generator holds half of a 64-bit output from one prior
+    # uint32 draw; the operators and the generator state after the draw are
+    # the loop's.
+    seed = 1000 * n + count
+    loop, block_rng, words = (np.random.default_rng(seed) for _ in range(3))
+    if buffered:
+        for rng in (loop, block_rng, words):
+            rng.integers(2**32, dtype=np.uint32)
+    ops = [random_pauli(n, loop, allow_identity=False) for _ in range(count)]
+    block = random_pauli_block(n, count, block_rng)
+    want = PauliBlock.of(ops)
+    nwords = (n + 63) // 64
+    assert block.n == n and len(block) == count
+    assert block.x.shape == block.z.shape == (count, nwords) and block.x.dtype == np.uint64
+    assert block.phases.dtype == np.uint8
+    for got, ref in ((block.x, want.x), (block.z, want.z), (block.phases, want.phases)):
+        assert np.array_equal(got, ref)
+    assert block_rng.bit_generator.state == loop.bit_generator.state
+    # at n=1 a row is +-I a quarter of the time: 50 operators took redraws
+    words.integers(2**32, size=count * ((2 * n + 32) // 32), dtype=np.uint32)
+    if n == 1 and count == 50:
+        assert words.bit_generator.state != loop.bit_generator.state
+
+
+def test_pauli_block_of_needs_operators_on_one_qubit_count():
+    with pytest.raises(DimensionError):
+        PauliBlock.of([PauliOp.identity(2), PauliOp.identity(3)])
+    with pytest.raises(ValueError):
+        PauliBlock.of([])
+    block = random_pauli_block(5, 3, np.random.default_rng(0))
+    assert PauliBlock.of(block) is block
+    with pytest.raises(ValueError):
+        random_pauli_block(0, 3, np.random.default_rng(0))
 
 
 def test_dense_capacity_guard():

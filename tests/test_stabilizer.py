@@ -23,7 +23,7 @@ from qmoney import (
     stab_expectation,
 )
 from qmoney.pauli import _random_bits
-from qmoney.stabilizer import _cross_masks, _share_query_table
+from qmoney.stabilizer import _cross_masks, _Extension, _share_query_table
 
 
 def P(s):
@@ -362,6 +362,26 @@ def reference_completion(ops):
 
 
 SAMPLER_NS = [1, 2, 3, 4, 5, 6, 7, 8, 50, 65]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 50])
+def test_extension_vector_deposits_the_mask_on_the_free_columns(n):
+    # Reference: bit j of the mask goes to the j-th non-pivot column, walked
+    # bit by bit, then each RREF row with odd overlap sets its pivot.
+    for seed in range(20):
+        rng = np.random.default_rng(800 + seed)
+        state = random_stabilizer_state(n, rng)
+        t = int(rng.integers(0, n + 1))
+        ext = _Extension(n, [g.row for g in state.generators[:t]])
+        assert ext.pivots == sorted(p for p, _ in ext.rref)
+        free = [c for c in range(2 * n) if c not in ext.pivots]
+        for mask in (0, (1 << len(free)) - 1, _random_bits(rng, len(free))):
+            chosen = sum(1 << free[j] for j in range(len(free)) if (mask >> j) & 1)
+            want = chosen
+            for p, r in ext.rref:
+                if (r & chosen).bit_count() & 1:
+                    want |= 1 << p
+            assert ext.vector(mask) == want
 
 
 @pytest.mark.parametrize("n", SAMPLER_NS)
