@@ -23,9 +23,9 @@ params = SchemeParams(n=10, m=128, l=16, epsilon=0.5)
 secret, scheme = gen_scheme(params, rng)
 
 # Peek at one register's commutation graph.
-ops = scheme.register(0)
-graph = build_graph(ops)
-planted = {j for j, op in enumerate(ops)
+register = scheme.register(0)
+graph = build_graph(register)
+planted = {j for j, op in enumerate(register.ops())
            if stab_expectation(secret.states[0], op) == 1}
 found = spectral_clique(graph, round(params.epsilon * params.m))
 overlap = len(planted & set(found.vertices)) / len(planted)

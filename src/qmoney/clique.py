@@ -113,8 +113,8 @@ class CliqueResult:
     dropped: tuple[int, ...] = ()
 
 
-def build_graph(ops: Sequence[PauliOp]) -> MeasurementGraph:
-    adjacency = commutation_matrix(list(ops))
+def build_graph(ops: Sequence[PauliOp] | PauliBlock) -> MeasurementGraph:
+    adjacency = commutation_matrix(ops)
     np.fill_diagonal(adjacency, 0)
     return MeasurementGraph(adjacency)
 
@@ -338,17 +338,18 @@ def _clique_floor(m: int, expected_k: int) -> int:
     return max(2, root)
 
 
-def attack_register(ops: Sequence[PauliOp], expected_k: int) -> CliqueResult:
+def attack_register(ops: Sequence[PauliOp] | PauliBlock, expected_k: int) -> CliqueResult:
     """Full per-register pipeline: graph, clique, completion to a state.
 
-    The finder is chosen by regime from the expected planted size
-    (degree sort above 4*sqrt(m)*log10(m), spectral down to 10*sqrt(m),
-    bootstrap below).  A clique smaller than the failure floor raises
-    AttackFailure.
+    ops is a register's block, or a list of PauliOps packed once; only the
+    clique's entries are built as PauliOps, for the completion.  The finder
+    is chosen by regime from the expected planted size (degree sort above
+    4*sqrt(m)*log10(m), spectral down to 10*sqrt(m), bootstrap below).  A
+    clique smaller than the failure floor raises AttackFailure.
     """
-    ops = list(ops)
-    m = len(ops)
-    graph = build_graph(ops)
+    block = PauliBlock.of(ops)
+    m = len(block)
+    graph = build_graph(block)
     results: list[CliqueResult] = []
     if expected_k >= 4.0 * math.sqrt(m) * math.log10(max(m, 10)):
         results.append(degree_sort_clique(graph))
@@ -366,8 +367,7 @@ def attack_register(ops: Sequence[PauliOp], expected_k: int) -> CliqueResult:
         raise AttackFailure(
             f"largest commuting set found has {len(best.vertices)} < {floor} operators"
         )
-    clique_ops = [ops[v] for v in best.vertices]
-    state, conflicts = complete_to_stabilizer_state(clique_ops)
+    state, conflicts = complete_to_stabilizer_state(block[list(best.vertices)].ops())
     dropped = tuple(best.vertices[i] for i, _ in conflicts)
     return CliqueResult(best.vertices, best.method, state, dropped)
 
@@ -409,15 +409,16 @@ def run_clique_attack(
     registers = []
     reports = []
     for i in range(params.l):
-        table_ops = scheme.register(i)
+        register = scheme.register(i)
         try:
-            result = attack_register(table_ops, expected_k)
+            result = attack_register(register, expected_k)
             state = result.recovered_state
             method, size, dropped = result.method, len(result.vertices), len(result.dropped)
             failed = False
         except AttackFailure:
             state = random_stabilizer_state(params.n, rng)
             result, method, size, dropped, failed = None, "none", 0, 0, True
+        table_ops = register.ops()
         p1 = (1.0 + float(np.mean([stab_expectation(state, op) for op in table_ops]))) / 2.0
         overlap = None
         if secret is not None and result is not None:

@@ -15,7 +15,9 @@ draws each trial's operators as one block of packed words and builds no
 PauliOp.
 
 Files are versioned UTF-8 text with one operator per line in the
-sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.
+sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.  The reader
+numbers lines as str.splitlines does, without building their list, and
+the scheme loader packs each register as it reads it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -36,14 +39,12 @@ from .money import (
     MoneyState,
     SchemeParams,
     SecretKey,
-    _empty_table,
-    _pack_register,
     completely_mixed_money,
     gen_scheme,
     honest_money,
     verify,
 )
-from .pauli import DENSE_LIMIT, PauliOp, random_pauli_block
+from .pauli import DENSE_LIMIT, PauliBlock, PauliOp, random_pauli_block
 from .stabilizer import StabilizerState
 
 __all__ = [
@@ -395,7 +396,7 @@ def save_scheme(
     lines.append("table")
     for i in range(p.l):
         lines.append(f"register {i}")
-        lines.extend(op.to_string() for op in scheme.register(i))
+        lines.extend(op.to_string() for op in scheme.register(i).ops())
     if secret is not None:
         lines.append("secret")
         for i, state in enumerate(secret.states):
@@ -405,25 +406,48 @@ def save_scheme(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The line boundaries of str.splitlines ("\r\n" is one), and a line's text
+# from its first nonblank character
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NONBLANK_LINE = re.compile(f"\\S[^{_BREAKS}]*")
+
+
+def _breaks(text: str, start: int, end: int) -> int:
+    """The line boundaries in text[start:end]."""
+    newlines = text.count("\n", start, end)
+    if newlines == end - start:  # the usual gap between two lines
+        return newlines
+    return sum(text.count(c, start, end) for c in _BREAKS) - text.count("\r\n", start, end)
+
+
 class _LineReader:
+    """A UTF-8 file's nonblank lines, stripped and numbered as str.splitlines numbers them.
+
+    The text is searched in place from an offset: no list of lines is built.
+    """
+
     def __init__(self, path: str | Path):
         data = Path(path).read_bytes()
         try:
-            text = data.decode("utf-8")
+            self.text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the line holding the bad byte, numbered as splitlines numbers it
-            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            prefix = data[: exc.start].decode("utf-8")
+            lineno = _breaks(prefix, 0, len(prefix)) + 1
             raise SchemeFormatError(f"not UTF-8 text: {exc.reason}", lineno) from exc
-        self.lines = text.splitlines()
-        self.pos = 0
+        self.offset = 0
+        self.lineno = 1  # the line of the text at offset
 
     def next(self) -> tuple[int, str]:
-        while self.pos < len(self.lines):
-            self.pos += 1
-            text = self.lines[self.pos - 1].strip()
-            if text:
-                return self.pos, text
-        raise SchemeFormatError("unexpected end of file", self.pos)
+        text, offset = self.text, self.offset
+        found = _NONBLANK_LINE.search(text, offset)
+        self.offset = found.end() if found else len(text)
+        self.lineno += _breaks(text, offset, found.start() if found else len(text))
+        if found is None:
+            # the last line is the one at the end of the text, unless it ends in a boundary
+            raise SchemeFormatError(
+                "unexpected end of file", self.lineno - (not text or text[-1] in _BREAKS)
+            )
+        return self.lineno, found.group().rstrip()
 
 
 def _parse_count(value: str) -> int:
@@ -507,8 +531,9 @@ def _read_register_block(
 def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
     """Parse a scheme file; errors carry the offending line number.
 
-    Each register is packed into the table as it is read, so no more than
-    one register's PauliOps are alive at a time.
+    Each register is packed as it is read, so one register's PauliOps are
+    alive at a time, and the table is stacked from the registers once all
+    are read: a file too short for its header fails with no table built.
     """
     reader = _LineReader(path)
     lineno, text = reader.next()
@@ -526,20 +551,12 @@ def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
         except ValueError as exc:
             raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
     params = SchemeParams(**fields)
-    # The packed table is allocated once register 0 has shown n qubits per
-    # entry, and only if the lines left can hold l registers of m + 1
-    # lines.  A file too short for its header still fails where the reader
-    # first meets the contradiction, with nothing allocated for the table.
-    fits = params.l * (params.m + 1) <= len(reader.lines) - reader.pos
-    table = None
-    for i in range(params.l):
-        _, ops = _read_register_block(reader, i, params.m, params.n)
-        if table is None and fits:
-            table = _empty_table(params)
-        if table is not None:
-            _pack_register(*table, i, [(op.x, op.z, op.phase) for op in ops])
+    registers = [
+        PauliBlock.of(_read_register_block(reader, i, params.m, params.n)[1])
+        for i in range(params.l)
+    ]
     # _read_register_block checks every entry as MoneyScheme's constructor does
-    scheme = MoneyScheme._trusted(params, *table)
+    scheme = MoneyScheme._trusted(params, PauliBlock.stack(registers))
     secret = None
     lineno, text = reader.next()
     if text == "secret":

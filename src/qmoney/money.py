@@ -1,8 +1,8 @@
 """Stabilizer money: secret states, public measurement tables, verification.
 
-A scheme is an l x m table of signed Paulis, stored as packed words (x
-and z bits in uint64 words, phases in uint8); PauliOps are built on read,
-a register or a chosen entry at a time.  Entry (i, j) stabilizes the
+A scheme is an l x m table of signed Paulis, stored as one (l, m)
+PauliBlock of packed words; a register is its row, a 1-D block, and
+PauliOps are built only where they are read.  Entry (i, j) stabilizes the
 i-th secret state with probability epsilon and is otherwise uniformly
 random, so measuring a random column against honest money averages to
 epsilon.  The verifier draws one operator per register, averages the +-1
@@ -37,8 +37,8 @@ import numpy as np
 from .errors import CapacityError, DimensionError, SoundnessWarning
 from .pauli import (
     DENSE_LIMIT,
+    PauliBlock,
     PauliOp,
-    _pack_words,
     _random_bits,
     expectation as vector_expectation,
 )
@@ -87,19 +87,15 @@ class SecretKey:
 
 @dataclass(frozen=True, init=False, eq=False)
 class MoneyScheme:
-    """The public table: l registers of m signed Paulis on n qubits, as packed words.
+    """The public table: l registers of m signed Paulis on n qubits.
 
-    Entry (i, j) has x bits x[i, j] and z bits z[i, j], W = ceil(n/64)
-    uint64 words each (word 0 the lowest), and phase phases[i, j] (0 for +,
-    2 for -); all three arrays are read-only.  PauliOps are built on read:
-    register(i) builds one register, entries(columns) one entry of each,
-    and table all l*m of them.
+    block is the table as one read-only (l, m) PauliBlock: entry (i, j)
+    is block[i, j], with phase 0 (+) or 2 (-).  register(i) is the block
+    of register i; table builds all l*m entries as PauliOps.
     """
 
     params: SchemeParams
-    x: np.ndarray
-    z: np.ndarray
-    phases: np.ndarray
+    block: PauliBlock
 
     def __init__(self, params: SchemeParams, table: Sequence[Sequence[PauliOp]]):
         p = params
@@ -115,90 +111,45 @@ class MoneyScheme:
                     raise ValueError(f"table entry {op} is not Hermitian")
                 if op.is_identity:
                     raise ValueError("table entries may not be +-identity")
-        x, z, phases = _empty_table(p)
-        for i, register in enumerate(table):
-            _pack_register(x, z, phases, i, [(op.x, op.z, op.phase) for op in register])
-        _set_table(self, p, x, z, phases)
+        self._set(p, PauliBlock.stack([PauliBlock.of(register) for register in table]))
 
     @classmethod
-    def _trusted(
-        cls, params: SchemeParams, x: np.ndarray, z: np.ndarray, phases: np.ndarray
-    ) -> MoneyScheme:
-        """A scheme of packed entries that already pass __init__'s checks, not checked again.
+    def _trusted(cls, params: SchemeParams, block: PauliBlock) -> MoneyScheme:
+        """A scheme of an (l, m) block whose entries already pass __init__'s checks.
 
         gen_scheme draws every entry Hermitian, non-identity and on n qubits.
         """
         scheme = object.__new__(cls)
-        _set_table(scheme, params, x, z, phases)
+        scheme._set(params, block)
         return scheme
+
+    def _set(self, params: SchemeParams, block: PauliBlock) -> None:
+        for array in (block.x, block.z, block.phases):
+            array.setflags(write=False)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "block", block)
+
+    def _key(self) -> tuple:
+        # equal params give equal shapes and dtypes, so equal bytes are equal entries
+        b = self.block
+        return self.params, b.x.tobytes(), b.z.tobytes(), b.phases.tobytes()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MoneyScheme):
             return NotImplemented
-        return self.params == other.params and all(
-            np.array_equal(a, b)
-            for a, b in ((self.x, other.x), (self.z, other.z), (self.phases, other.phases))
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.params, self.x.tobytes(), self.z.tobytes(), self.phases.tobytes()))
+        return hash(self._key())
 
-    def register(self, i: int) -> tuple[PauliOp, ...]:
-        """Register i's m entries."""
-        return _ops(self.params.n, self.x[i], self.z[i], self.phases[i])
-
-    def entries(self, columns: np.ndarray) -> tuple[PauliOp, ...]:
-        """Entry columns[i] of each register i."""
-        rows = np.arange(self.params.l)
-        return _ops(
-            self.params.n, self.x[rows, columns], self.z[rows, columns], self.phases[rows, columns]
-        )
+    def register(self, i: int) -> PauliBlock:
+        """Register i's m entries, a 1-D block."""
+        return self.block[i]
 
     @property
     def table(self) -> tuple[tuple[PauliOp, ...], ...]:
         """Every register's entries: l*m PauliOps, built on each read."""
-        return tuple(self.register(i) for i in range(self.params.l))
-
-
-def _empty_table(p: SchemeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialized (x, z, phases) arrays of MoneyScheme's layout for these params."""
-    shape = (p.l, p.m, (p.n + 63) // 64)
-    return np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape[:2], np.uint8)
-
-
-def _pack_register(
-    x: np.ndarray, z: np.ndarray, phases: np.ndarray, i: int, entries: list[tuple[int, int, int]]
-) -> None:
-    """Write register i's (x, z, phase) entries into the packed arrays."""
-    xs, zs, ps = zip(*entries)
-    x[i] = _pack_words(xs, x.shape[2]).T
-    z[i] = _pack_words(zs, z.shape[2]).T
-    phases[i] = ps
-
-
-def _set_table(
-    scheme: MoneyScheme, params: SchemeParams, x: np.ndarray, z: np.ndarray, phases: np.ndarray
-) -> None:
-    object.__setattr__(scheme, "params", params)
-    for name, array in (("x", x), ("z", z), ("phases", phases)):
-        array.setflags(write=False)
-        object.__setattr__(scheme, name, array)
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """The ints of (k, W) uint64 words, word 0 the lowest: one tolist per word column."""
-    vals = words[:, 0].tolist()
-    for w in range(1, words.shape[1]):
-        vals = [v | u << (64 * w) for v, u in zip(vals, words[:, w].tolist())]
-    return vals
-
-
-def _ops(n: int, x: np.ndarray, z: np.ndarray, phases: np.ndarray) -> tuple[PauliOp, ...]:
-    """The PauliOps of packed (k, W) x and z words and (k,) phases."""
-    return tuple(
-        PauliOp._trusted(n, xi, zi, p)
-        for xi, zi, p in zip(_ints(x), _ints(z), phases.tolist())
-    )
+        return tuple(self.register(i).ops() for i in range(self.params.l))
 
 
 def _check_dimension(dim: int) -> None:
@@ -332,8 +283,8 @@ def gen_scheme(
     element of its register's state (resampled if +I, the group's only
     identity) or a uniform non-identity signed Pauli.  The draws are
     random_stabilizer_element's and random_pauli(..., allow_identity=False)'s,
-    made in the same order from the same generator, but each entry is
-    written straight into the packed table, not built as a PauliOp.  A
+    made in the same order from the same generator, but each register's
+    entries are packed as ints into a block, not built as PauliOps.  A
     register's element draws read a draw table made for it and dropped
     after it, not one cached on the secret state.
     """
@@ -346,9 +297,8 @@ def gen_scheme(
         )
     n = params.n
     mask, row_bits = (1 << n) - 1, 2 * n
-    x, z, phases = _empty_table(params)
-    states = []
-    for i in range(params.l):
+    registers, states = [], []
+    for _ in range(params.l):
         state = random_stabilizer_state(n, rng)
         draws = None  # the state's draw table, made at its first element draw
         entries = []
@@ -365,9 +315,9 @@ def gen_scheme(
                     row = bits & ((1 << row_bits) - 1)
                 phase = 2 * (bits >> row_bits)
             entries.append((row & mask, row >> n, phase))
-        _pack_register(x, z, phases, i, entries)
+        registers.append(PauliBlock._pack(n, *zip(*entries)))
         states.append(state)
-    return SecretKey(tuple(states)), MoneyScheme._trusted(params, x, z, phases)
+    return SecretKey(tuple(states)), MoneyScheme._trusted(params, PauliBlock.stack(registers))
 
 
 def honest_money(secret: SecretKey) -> MoneyState:
@@ -491,7 +441,7 @@ def verify(
         raise DimensionError(f"money has {money.l} registers, scheme wants l={p.l}")
     if money.n != p.n:
         raise DimensionError(f"money on {money.n} qubits, scheme wants n={p.n}")
-    chosen = scheme.entries(rng.integers(0, p.m, size=p.l))
+    chosen = scheme.block[np.arange(p.l), rng.integers(0, p.m, size=p.l)].ops()
     mixed = sum(not isinstance(reg, StabilizerState) for reg in money.registers)
     uniforms = iter(rng.random(p.l + mixed).tolist())
     block_size = max(1, _VERIFY_ENTRIES >> p.n)

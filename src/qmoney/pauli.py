@@ -19,10 +19,13 @@ Two operators commute iff their symplectic inner product
 without ever touching a matrix: the accumulated power of i follows from
 four popcounts (see ``pauli_mul``).
 
-A ``PauliBlock`` holds many operators as packed words, x and z as
-(count, W) uint64 with W = ceil(n/64).  ``random_pauli_block`` draws one
-straight from the generator, the draws of a ``random_pauli`` loop without
-a ``PauliOp`` per operator, and the commutation kernel reads the words in
+A ``PauliBlock`` holds an array of operators as packed words, x and z
+as uint64 with W = ceil(n/64) words per operator, and is the one place
+that knows this layout: it packs ints into words, indexes the array's
+leading axes (a scheme's table is an (l, m) block), and builds the
+``PauliOp``s of a 1-D block.  ``random_pauli_block`` draws one straight
+from the generator, the draws of a ``random_pauli`` loop without a
+``PauliOp`` per operator, and the commutation kernel reads the words in
 blocks of rows: ``commutation_matrix`` writes its 0/1 matrix from them,
 and the eigenvalue check its +-1 sign matrix.
 """
@@ -269,12 +272,23 @@ def _pack_words(vals: list[int], nwords: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
+def _ints(words: np.ndarray) -> list[int]:
+    """The ints of (k, W) uint64 words, word 0 the lowest: one tolist per word column."""
+    vals = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        vals = [v | u << (64 * w) for v, u in zip(vals, words[:, w].tolist())]
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class PauliBlock:
-    """len(phases) signed Paulis on n qubits as packed words.
+    """Signed Paulis on n qubits as packed words, in an array of leading shape S.
 
-    Operator i has x bits x[i] and z bits z[i], W = ceil(n/64) uint64
-    words each (word 0 the lowest), and phase phases[i].
+    The operator at index s has x bits x[s] and z bits z[s], W = ceil(n/64)
+    uint64 words each (word 0 the lowest), and phase phases[s] (uint8):
+    x and z are S + (W,) and phases is S.  block[key] indexes the leading
+    axes, so a 2-D table's block[i] is its row i and block[rows, cols]
+    one entry of each chosen row.
     """
 
     n: int
@@ -285,6 +299,17 @@ class PauliBlock:
     def __len__(self) -> int:
         return len(self.phases)
 
+    def __getitem__(self, key) -> PauliBlock:
+        return PauliBlock(self.n, self.x[key], self.z[key], self.phases[key])
+
+    @classmethod
+    def _pack(cls, n: int, xs: Sequence[int], zs: Sequence[int], phases: Sequence[int]) -> PauliBlock:
+        """The 1-D block of operators (n, xs[k], zs[k], phases[k]), fields unchecked."""
+        nwords = (n + 63) // 64
+        # (count, W) views of (W, count) arrays, which the kernel reads unchanged
+        x, z = _pack_words(xs, nwords).T, _pack_words(zs, nwords).T
+        return cls(n, x, z, np.array(phases, dtype=np.uint8))
+
     @classmethod
     def of(cls, ops: Sequence[PauliOp] | PauliBlock) -> PauliBlock:
         """A block as it is, or a nonempty list of operators packed once."""
@@ -293,16 +318,21 @@ class PauliBlock:
         if not ops:
             raise ValueError("need at least one operator")
         n = ops[0].n
-        for op in ops:
-            if op.n != n:
-                raise DimensionError("operators act on different qubit counts")
-        nwords = (n + 63) // 64
-        # (count, W) views of (W, count) arrays, which the kernel reads unchanged
-        return cls(
-            n,
-            _pack_words([op.x for op in ops], nwords).T,
-            _pack_words([op.z for op in ops], nwords).T,
-            np.array([op.phase for op in ops], dtype=np.uint8),
+        if any(op.n != n for op in ops):
+            raise DimensionError("operators act on different qubit counts")
+        return cls._pack(n, [op.x for op in ops], [op.z for op in ops], [op.phase for op in ops])
+
+    @classmethod
+    def stack(cls, blocks: Sequence[PauliBlock]) -> PauliBlock:
+        """The blocks, all of one shape S, as one block of shape (len(blocks),) + S."""
+        arrays = (np.stack([getattr(b, name) for b in blocks]) for name in ("x", "z", "phases"))
+        return cls(blocks[0].n, *arrays)
+
+    def ops(self) -> tuple[PauliOp, ...]:
+        """The PauliOps of a 1-D block."""
+        return tuple(
+            PauliOp._trusted(self.n, x, z, p)
+            for x, z, p in zip(_ints(self.x), _ints(self.z), self.phases.tolist())
         )
 
 

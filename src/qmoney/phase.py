@@ -28,10 +28,11 @@ sums, and a window shorter than the image sum is summed from the kernel
 directly.  H is built by one scatter per block of operators, and each
 register's accept-loop constants are computed once.
 
-A RegisterHamiltonian holds its table's ops and its eigenpairs, which is
-all the forger reads.  H itself is dropped once the eigensolve has been
-checked against it, and rebuilt bit for bit from the ops on first read of
-h_matrix.  The checks run over blocks of rows, so they add no 2**n x 2**n
+A RegisterHamiltonian holds its register's block of packed words and
+its eigenpairs, which is all the forger reads.  H is scattered from the
+block's word arrays, dropped once the eigensolve has been checked against
+it, and rebuilt bit for bit from the block on first read of h_matrix.
+The checks run over blocks of rows, so they add no 2**n x 2**n
 temporary to H, the eigenvectors and the eigensolve's own workspace.  A
 sample-mode forge that accepts eigenvector j returns the one read-only
 register for (H, j), a copy of that eigenvector with a shared unit weight,
@@ -51,9 +52,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError
 from .money import DenseMixedRegister, MoneyState
-from .pauli import DENSE_LIMIT, PauliOp
+from .pauli import DENSE_LIMIT, PauliBlock, PauliOp
 
 __all__ = [
     "RegisterHamiltonian",
@@ -79,7 +80,7 @@ _UNIT_WEIGHT.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class RegisterHamiltonian:
-    """Eigenpairs of H = (1/m) sum of a register's m table entries (ops), on n qubits.
+    """Eigenpairs of H = (1/m) sum of a register's m table entries (block), on n qubits.
 
     Built by register_hamiltonian, which checks the eigenpairs against H;
     the forger trusts them, so its registers are not checked again.
@@ -87,14 +88,14 @@ class RegisterHamiltonian:
 
     n: int
     m: int
-    ops: tuple[PauliOp, ...]
+    block: PauliBlock
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @cached_property
     def h_matrix(self) -> np.ndarray:
-        """H, rebuilt from the ops on first read: the bits register_hamiltonian solved."""
-        h = _hamiltonian_matrix(self.ops, self.n)
+        """H, rebuilt from the block on first read: the bits register_hamiltonian solved."""
+        h = _hamiltonian_matrix(self.block, self.n)
         h.setflags(write=False)
         return h
 
@@ -131,23 +132,22 @@ class RegisterHamiltonian:
 _SCATTER_ENTRIES = 1 << 18
 
 
-def _scatter_ops(ops: Sequence[PauliOp], n: int) -> np.ndarray:
+def _scatter_ops(block: PauliBlock, n: int) -> np.ndarray:
     """m*H as one float64 vector of interleaved real and imaginary parts.
 
     Operator j has one nonzero per column c, i**k_j * (-1)**popcount(c & z_j)
     at row c ^ x_j, and i**k_j is real or imaginary.  np.add.at adds each
     block's entries into the vector.  They are all +-1, so every entry is a
     sum of integers: their order cannot matter, and no complex arithmetic
-    can turn a zero negative.
+    can turn a zero negative.  n <= DENSE_LIMIT, so x and z are one word.
     """
     dim = 1 << n
     col = np.arange(dim, dtype=np.int64)
-    x = np.array([op.x for op in ops], dtype=np.int64)[:, None]
-    z = np.array([op.z for op in ops], dtype=np.int64)[:, None]
-    k = np.array([(op.phase + (op.x & op.z).bit_count()) % 4 for op in ops])[:, None]
+    x, z = (words[:, :1].astype(np.int64) for words in (block.x, block.z))
+    k = (block.phases[:, None] + np.bitwise_count(x & z)).astype(np.int64) % 4
     h = np.zeros(2 * dim * dim)
     step = max(1, _SCATTER_ENTRIES >> n)
-    for lo in range(0, len(ops), step):
+    for lo in range(0, len(block), step):
         xb, zb, kb = x[lo : lo + step], z[lo : lo + step], k[lo : lo + step]
         # i**k is +1, +i, -1, -i: imaginary for odd k, negative for k >= 2
         slot = ((((col ^ xb) << n) | col) << 1) | (kb & 1)
@@ -156,11 +156,11 @@ def _scatter_ops(ops: Sequence[PauliOp], n: int) -> np.ndarray:
     return h
 
 
-def _hamiltonian_matrix(ops: Sequence[PauliOp], n: int) -> np.ndarray:
-    """H = (1/m) sum of the ops as a 2**n x 2**n complex matrix."""
+def _hamiltonian_matrix(block: PauliBlock, n: int) -> np.ndarray:
+    """H = (1/m) sum of the block's operators as a 2**n x 2**n complex matrix."""
     dim = 1 << n
-    h = _scatter_ops(ops, n).view(complex).reshape(dim, dim)
-    h /= len(ops)
+    h = _scatter_ops(block, n).view(complex).reshape(dim, dim)
+    h /= len(block)
     return h
 
 
@@ -170,29 +170,26 @@ def _hamiltonian_matrix(ops: Sequence[PauliOp], n: int) -> np.ndarray:
 _CHECK_ENTRIES = 1 << 14
 
 
-def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
+def register_hamiltonian(ops: Sequence[PauliOp] | PauliBlock) -> RegisterHamiltonian:
     """Eigenpairs of the dense H = (1/m) sum of the ops, checked against H.
 
-    H is scattered in blocks of operators (see _scatter_ops).  Its
+    ops is a register's block, or a list of PauliOps packed once.  H is
+    scattered in blocks of operators (see _scatter_ops).  Its
     Hermiticity, the reconstruction V diag(lambda) V^dagger = H, the
     eigenvalue range and the eigenvectors' unit norms are checked over
     blocks of rows, so the checks add temporaries of a block, not of H.
     H is then dropped; RegisterHamiltonian.h_matrix rebuilds it.  Cost
     O(m * 2**n) time plus one eigensolve and one matrix product.
     """
-    ops = tuple(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    n = ops[0].n
+    block = PauliBlock.of(ops)
+    n = block.n
     if n > DENSE_LIMIT:
         raise CapacityError(f"dense Hamiltonians limited to {DENSE_LIMIT} qubits")
-    for op in ops:
-        if op.n != n:
-            raise DimensionError("operators act on different qubit counts")
-        if not op.is_hermitian:
-            raise ValueError(f"operator {op} is not Hermitian")
+    odd = np.flatnonzero(block.phases & 1)
+    if len(odd):
+        raise ValueError(f"operator {block[odd[:1]].ops()[0]} is not Hermitian")
     dim = 1 << n
-    h = _hamiltonian_matrix(ops, n)
+    h = _hamiltonian_matrix(block, n)
     rows = max(1, _CHECK_ENTRIES >> n, dim >> 4)
     for lo in range(0, dim, rows):
         if np.abs(h[lo : lo + rows] - h[:, lo : lo + rows].conj().T).max() > 1e-10:
@@ -217,7 +214,7 @@ def register_hamiltonian(ops: Sequence[PauliOp]) -> RegisterHamiltonian:
         raise ArithmeticError("eigenvectors lost unit norm")
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return RegisterHamiltonian(n, len(ops), ops, eigenvalues, eigenvectors)
+    return RegisterHamiltonian(n, len(block), block, eigenvalues, eigenvectors)
 
 
 def moments(ham: RegisterHamiltonian) -> tuple[float, float]:

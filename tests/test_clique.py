@@ -636,3 +636,24 @@ def test_forge_high_eps_epsilon_one_always_accepts():
         out = verify(scheme, money, rng)
         assert out.accepted
         assert out.q_value == 1.0
+
+
+def test_clique_attack_on_a_drawn_scheme_packs_no_operator_list(monkeypatch):
+    # every register's graph is built from its block of the packed table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        secret, scheme = gen_scheme(SchemeParams(10, 64, 4, 0.5), np.random.default_rng(8))
+    packed = []
+    pack_words = pauli_module._pack_words
+
+    def counted(*args):
+        packed.append(args)
+        return pack_words(*args)
+
+    monkeypatch.setattr(pauli_module, "_pack_words", counted)
+    build_graph([PauliOp.identity(2)])
+    assert len(packed) == 2  # a list's x and z words are counted
+    packed.clear()
+    result = run_clique_attack(scheme, secret, np.random.default_rng(9))
+    assert packed == [] and result.failed_registers == ()
+    assert verify(scheme, result.money, np.random.default_rng(10)).accepted

@@ -1,6 +1,7 @@
 """File formats, counter-based seeding, and the experiment runner."""
 
 import ast
+import copy
 import csv
 import inspect
 import json
@@ -42,7 +43,7 @@ from qmoney import (
 )
 from qmoney import clique, harness, phase, postselect
 from qmoney.harness import setup_rng, trial_rng
-from qmoney.pauli import PauliOp, random_pauli
+from qmoney.pauli import PauliBlock, PauliOp, random_pauli
 from qmoney.postselect import (
     find_frozen_strings,
     label_table,
@@ -82,12 +83,27 @@ def test_scheme_round_trip_without_secret(tmp_path):
 
 def test_two_word_scheme_round_trip(tmp_path):
     secret, scheme = small_scheme(seed=3, n=65, m=8, l=3, eps=0.5)
-    assert scheme.x.shape[2] == 2 and (scheme.x[..., 1].any() or scheme.z[..., 1].any())
+    block = scheme.block
+    assert block.x.shape[2] == 2 and (block.x[..., 1].any() or block.z[..., 1].any())
     path = tmp_path / "w.scheme"
     save_scheme(path, scheme, secret)
     scheme2, secret2 = load_scheme(path)
     assert scheme2 == scheme and secret2 == secret
     assert scheme2.table == scheme.table
+
+
+def test_register_blocks_build_the_registers_entries(tmp_path):
+    secret, scheme = small_scheme(seed=4, n=65, m=8, l=3, eps=0.5)
+    path = tmp_path / "r.scheme"
+    save_scheme(path, scheme)
+    loaded = load_scheme(path)[0]
+    lines = path.read_text().splitlines()
+    for i in range(3):
+        start = lines.index(f"register {i}") + 1
+        written = tuple(PauliOp.from_string(line) for line in lines[start : start + 8])
+        for s in (scheme, loaded):
+            assert isinstance(s.register(i), PauliBlock)
+            assert s.register(i).ops() == s.table[i] == written
 
 
 @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -390,7 +406,65 @@ def test_loading_the_bench_shape_table_packs_each_register_as_it_is_read(tmp_pat
     finally:
         tracemalloc.stop()
     assert loaded == scheme and secret is None
-    assert peak <= 3.0 * 2**20, peak
+    assert peak <= 2.0 * 2**20, peak
+
+
+# Every line boundary of str.splitlines; "\r\n" is one
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def spread_over_breaks(lines):
+    """The lines, each followed by a blank one, ended by each boundary in turn: line i is line 2i + 1."""
+    padded = [text for line in lines for text in (line, " ")]
+    return "".join(line + _LINE_BREAKS[k % len(_LINE_BREAKS)] for k, line in enumerate(padded))
+
+
+def test_scheme_lines_are_numbered_as_splitlines_numbers_them(tmp_path):
+    secret, scheme = small_scheme(seed=6, n=3, m=8, l=3, eps=0.5)
+    path = tmp_path / "breaks.scheme"
+    save_scheme(path, scheme, secret)
+    lines = path.read_text().splitlines()
+    text = spread_over_breaks(lines)
+    assert text.splitlines()[::2] == lines
+    path.write_text(text, encoding="utf-8", newline="")
+    assert load_scheme(path) == (scheme, secret)
+    # a bad entry on each line of register 1's block; the blank lines before it hold every boundary
+    start = lines.index("register 1") + 1
+    for bad in range(start, start + 8):
+        edited = lines.copy()
+        edited[bad] = "+XQZ"
+        path.write_text(spread_over_breaks(edited), encoding="utf-8", newline="")
+        with pytest.raises(SchemeFormatError, match="bad Pauli letter") as err:
+            load_scheme(path)
+        assert err.value.line == 2 * bad + 1
+    # and a file cut short after its blank lines fails at its last line
+    path.write_text(spread_over_breaks(lines[:start]), encoding="utf-8", newline="")
+    with pytest.raises(SchemeFormatError, match="end of file") as err:
+        load_scheme(path)
+    assert err.value.line == 2 * start
+
+
+def test_blank_lines_do_not_make_a_short_file_fit_its_header(tmp_path):
+    # l=1,000,000 registers of one entry, but only register 0 and 2,000,000 blank
+    # lines: counting the blank lines as room, the reader allocated the whole
+    # table (16 MiB of packed words) before it failed, at a peak of 32.6 MiB
+    _, scheme = gen_scheme(SchemeParams(3, 1, 1, 0.5), np.random.default_rng(0))
+    path = tmp_path / "blank.scheme"
+    save_scheme(path, scheme)
+    lines = path.read_text().splitlines()
+    lines[lines.index("l 1")] = "l 1000000"
+    end = lines.index("end")
+    lines[end:end] = [""] * 2_000_000
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemeFormatError, match="expected 'register 1'") as err:
+            load_scheme(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == len(lines)  # the 'end' line
+    assert peak < 5 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -814,6 +888,50 @@ def test_low_eps_run_holds_little_at_its_first_verify(monkeypatch):
     finally:
         tracemalloc.stop()
     assert live[0] <= 7 * 2**20 / 4, live
+
+
+@pytest.mark.parametrize("mode", ["sample", "analysis"])
+def test_low_eps_run_builds_only_the_verified_entries(mode, monkeypatch):
+    # The Hamiltonians read the packed table: of all PauliOps built after the
+    # scheme is drawn, each verify builds the l entries it chose, and that is all.
+    built = []
+    post_init, trusted = PauliOp.__post_init__, PauliOp._trusted.__func__
+
+    def counted_post_init(op):
+        post_init(op)
+        built.append((op.n, op.x, op.z, op.phase))
+
+    def counted_trusted(cls, *fields):
+        built.append(fields)
+        return trusted(cls, *fields)
+
+    original_gen, original_verify = harness.gen_scheme, harness.verify
+    chosen = []  # (scheme, columns) per verify call
+
+    def drawn(*args):
+        out = original_gen(*args)
+        built.clear()
+        return out
+
+    def verified(scheme, money, rng):
+        twin = copy.deepcopy(rng)
+        chosen.append((scheme, twin.integers(0, scheme.params.m, size=scheme.params.l)))
+        return original_verify(scheme, money, rng)
+
+    monkeypatch.setattr(harness, "gen_scheme", drawn)
+    monkeypatch.setattr(harness, "verify", verified)
+    monkeypatch.setattr(PauliOp, "__post_init__", counted_post_init)
+    monkeypatch.setattr(PauliOp, "_trusted", classmethod(counted_trusted))
+    trials = 3
+    run_experiment(ExperimentConfig("low-eps-attack", trials, 5, _LOW_EPS, options={"mode": mode}))
+    got = list(built)
+    monkeypatch.undo()
+    assert len(got) == trials * _LOW_EPS.l and len(chosen) == trials
+    want = []
+    for scheme, columns in chosen:
+        table = scheme.table
+        want += [(op.n, op.x, op.z, op.phase) for op in (table[i][j] for i, j in enumerate(columns))]
+    assert got == want
 
 
 def counted_calls(monkeypatch, owner, name):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +169,12 @@ print(json.dumps([len(calls), records[0].metrics["failed_registers"]]))
     calls, failed = json.loads(proc.stdout)
     assert failed == 0  # the count holds while no register's attack fails
     assert calls == 2 * l * m + trials * l
+
+
+def test_only_pauli_knows_the_packed_word_count():
+    # W = ceil(n/64) and the 64-bit shifts between ints and words live in one module
+    sources = {path.name: path.read_text() for path in Path(qmoney.__file__).parent.glob("*.py")}
+    assert "pauli.py" in sources and len(sources) > 1
+    for pattern in ("+ 63) // 64", "64 * w"):
+        assert pattern in sources["pauli.py"], pattern
+        assert [name for name, text in sources.items() if pattern in text] == ["pauli.py"], pattern

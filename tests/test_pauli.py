@@ -283,6 +283,35 @@ def test_pauli_block_of_needs_operators_on_one_qubit_count():
         random_pauli_block(0, 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_pauli_block_ops_are_the_packed_operators(n):
+    rng = np.random.default_rng(n)
+    full = (1 << n) - 1
+    ops = [random_pauli(n, rng) for _ in range(40)]
+    ops += [PauliOp(n, full, full, 1), PauliOp(n, 1 << (n - 1), 0, 3), PauliOp.identity(n)]
+    assert PauliBlock.of(ops).ops() == tuple(ops)
+
+
+def test_pauli_block_indexes_its_leading_axes():
+    rng = np.random.default_rng(3)
+    table = [[random_pauli(65, rng) for _ in range(5)] for _ in range(4)]
+    block = PauliBlock.stack([PauliBlock.of(register) for register in table])
+    assert block.x.shape == block.z.shape == (4, 5, 2) and block.phases.shape == (4, 5)
+
+    def assert_same(got, want):
+        assert got.n == want.n
+        for a, b in ((got.x, want.x), (got.z, want.z), (got.phases, want.phases)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    for i, register in enumerate(table):
+        assert_same(block[i], PauliBlock.of(register))
+        assert block[i].ops() == tuple(register)
+    rows, cols = np.arange(4), np.array([4, 0, 2, 2])
+    chosen = [table[i][j] for i, j in zip(rows, cols)]
+    assert_same(block[rows, cols], PauliBlock.of(chosen))
+    assert block[rows, cols].ops() == tuple(chosen)
+
+
 def test_dense_capacity_guard():
     with pytest.raises(CapacityError):
         dense_matrix(PauliOp.identity(13))

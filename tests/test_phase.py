@@ -31,6 +31,7 @@ from qmoney import (
 )
 import qmoney.phase as phase_module
 from qmoney.harness import setup_rng
+from qmoney.pauli import PauliBlock
 from qmoney.phase import (
     _WALK_CAP,
     RegisterHamiltonian,
@@ -133,10 +134,11 @@ def test_hamiltonian_scatter_temporaries_do_not_grow_with_m():
     # about 6 MiB of index temporaries per 1,000 operators.
     rng = np.random.default_rng(57)
     ops = [random_pauli(8, rng) for _ in range(4096)]
+    blocks = {m: PauliBlock.of(ops[:m]) for m in (1024, 4096)}
     peaks = []
     for m in (1024, 4096):
         tracemalloc.start()
-        _scatter_ops(ops[:m], 8)
+        _scatter_ops(blocks[m], 8)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**20, peaks
@@ -148,15 +150,16 @@ def test_hamiltonian_keeps_its_eigenpairs_not_h():
     rng = np.random.default_rng(61)
     ops = [random_pauli(9, rng) for _ in range(200)]
     ops = tuple(PauliOp(9, op.x, op.z, op.phase & 2) for op in ops)
+    block = PauliBlock.of(ops)
     tracemalloc.start()
     try:
-        ham = register_hamiltonian(ops)
+        ham = register_hamiltonian(block)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept <= 4.5 * 2**20 and peak <= 10 * 2**20, (kept, peak)
     assert "h_matrix" not in vars(ham)
-    assert ham.ops is ops  # the table's own tuple, not a copy
+    assert ham.block is block  # the table's own block, not a copy
     assert ham.h_matrix.tobytes() == per_op_hamiltonian_matrix(ops).tobytes()
     assert ham.h_matrix is ham.h_matrix and not ham.h_matrix.flags.writeable
 
