@@ -16,7 +16,7 @@ PauliOp.
 
 Files are versioned UTF-8 text with one operator per line in the
 sign+{I,X,Y,Z}**n encoding; see save_scheme / save_note.  The reader
-numbers lines as str.splitlines does, without building their list, and
+keeps no list of lines and numbers a line only when an error names it;
 the scheme loader packs each register as it reads it.
 """
 
@@ -412,18 +412,10 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _NONBLANK_LINE = re.compile(f"\\S[^{_BREAKS}]*")
 
 
-def _breaks(text: str, start: int, end: int) -> int:
-    """The line boundaries in text[start:end]."""
-    newlines = text.count("\n", start, end)
-    if newlines == end - start:  # the usual gap between two lines
-        return newlines
-    return sum(text.count(c, start, end) for c in _BREAKS) - text.count("\r\n", start, end)
-
-
 class _LineReader:
-    """A UTF-8 file's nonblank lines, stripped and numbered as str.splitlines numbers them.
+    """A UTF-8 file's nonblank lines, stripped, found in the text in place.
 
-    The text is searched in place from an offset: no list of lines is built.
+    next() gives a line's offset, and lineno(at) numbers it for an error.
     """
 
     def __init__(self, path: str | Path):
@@ -431,23 +423,25 @@ class _LineReader:
         try:
             self.text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            prefix = data[: exc.start].decode("utf-8")
-            lineno = _breaks(prefix, 0, len(prefix)) + 1
+            self.text = data[: exc.start].decode("utf-8")  # the text before the bad byte
+            lineno = self.lineno(len(self.text))
             raise SchemeFormatError(f"not UTF-8 text: {exc.reason}", lineno) from exc
-        self.offset = 0
-        self.lineno = 1  # the line of the text at offset
+        self._lines = _NONBLANK_LINE.finditer(self.text)
 
     def next(self) -> tuple[int, str]:
-        text, offset = self.text, self.offset
-        found = _NONBLANK_LINE.search(text, offset)
-        self.offset = found.end() if found else len(text)
-        self.lineno += _breaks(text, offset, found.start() if found else len(text))
+        """(offset, stripped text) of the next nonblank line."""
+        found = next(self._lines, None)
         if found is None:
             # the last line is the one at the end of the text, unless it ends in a boundary
-            raise SchemeFormatError(
-                "unexpected end of file", self.lineno - (not text or text[-1] in _BREAKS)
-            )
-        return self.lineno, found.group().rstrip()
+            text = self.text
+            last = self.lineno(len(text)) - (not text or text[-1] in _BREAKS)
+            raise SchemeFormatError("unexpected end of file", last)
+        return found.start(), found.group().rstrip()
+
+    def lineno(self, at: int) -> int:
+        """The number of the line that holds text[at], as str.splitlines numbers it."""
+        text = self.text
+        return sum(text.count(c, 0, at) for c in _BREAKS) - text.count("\r\n", 0, at) + 1
 
 
 def _parse_count(value: str) -> int:
@@ -478,99 +472,100 @@ def _parse_epsilon(value: str) -> float:
 def _read_fields(
     reader: _LineReader, parsers: dict, stop: str, optional: tuple[str, ...] = ()
 ) -> dict[str, tuple[int, object]]:
-    """{key: (line, parsed value)} from the 'key value' lines up to the line ``stop``.
+    """{key: (line's offset, parsed value)} from the 'key value' lines up to the line ``stop``.
 
     Every key of parsers but the optional ones must appear, each key at most
     once, and each value is parsed at its own line.
     """
     fields: dict[str, tuple[int, object]] = {}
     while True:
-        lineno, text = reader.next()
+        at, text = reader.next()
         if text == stop:
             break
         parts = text.split(maxsplit=1)
         if len(parts) != 2 or parts[0] not in parsers:
-            raise SchemeFormatError(f"bad header line {text!r}", lineno)
+            raise SchemeFormatError(f"bad header line {text!r}", reader.lineno(at))
         key, value = parts
         if key in fields:
-            raise SchemeFormatError(f"repeated field {key}", lineno)
+            raise SchemeFormatError(f"repeated field {key}", reader.lineno(at))
         try:
-            fields[key] = (lineno, parsers[key](value))
+            fields[key] = (at, parsers[key](value))
         except ValueError as exc:
-            raise SchemeFormatError(f"{key}: {exc}", lineno) from exc
+            raise SchemeFormatError(f"{key}: {exc}", reader.lineno(at)) from exc
     missing = [key for key in parsers if key not in fields and key not in optional]
     if missing:
-        raise SchemeFormatError(f"missing field {missing[0]}", lineno)
+        raise SchemeFormatError(f"missing field {missing[0]}", reader.lineno(at))
     return fields
 
 
 def _read_register_block(
     reader: _LineReader, i: int, count: int, n: int
 ) -> tuple[int, tuple[PauliOp, ...]]:
-    """(line of the block's 'register i' header, its count operators)."""
-    block_line, text = reader.next()
+    """(offset of the block's 'register i' header line, its count operators)."""
+    block_at, text = reader.next()
     if text != f"register {i}":
-        raise SchemeFormatError(f"expected 'register {i}', got {text!r}", block_line)
+        raise SchemeFormatError(f"expected 'register {i}', got {text!r}", reader.lineno(block_at))
     ops = []
     for _ in range(count):
-        lineno, text = reader.next()
+        at, text = reader.next()
         try:
             op = PauliOp.from_string(text)
         except ValueError as exc:
-            raise SchemeFormatError(str(exc), lineno) from exc
+            raise SchemeFormatError(str(exc), reader.lineno(at)) from exc
         if op.n != n:
-            raise SchemeFormatError(f"operator has {op.n} qubits, expected {n}", lineno)
+            raise SchemeFormatError(f"operator has {op.n} qubits, expected {n}", reader.lineno(at))
         if not op.is_hermitian:
-            raise SchemeFormatError("operators in files must carry a +/- sign", lineno)
+            raise SchemeFormatError("operators in files must carry a +/- sign", reader.lineno(at))
         if op.is_identity:
-            raise SchemeFormatError("operators in files may not be +-identity", lineno)
+            raise SchemeFormatError("operators in files may not be +-identity", reader.lineno(at))
         ops.append(op)
-    return block_line, tuple(ops)
+    return block_at, tuple(ops)
 
 
 def load_scheme(path: str | Path) -> tuple[MoneyScheme, SecretKey | None]:
     """Parse a scheme file; errors carry the offending line number.
 
     Each register is packed as it is read, so one register's PauliOps are
-    alive at a time, and the table is stacked from the registers once all
-    are read: a file too short for its header fails with no table built.
+    alive at a time, and the table is allocated once all are read: a file
+    too short for its header fails with no table built.
     """
     reader = _LineReader(path)
-    lineno, text = reader.next()
+    at, text = reader.next()
     if text != _SCHEME_MAGIC:
-        raise SchemeFormatError(f"unsupported header {text!r}", lineno)
+        raise SchemeFormatError(f"unsupported header {text!r}", reader.lineno(at))
     parsers = {"n": _parse_count, "m": _parse_count, "l": _parse_count, "epsilon": _parse_epsilon}
     header = _read_fields(reader, {**parsers, "seed": _parse_count}, "table", optional=("seed",))
     fields = {}
     for key in parsers:
-        field_line, fields[key] = header[key]
+        field_at, fields[key] = header[key]
         try:
             # SchemeParams checks each field on its own, so a valid
             # instance with this one field swapped in checks only it.
             replace(_VALID_PARAMS, **{key: fields[key]})
         except ValueError as exc:
-            raise SchemeFormatError(f"{key}: {exc}", field_line) from exc
+            raise SchemeFormatError(f"{key}: {exc}", reader.lineno(field_at)) from exc
     params = SchemeParams(**fields)
-    registers = [
-        PauliBlock.of(_read_register_block(reader, i, params.m, params.n)[1])
-        for i in range(params.l)
-    ]
+    read = (_read_register_block(reader, i, params.m, params.n)[1] for i in range(params.l))
+    registers = [PauliBlock.of(ops) for ops in read]
+    table = PauliBlock.zeros(params.n, (params.l, params.m))
+    for i, register in enumerate(registers):
+        table[i] = register
     # _read_register_block checks every entry as MoneyScheme's constructor does
-    scheme = MoneyScheme._trusted(params, PauliBlock.stack(registers))
+    scheme = MoneyScheme._trusted(params, table)
     secret = None
-    lineno, text = reader.next()
+    at, text = reader.next()
     if text == "secret":
         states = []
         for i in range(params.l):
-            block_line, generators = _read_register_block(reader, i, params.n, params.n)
+            block_at, generators = _read_register_block(reader, i, params.n, params.n)
             try:
                 states.append(StabilizerState(params.n, generators))
             except (ValueError, InconsistentGeneratorsError) as exc:
-                raise SchemeFormatError(f"secret register {i}: {exc}", block_line) from exc
+                raise SchemeFormatError(f"secret register {i}: {exc}", reader.lineno(block_at)) from exc
         secret = SecretKey(tuple(states))
-        lineno, text = reader.next()
+        at, text = reader.next()
     if text != "end":
-        raise SchemeFormatError(f"expected 'end', got {text!r}", lineno)
+        raise SchemeFormatError(f"expected 'end', got {text!r}", reader.lineno(at))
     return scheme, secret
 
 
@@ -601,9 +596,9 @@ def save_note(path: str | Path, scheme: postselect.LabelScheme, money: postselec
 def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.LabeledMoney]:
     """Parse a note file; errors carry the offending line number."""
     reader = _LineReader(path)
-    lineno, text = reader.next()
+    at, text = reader.next()
     if text != _NOTE_MAGIC:
-        raise SchemeFormatError(f"unsupported header {text!r}", lineno)
+        raise SchemeFormatError(f"unsupported header {text!r}", reader.lineno(at))
     parsers = dict.fromkeys(("n", "s", "d", "label_seed"), _parse_count)
     header = _read_fields(reader, {**parsers, "label": str}, "end")
     fields = {key: value for key, (_, value) in header.items()}
@@ -613,7 +608,7 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
         ("s", postselect.MAX_LABEL_BITS, "labels are packed into uint32"),
     ):
         if fields[key] > limit:
-            raise CapacityError(f"line {header[key][0]}: {key}: {why}; need {key} <= {limit}")
+            raise CapacityError(f"line {reader.lineno(header[key][0])}: {key}: {why}; need {key} <= {limit}")
     try:
         scheme = postselect.make_label_scheme(
             fields["n"], fields["s"], fields["d"], fields["label_seed"]
@@ -621,13 +616,13 @@ def load_note(path: str | Path) -> tuple[postselect.LabelScheme, postselect.Labe
     except ValueError as exc:
         # n and s can be wrong on their own; any other refusal involves d
         bad = next((k for k in ("n", "s") if fields[k] < 1), "d")
-        raise SchemeFormatError(f"{bad}: {exc}", header[bad][0]) from exc
+        raise SchemeFormatError(f"{bad}: {exc}", reader.lineno(header[bad][0])) from exc
     try:
         if len(fields["label"]) != scheme.s:
             raise ValueError(f"need {scheme.s} label bits, got {fields['label']!r}")
         money = postselect.money_from_label(scheme, postselect.parse_label_bits(fields["label"]))
     except ValueError as exc:
-        raise SchemeFormatError(f"label: {exc}", header["label"][0]) from exc
+        raise SchemeFormatError(f"label: {exc}", reader.lineno(header["label"][0])) from exc
     return scheme, money
 
 

@@ -111,7 +111,10 @@ class MoneyScheme:
                     raise ValueError(f"table entry {op} is not Hermitian")
                 if op.is_identity:
                     raise ValueError("table entries may not be +-identity")
-        self._set(p, PauliBlock.stack([PauliBlock.of(register) for register in table]))
+        block = PauliBlock.zeros(p.n, (p.l, p.m))
+        for i, register in enumerate(table):
+            block[i] = PauliBlock.of(register)
+        self._set(p, block)
 
     @classmethod
     def _trusted(cls, params: SchemeParams, block: PauliBlock) -> MoneyScheme:
@@ -143,7 +146,7 @@ class MoneyScheme:
         return hash(self._key())
 
     def register(self, i: int) -> PauliBlock:
-        """Register i's m entries, a 1-D block."""
+        """Register i's m entries, a 1-D block: == on blocks raises, its ops() compare by value."""
         return self.block[i]
 
     @property
@@ -284,9 +287,9 @@ def gen_scheme(
     identity) or a uniform non-identity signed Pauli.  The draws are
     random_stabilizer_element's and random_pauli(..., allow_identity=False)'s,
     made in the same order from the same generator, but each register's
-    entries are packed as ints into a block, not built as PauliOps.  A
-    register's element draws read a draw table made for it and dropped
-    after it, not one cached on the secret state.
+    entries are packed as ints into the table's block, not built as
+    PauliOps.  A register's element draws read a draw table made for it
+    and dropped after it, not one cached on the secret state.
     """
     if params.epsilon > 0 and params.l / params.epsilon**2 < params.n:
         warnings.warn(
@@ -297,8 +300,9 @@ def gen_scheme(
         )
     n = params.n
     mask, row_bits = (1 << n) - 1, 2 * n
-    registers, states = [], []
-    for _ in range(params.l):
+    block = PauliBlock.zeros(n, (params.l, params.m))
+    states = []
+    for i in range(params.l):
         state = random_stabilizer_state(n, rng)
         draws = None  # the state's draw table, made at its first element draw
         entries = []
@@ -315,9 +319,9 @@ def gen_scheme(
                     row = bits & ((1 << row_bits) - 1)
                 phase = 2 * (bits >> row_bits)
             entries.append((row & mask, row >> n, phase))
-        registers.append(PauliBlock._pack(n, *zip(*entries)))
+        block[i] = PauliBlock._pack(n, *zip(*entries))
         states.append(state)
-    return SecretKey(tuple(states)), MoneyScheme._trusted(params, PauliBlock.stack(registers))
+    return SecretKey(tuple(states)), MoneyScheme._trusted(params, block)
 
 
 def honest_money(secret: SecretKey) -> MoneyState:

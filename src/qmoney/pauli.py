@@ -19,15 +19,11 @@ Two operators commute iff their symplectic inner product
 without ever touching a matrix: the accumulated power of i follows from
 four popcounts (see ``pauli_mul``).
 
-A ``PauliBlock`` holds an array of operators as packed words, x and z
-as uint64 with W = ceil(n/64) words per operator, and is the one place
-that knows this layout: it packs ints into words, indexes the array's
-leading axes (a scheme's table is an (l, m) block), and builds the
-``PauliOp``s of a 1-D block.  ``random_pauli_block`` draws one straight
-from the generator, the draws of a ``random_pauli`` loop without a
-``PauliOp`` per operator, and the commutation kernel reads the words in
-blocks of rows: ``commutation_matrix`` writes its 0/1 matrix from them,
-and the eigenvalue check its +-1 sign matrix.
+A ``PauliBlock`` holds an array of operators as packed words and is the
+one code that knows that layout (a scheme's table is an (l, m) block).
+``random_pauli_block`` draws one with the draws of a ``random_pauli``
+loop, and the commutation kernel reads the words in blocks of rows for
+``commutation_matrix`` and the eigenvalue check's sign matrix.
 """
 
 from __future__ import annotations
@@ -288,7 +284,9 @@ class PauliBlock:
     uint64 words each (word 0 the lowest), and phase phases[s] (uint8):
     x and z are S + (W,) and phases is S.  block[key] indexes the leading
     axes, so a 2-D table's block[i] is its row i and block[rows, cols]
-    one entry of each chosen row.
+    one entry of each chosen row; block[key] = other writes other's
+    words there.  Blocks do not compare by value: == raises TypeError, and
+    ops() gives the value form.
     """
 
     n: int
@@ -301,6 +299,19 @@ class PauliBlock:
 
     def __getitem__(self, key) -> PauliBlock:
         return PauliBlock(self.n, self.x[key], self.z[key], self.phases[key])
+
+    def __setitem__(self, key, value: PauliBlock) -> None:
+        self.x[key], self.z[key], self.phases[key] = value.x, value.z, value.phases
+
+    def __eq__(self, other):
+        raise TypeError("PauliBlocks do not compare by value; compare their ops()")
+
+    @classmethod
+    def zeros(cls, n: int, shape: tuple[int, ...]) -> PauliBlock:
+        """A block of leading shape S, all words and phases 0, to be written in place."""
+        words = shape + ((n + 63) // 64,)
+        x, z = np.zeros(words, np.uint64), np.zeros(words, np.uint64)
+        return cls(n, x, z, np.zeros(shape, np.uint8))
 
     @classmethod
     def _pack(cls, n: int, xs: Sequence[int], zs: Sequence[int], phases: Sequence[int]) -> PauliBlock:
@@ -321,12 +332,6 @@ class PauliBlock:
         if any(op.n != n for op in ops):
             raise DimensionError("operators act on different qubit counts")
         return cls._pack(n, [op.x for op in ops], [op.z for op in ops], [op.phase for op in ops])
-
-    @classmethod
-    def stack(cls, blocks: Sequence[PauliBlock]) -> PauliBlock:
-        """The blocks, all of one shape S, as one block of shape (len(blocks),) + S."""
-        arrays = (np.stack([getattr(b, name) for b in blocks]) for name in ("x", "z", "phases"))
-        return cls(blocks[0].n, *arrays)
 
     def ops(self) -> tuple[PauliOp, ...]:
         """The PauliOps of a 1-D block."""

@@ -171,6 +171,22 @@ def test_drawn_scheme_keeps_packed_words_at_the_bench_shape():
     assert kept <= 0.75 * 2**20, kept
 
 
+def test_scheme_tables_are_written_in_place():
+    # each register goes straight into the (l, m) block: no list of register blocks to stack
+    make(6, 64, 4, 1 / 128)  # warm up
+    other = make(6, 64, 512, 1 / 128, seed=2)[1]
+    table = other.table
+    for build in (lambda: make(6, 64, 512, 1 / 128, seed=1), lambda: (None, MoneyScheme(other.params, table))):
+        tracemalloc.start()
+        try:
+            built = build()  # the secret too: it is alive at the peak
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[1].block.x.shape == (512, 64, 1)
+        assert peak - kept <= 0.1 * 2**20, (peak, kept)
+
+
 def test_schemes_differing_in_one_high_word_bit_are_unequal():
     _, scheme = make(65, 8, 2, 0.5)
     table = [list(register) for register in scheme.table]

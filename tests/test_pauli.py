@@ -292,11 +292,14 @@ def test_pauli_block_ops_are_the_packed_operators(n):
     assert PauliBlock.of(ops).ops() == tuple(ops)
 
 
-def test_pauli_block_indexes_its_leading_axes():
+def test_pauli_block_indexes_and_writes_its_leading_axes():
     rng = np.random.default_rng(3)
     table = [[random_pauli(65, rng) for _ in range(5)] for _ in range(4)]
-    block = PauliBlock.stack([PauliBlock.of(register) for register in table])
+    block = PauliBlock.zeros(65, (4, 5))
     assert block.x.shape == block.z.shape == (4, 5, 2) and block.phases.shape == (4, 5)
+    assert block[0].ops() == (PauliOp.identity(65),) * 5
+    for i, register in enumerate(table):
+        block[i] = PauliBlock.of(register)
 
     def assert_same(got, want):
         assert got.n == want.n
@@ -310,6 +313,16 @@ def test_pauli_block_indexes_its_leading_axes():
     chosen = [table[i][j] for i, j in zip(rows, cols)]
     assert_same(block[rows, cols], PauliBlock.of(chosen))
     assert block[rows, cols].ops() == tuple(chosen)
+
+
+def test_pauli_blocks_do_not_compare_by_value():
+    ops = [PauliOp.from_string("+XZ"), PauliOp.from_string("-YI")]
+    block = PauliBlock.of(ops)
+    with pytest.raises(TypeError):
+        block == PauliBlock.of(ops)
+    with pytest.raises(TypeError):
+        block != block
+    assert block.ops() == PauliBlock.of(ops).ops()
 
 
 def test_dense_capacity_guard():
