@@ -210,7 +210,7 @@ def _filter_candidate(graph: MeasurementGraph, key: np.ndarray, k: int) -> list[
     # the outcome.
     order = np.argsort(-key, kind="stable")
     w_set = order[:k]
-    counts = graph.adjacency[:, w_set].sum(axis=1, dtype=np.int64)
+    counts = graph.adjacency[w_set].sum(axis=0, dtype=np.int64)  # rows: the adjacency is symmetric
     candidate = np.flatnonzero(counts >= 0.75 * k)
     # Stray vertices slip in occasionally; keep the greedy commuting core,
     # which on a clique is the whole candidate set.
@@ -338,11 +338,18 @@ def _clique_floor(m: int, expected_k: int) -> int:
     return max(2, root)
 
 
-def attack_register(ops: Sequence[PauliOp] | PauliBlock, expected_k: int) -> CliqueResult:
+def attack_register(
+    ops: Sequence[PauliOp] | PauliBlock,
+    expected_k: int,
+    *,
+    _entries: Sequence[PauliOp] | None = None,
+) -> CliqueResult:
     """Full per-register pipeline: graph, clique, completion to a state.
 
-    ops is a register's block, or a list of PauliOps packed once; only the
-    clique's entries are built as PauliOps, for the completion.  The finder
+    ops is a register's block, or a list of PauliOps packed once.  The
+    completion takes the clique's entries from the list, or from
+    ``_entries``, the block's PauliOps if the caller has built them;
+    otherwise only the clique's entries are built.  The finder
     is chosen by regime from the expected planted size (degree sort above
     4*sqrt(m)*log10(m), spectral down to 10*sqrt(m), bootstrap below).  A
     clique smaller than the failure floor raises AttackFailure.
@@ -367,7 +374,12 @@ def attack_register(ops: Sequence[PauliOp] | PauliBlock, expected_k: int) -> Cli
         raise AttackFailure(
             f"largest commuting set found has {len(best.vertices)} < {floor} operators"
         )
-    state, conflicts = complete_to_stabilizer_state(block[list(best.vertices)].ops())
+    entries = _entries if ops is block else ops
+    if entries is None:
+        clique = block[list(best.vertices)].ops()
+    else:
+        clique = [entries[v] for v in best.vertices]
+    state, conflicts = complete_to_stabilizer_state(clique)
     dropped = tuple(best.vertices[i] for i, _ in conflicts)
     return CliqueResult(best.vertices, best.method, state, dropped)
 
@@ -410,15 +422,15 @@ def run_clique_attack(
     reports = []
     for i in range(params.l):
         register = scheme.register(i)
+        table_ops = register.ops()
         try:
-            result = attack_register(register, expected_k)
+            result = attack_register(register, expected_k, _entries=table_ops)
             state = result.recovered_state
             method, size, dropped = result.method, len(result.vertices), len(result.dropped)
             failed = False
         except AttackFailure:
             state = random_stabilizer_state(params.n, rng)
             result, method, size, dropped, failed = None, "none", 0, 0, True
-        table_ops = register.ops()
         p1 = (1.0 + float(np.mean([stab_expectation(state, op) for op in table_ops]))) / 2.0
         overlap = None
         if secret is not None and result is not None:

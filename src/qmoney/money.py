@@ -39,10 +39,15 @@ from .pauli import (
     DENSE_LIMIT,
     PauliBlock,
     PauliOp,
-    _random_bits,
+    _EntryReplay,
     expectation as vector_expectation,
 )
-from .stabilizer import StabilizerState, random_stabilizer_state, stab_expectation
+from .stabilizer import (
+    StabilizerState,
+    _signed_products,
+    random_stabilizer_state,
+    stab_expectation,
+)
 
 __all__ = [
     "SchemeParams",
@@ -286,10 +291,14 @@ def gen_scheme(
     element of its register's state (resampled if +I, the group's only
     identity) or a uniform non-identity signed Pauli.  The draws are
     random_stabilizer_element's and random_pauli(..., allow_identity=False)'s,
-    made in the same order from the same generator, but each register's
-    entries are packed as ints into the table's block, not built as
-    PauliOps.  A register's element draws read a draw table made for it
-    and dropped after it, not one cached on the secret state.
+    made in the same order from the same generator, and the generator's
+    state after them is theirs.  A register's m entries are found in one
+    pass over the generator's raw words (pauli._EntryReplay), its element
+    draws are computed together as products of its state's generators
+    (stabilizer._signed_products), and its entries are written into the
+    table's block as packed words; no entry is built as a PauliOp and no
+    secret state keeps a draw table.  The bit generator must be PCG64,
+    PCG64DXSM, SFC64 or Philox (TypeError otherwise, before any draw).
     """
     if params.epsilon > 0 and params.l / params.epsilon**2 < params.n:
         warnings.warn(
@@ -299,27 +308,16 @@ def gen_scheme(
             stacklevel=2,
         )
     n = params.n
-    mask, row_bits = (1 << n) - 1, 2 * n
+    replay = _EntryReplay(rng, n)
     block = PauliBlock.zeros(n, (params.l, params.m))
     states = []
     for i in range(params.l):
         state = random_stabilizer_state(n, rng)
-        draws = None  # the state's draw table, made at its first element draw
-        entries = []
-        for _ in range(params.m):
-            row = 0  # the identity row, resampled on either side
-            if rng.random() < params.epsilon:
-                if draws is None:
-                    draws = state._draw_products()
-                while not row:
-                    row, phase = draws.signed_row(_random_bits(rng, n))
-            else:
-                while not row:
-                    bits = _random_bits(rng, row_bits + 1)
-                    row = bits & ((1 << row_bits) - 1)
-                phase = 2 * (bits >> row_bits)
-            entries.append((row & mask, row >> n, phase))
-        block[i] = PauliBlock._pack(n, *zip(*entries))
+        keyed, bits = replay.entries(params.m, params.epsilon)
+        x, z, phases = bits[:, :n], bits[:, n : 2 * n], 2 * bits[:, 2 * n]
+        if keyed.any():
+            x[keyed], z[keyed], phases[keyed] = _signed_products(state, bits[keyed, :n])
+        block[i] = PauliBlock._of_bits(x, z, phases)
         states.append(state)
     return SecretKey(tuple(states)), MoneyScheme._trusted(params, block)
 

@@ -322,6 +322,20 @@ class PauliBlock:
         return cls(n, x, z, np.array(phases, dtype=np.uint8))
 
     @classmethod
+    def _of_bits(cls, x: np.ndarray, z: np.ndarray, phases: np.ndarray) -> PauliBlock:
+        """The 1-D block of (count, n) 0/1 uint8 x and z bits (bit j: qubit j) and uint8 phases."""
+        count, n = x.shape
+        nbytes = 8 * ((n + 63) // 64)
+
+        def words_of(columns: np.ndarray) -> np.ndarray:
+            out = np.zeros((count, nbytes), dtype=np.uint8)
+            packed = np.packbits(columns, axis=1, bitorder="little")
+            out[:, : packed.shape[1]] = packed
+            return out.view("<u8").astype(np.uint64)
+
+        return cls(n, words_of(x), words_of(z), phases)
+
+    @classmethod
     def of(cls, ops: Sequence[PauliOp] | PauliBlock) -> PauliBlock:
         """A block as it is, or a nonempty list of operators packed once."""
         if isinstance(ops, PauliBlock):
@@ -359,15 +373,123 @@ def random_pauli_block(n: int, count: int, rng: np.random.Generator) -> PauliBlo
         words = rng.integers(2**32, size=(count - len(bits), k), dtype=np.uint32)
         drawn = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), axis=1, bitorder="little")
         bits = np.concatenate([bits, drawn[drawn[:, : 2 * n].any(axis=1)]])
-    nbytes = 8 * ((n + 63) // 64)
+    return PauliBlock._of_bits(bits[:, :n], bits[:, n : 2 * n], 2 * bits[:, 2 * n])
 
-    def words_of(columns: np.ndarray) -> np.ndarray:
-        out = np.zeros((count, nbytes), dtype=np.uint8)
-        packed = np.packbits(columns, axis=1, bitorder="little")
-        out[:, : packed.shape[1]] = packed
-        return out.view("<u8").astype(np.uint64)
 
-    return PauliBlock(n, words_of(bits[:, :n]), words_of(bits[:, n : 2 * n]), 2 * bits[:, 2 * n])
+# The bit generators whose draws read one stream of 64-bit words by one
+# rule: a double takes a whole word w as (w >> 11) * 2**-53, and
+# next_uint32 returns the buffered high half if there is one, else a new
+# word's low half, buffering its high half.  MT19937's doubles read two
+# 32-bit outputs.
+_WORD_STREAMS = (np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox)
+
+
+class _EntryReplay:
+    """Batches of a scheme's entry draws, read from the generator's raw words.
+
+    An entry draws u = rng.random(), then, if u < p, an n-bit key by
+    _random_bits(rng, n), redrawn while it is 0, and otherwise the 2n+1
+    bits of random_pauli(n, rng, allow_identity=False).  ``entries`` finds
+    a batch's draws in the words that random_raw reads from a copy of the
+    bit generator (made once), then moves the generator past the words
+    they use and sets its uint32 buffer as they leave it, so the
+    generator's whole state is the draws'.
+
+    Word 0 holds the buffered half, if any, as its high half, and the
+    generator's next words follow.  Half h is the low (h even) or high
+    (h odd) 32 bits of word h // 2.  An entry that starts at cursor s
+    (s = 2p - has_uint32, p the next unread word) takes word (s + 1) // 2
+    for its double and reads its uint32s from halves s + 2, s + 3, ...,
+    except that the first is the buffered half s when s is odd.  After
+    T uint32s the next entry starts at s + T + 2.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, _WORD_STREAMS):
+            raise TypeError(
+                "the scheme draw replays the words of PCG64, PCG64DXSM, SFC64 or "
+                f"Philox, not of {type(bitgen).__name__}"
+            )
+        self.bitgen, self.copy, self.n = bitgen, type(bitgen)(), n
+        k_op = (2 * n + 32) // 32
+        self.sizes = k_op, (n + 31) // 32  # uint32s per operator and per key draw
+        # the bits of each uint32 that hold an operator's x and z (row 0) or
+        # a key (row 1): a draw whose bits there are all 0 is drawn again
+        self.masks = np.array(
+            [[(1 << min(max(bits - 32 * j, 0), 32)) - 1 for j in range(k_op)] for bits in (2 * n, n)],
+            dtype=np.uint32,
+        )
+
+    def entries(self, count: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(keyed, bits): keyed[t] is entry t's u < p, and bits[t] its last draw's bits.
+
+        bits is (count, 2n + 1) uint8, little endian.  A keyed entry's key
+        is bits[t, :n], and the rest of its row is not its draw; any other
+        entry's operator has x bits[t, :n], z bits[t, n:2n] and sign bit
+        bits[t, 2n].
+        """
+        state = self.bitgen.state
+        # an entry reads at most sizes[0] + 2 halves unless it redraws, which
+        # about one in 2**n does; a walk that runs out reads twice the words
+        nwords = (count * (self.sizes[0] + 2) + (count >> (self.n - 1))) // 2 + 4
+        while (walk := self._walk(count, p, state, nwords)) is None:
+            nwords *= 2
+        keyed, vals, end, last = walk
+        self.bitgen.random_raw((end + 1) // 2 - 1)
+        state = self.bitgen.state
+        state["has_uint32"], state["uinteger"] = end & 1, last
+        self.bitgen.state = state
+        bits = np.unpackbits(vals.view(np.uint8), axis=1, count=2 * self.n + 1, bitorder="little")
+        return keyed, bits
+
+    def _walk(self, count: int, p: float, state: dict, nwords: int):
+        """(keyed, vals, end, last) of count entries over nwords words, or None if they need more.
+
+        vals[t] holds the uint32s of entry t's last draw, and as many more
+        halves as an operator draw reads.  end is the cursor after the
+        last entry, and last the uint32 buffer's value there: the buffered
+        half if end is odd, else the last half read, which numpy leaves in
+        place.  Each entry is first walked as if it drew once; a draw found
+        zero costs its entry one more draw and a walk of the entries after it.
+        """
+        k_op, k_key = self.sizes
+        self.copy.state = state
+        words = np.zeros(nwords + 2 + k_op // 2, dtype="<u8")  # room for an operator's halves
+        words[0] = state["uinteger"] << 32
+        words[1 : nwords + 1] = self.copy.random_raw(nwords)
+        halves = words.view("<u4")
+        keyed_word = (words >> np.uint64(11)) * 2.0**-53 < p
+        step = np.where(keyed_word[: nwords + 1], k_key + 2, k_op + 2).tolist()
+        offsets = np.arange(2, k_op + 2)
+        starts: list[int] = []
+        redrawn: dict[int, int] = {}  # entry -> halves that its redraws read
+        s, t0 = 2 - state["has_uint32"], 0
+        while True:
+            try:
+                for _ in range(t0, count):
+                    starts.append(s)
+                    s += step[(s + 1) >> 1]
+            except IndexError:
+                return None
+            if s > 2 * nwords + 2:  # the last entry reads past the words
+                return None
+            first = np.array(starts)
+            keyed = keyed_word[(first + 1) >> 1]
+            idx = first[:, None] + offsets
+            idx[:, 0] -= (first & 1) << 1  # an odd start reads the buffered half s first
+            for t, extra in redrawn.items():
+                idx[t] = first[t] + extra + offsets
+            vals = halves[idx]
+            drawn = (vals & self.masks[keyed.view(np.uint8)]).any(axis=1)
+            if drawn.all():
+                break
+            t = int(np.argmin(drawn))
+            redrawn[t] = redrawn.get(t, 0) + (k_key if keyed[t] else k_op)
+            del starts[t + 1 :]
+            s, t0 = starts[t] + step[(starts[t] + 1) >> 1] + redrawn[t], t + 1
+        last = halves[s] if s & 1 else vals[-1, (k_key if keyed[-1] else k_op) - 1]
+        return keyed, vals, s, int(last)
 
 
 def _anticommuting_rows(block: PauliBlock) -> Iterator[tuple[int, int, np.ndarray]]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -455,6 +455,20 @@ def eigenvalue_phases(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(lam < 0, 1.0 + lam, lam)
 
 
+def _index_draw(rng: np.random.Generator, n: int) -> Callable[[], int]:
+    """A draw of j uniform on [0, 2**n) for 1 <= n <= 32: rng.integers(2**n), bit for bit.
+
+    integers draws a range of at most 2**32 values by Lemire's method from
+    one next_uint32 word, which it never rejects when the range is a power
+    of two, and returns the word's top n bits.  This reads that word
+    straight from the bit generator's C next_uint32, so the value, and the
+    generator state after it, are integers'.
+    """
+    bitgen = rng.bit_generator.ctypes
+    next_uint32, state, shift = bitgen.next_uint32, bitgen.state, 32 - n
+    return lambda: next_uint32(state) >> shift
+
+
 @dataclass(frozen=True)
 class RegisterForgeRecord:
     """Per-register diagnostics; exit_iteration/fully_mixed are expectations in analysis mode."""
@@ -495,8 +509,9 @@ def generate_rho_with_record(
     if mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
+        draw_index = _index_draw(rng, ham.n)
         for k in range(1, cap + 1):
-            j = int(rng.integers(dim))
+            j = draw_index()
             z = pe_sample(phases[j], q, rng)
             if lo <= z / size <= hi:
                 reg = ham._eigenstate(j)

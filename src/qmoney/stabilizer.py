@@ -20,8 +20,10 @@ carry what the sign needs (see ``_SubsetProducts``).  The draw table holds
 the same products over chunks of consecutive generators, keyed by the
 random generator mask, so a draw is the exact ordered product.  Each table
 is built on first use, so states that are never queried or drawn from pay
-nothing; gen_scheme draws its table entries from a draw table that it does
-not keep on the state.  The symplectic inner product of rows v, w is
+nothing.  gen_scheme builds no table: it computes a register's drawn
+elements all at once, as GF(2) matrix products of the generators
+(``_signed_products``), with the draw table's signs.  The symplectic
+inner product of rows v, w is
 popcount(v & swap_halves(w)) mod 2, so "all operators commuting with a
 set" is a GF(2) null space.
 
@@ -120,6 +122,19 @@ _CHUNK = 6
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
+def _row_bits(rows: list[int], n: int) -> np.ndarray:
+    """(len(rows), 2n) uint8: bit b of each row [x | z], little endian."""
+    nbytes = (2 * n + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(data, axis=1, count=2 * n, bitorder="little")
+
+
+def _cross_parities(bits: np.ndarray, n: int) -> np.ndarray:
+    """Entry (k, j) is <z_k, x_j> mod 2 for k < j and 0 otherwise, over float row bits (k, 2n)."""
+    return np.triu((bits[:, n:] @ bits[:, :n].T).astype(np.int64) & 1, 1)
+
+
 def _cross_masks(rows: list[int], n: int) -> list[int]:
     """Per row k of [x | z], the mask of rows j > k with <z_k, x_j> odd.
 
@@ -128,12 +143,7 @@ def _cross_masks(rows: list[int], n: int) -> list[int]:
     this small) and reduced mod 2, and its strict upper triangle is packed
     back into ints.
     """
-    nbytes = (2 * n + 7) // 8
-    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes), axis=1, bitorder="little"
-    ).astype(np.float64)
-    odd = np.triu((bits[:, n:2 * n] @ bits[:, :n].T).astype(np.int64) & 1, 1)
+    odd = _cross_parities(_row_bits(rows, n).astype(np.float64), n)
     packed = np.packbits(odd.astype(np.uint8), axis=1, bitorder="little")
     width, data = packed.shape[1], packed.tobytes()
     return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
@@ -199,6 +209,33 @@ class _SubsetProducts:
             + (key & self.odd).bit_count()
             + 2 * (acc & key).bit_count()
         )
+
+
+def _signed_products(
+    state: StabilizerState, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, phases) of the generator products that the rows of keys select.
+
+    keys is (count, n) 0/1 uint8: bit k of a row selects generator k, as a
+    key of _SubsetProducts over the generators does, and each product is
+    that table's, sign included.  Its row is the XOR of the selected rows,
+    and with s the key's bits its folded phase is sum_k s_k q_k + 2 s^T U s
+    (mod 4), U the cross masks as a matrix: U[k, j] = <z_k, x_j> mod 2 for
+    k < j.  One float32 product s @ [rows | U | q] gives all three for
+    every key; its sums are at most 3n, so exact.  x and z are (count, n)
+    uint8 bits and phases (count,) uint8.
+    """
+    n, gens = state.n, state.generators
+    table = np.empty((n, 3 * n + 1), dtype=np.float32)
+    table[:, : 2 * n] = _row_bits([g.row for g in gens], n)
+    table[:, 2 * n : 3 * n] = _cross_parities(table[:, : 2 * n], n)
+    table[:, 3 * n] = [_folded(g)[2] for g in gens]
+    sums = (keys.astype(np.float32) @ table).astype(np.int64)
+    parities = sums[:, : 3 * n].astype(np.uint8) & 1
+    x, z, su = parities[:, :n], parities[:, n : 2 * n], parities[:, 2 * n :]
+    cross = np.count_nonzero(su & keys, axis=1)  # s^T U s mod 2
+    phases = (sums[:, 3 * n] + 2 * cross - np.count_nonzero(x & z, axis=1)) & 3
+    return x, z, phases.astype(np.uint8)
 
 
 def _echelon_table(basis: list[_Element], n: int) -> _SubsetProducts:
@@ -348,15 +385,7 @@ class StabilizerState:
 
     @cached_property
     def _draw_table(self) -> _SubsetProducts:
-        """The draw table (``_draw_products``), built on first draw and kept."""
-        return self._draw_products()
-
-    def _draw_products(self) -> _SubsetProducts:
-        """Subset products of the generators, keyed by generator index; built anew per call.
-
-        gen_scheme draws from one of these for its register and drops it,
-        so the secret state keeps no table for its scheme's draws.
-        """
+        """Subset products of the generators, keyed by generator index; built on first draw."""
         return _SubsetProducts([(g.row, _folded(g)[2]) for g in self.generators], self.n)
 
     def canonical_generators(self) -> tuple[PauliOp, ...]:

@@ -36,7 +36,7 @@ import qmoney.pauli as pauli_module
 import qmoney.stabilizer as stabilizer_module
 from qmoney.clique import _degree_order, _greedy_from_order, _sign_matrix, _top_eigenpairs
 from qmoney.harness import trial_rng
-from qmoney.pauli import random_pauli_block
+from qmoney.pauli import PauliBlock, random_pauli_block
 
 
 def gnp(rng, m, p=0.5):
@@ -657,3 +657,29 @@ def test_clique_attack_on_a_drawn_scheme_packs_no_operator_list(monkeypatch):
     result = run_clique_attack(scheme, secret, np.random.default_rng(9))
     assert packed == [] and result.failed_registers == ()
     assert verify(scheme, result.money, np.random.default_rng(10)).accepted
+
+
+def test_clique_attack_builds_each_registers_operators_once(monkeypatch):
+    # the queries and the completion read one PauliOp per entry, built once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SoundnessWarning)
+        secret, scheme = gen_scheme(SchemeParams(10, 64, 4, 0.5), np.random.default_rng(8))
+    want = run_clique_attack(scheme, secret, np.random.default_rng(9))
+    built = []
+    ops = PauliBlock.ops
+
+    def counted(block):
+        built.append(len(block))
+        return ops(block)
+
+    monkeypatch.setattr(PauliBlock, "ops", counted)
+    got = run_clique_attack(scheme, secret, np.random.default_rng(9))
+    assert built == [64] * 4
+    assert got.reports == want.reports
+    assert [r.generators for r in got.money.registers] == [r.generators for r in want.money.registers]
+    # a block alone builds only its clique's entries, the same operators
+    built.clear()
+    register = scheme.register(0)
+    alone = attack_register(register, 32)
+    assert built == [len(alone.vertices)]
+    assert alone.recovered_state.generators == want.money.registers[0].generators

@@ -32,8 +32,10 @@ from qmoney import (
     verify,
 )
 import qmoney.money as money_module
+import qmoney.stabilizer as stabilizer_module
 import qmoney.phase as phase_module
 from qmoney.money import BasisMixedRegister, completely_mixed_register
+from qmoney.pauli import _random_bits
 
 
 def make(n, m, l, eps, seed=0):
@@ -123,12 +125,18 @@ def per_entry_gen_scheme(params, rng):
     return states, tuple(table)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("epsilon", [0.0, 1 / 128, 0.5, 1.0])
-@pytest.mark.parametrize("n", [1, 6, 50, 64, 65, 100])  # 65 and 100 take two words
-def test_packed_draw_equals_the_per_entry_draw(n, epsilon, seed):
-    params = SchemeParams(n, 24, 3, epsilon)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+def same_state(a, b) -> bool:
+    """Bit generator states equal, arrays (SFC64's and Philox's words) compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_draw_is_the_per_entry_draw(params, ours, theirs):
+    """gen_scheme(params, ours) draws what per_entry_gen_scheme(params, theirs) draws.
+
+    The table, the secret states and the generator's final state.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SoundnessWarning)
         secret, scheme = gen_scheme(params, ours)
@@ -136,7 +144,19 @@ def test_packed_draw_equals_the_per_entry_draw(n, epsilon, seed):
     assert scheme.table == table
     assert [s.generators for s in secret.states] == [s.generators for s in states]
     # the whole state: the 64-bit word buffer (has_uint32, uinteger) included
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
+    return scheme, table
+
+
+# n = 1 and 2 redraw often, 31-33 put a key or an operator across uint32s,
+# and 65 and 100 take two words; seeds 7 and 31 were not used in tuning
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 31])
+@pytest.mark.parametrize("epsilon", [0.0, 1 / 128, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 31, 32, 33, 50, 64, 65, 100])
+def test_packed_draw_equals_the_per_entry_draw(n, epsilon, seed):
+    params = SchemeParams(n, 24, 3, epsilon)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    scheme, table = assert_draw_is_the_per_entry_draw(params, ours, theirs)
     words = (n + 63) // 64
     block = scheme.block
     assert block.x.shape == block.z.shape == (3, 24, words) and block.phases.shape == (3, 24)
@@ -147,6 +167,73 @@ def test_packed_draw_equals_the_per_entry_draw(n, epsilon, seed):
             assert block.z[i, j].tolist() == [(op.z >> (64 * w)) & mask for w in range(words)]
             assert block.phases[i, j] == op.phase
     assert not any(a.flags.writeable for a in (block.x, block.z, block.phases))
+
+
+@pytest.mark.parametrize("n", [1, 33, 65])
+@pytest.mark.parametrize(
+    "bitgen", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox]
+)
+def test_packed_draw_replays_each_word_stream_generator(bitgen, n):
+    params = SchemeParams(n, 40, 3, 0.5)
+    ours, theirs = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+    assert_draw_is_the_per_entry_draw(params, ours, theirs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 33])
+def test_packed_draw_starts_from_a_buffered_half(n):
+    # one uint32 draw leaves half of a 64-bit word buffered, then a double
+    # moves past the next word with the half still buffered
+    params = SchemeParams(n, 32, 2, 0.5)
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    for rng in (ours, theirs):
+        rng.integers(2**32, dtype=np.uint32)
+        rng.random()
+    assert ours.bit_generator.state["has_uint32"] == 1
+    assert_draw_is_the_per_entry_draw(params, ours, theirs)
+    # and from a stale half, which the next draws must leave in place
+    for rng in (ours, theirs):
+        rng.integers(2**32, size=2, dtype=np.uint32)
+    assert ours.bit_generator.state["has_uint32"] == 0
+    assert_draw_is_the_per_entry_draw(params, ours, theirs)
+
+
+def test_packed_draw_redraws_a_zero_key_shorter_than_an_operator():
+    # at n=16 a key is one uint32 and an operator two; seed 40 draws a zero
+    # key at entry 728, so its redraw reads one more uint32, not two
+    rng = np.random.default_rng(40)
+    random_stabilizer_state(16, rng)
+    zero_keys = []
+    for j in range(800):
+        rng.random()
+        while not _random_bits(rng, 16):
+            zero_keys.append(j)
+    assert zero_keys == [728]
+    params = SchemeParams(16, 800, 1, 1.0)
+    assert_draw_is_the_per_entry_draw(params, np.random.default_rng(40), np.random.default_rng(40))
+
+
+def test_gen_scheme_refuses_mt19937():
+    # its doubles read two 32-bit outputs, not one 64-bit word
+    rng = np.random.Generator(np.random.MT19937(0))
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match="MT19937"):
+        gen_scheme(SchemeParams(4, 8, 2, 0.5), rng)
+    assert same_state(rng.bit_generator.state, state)  # refused before any draw
+
+
+def test_gen_scheme_builds_no_subset_products(monkeypatch):
+    built = []
+    init = stabilizer_module._SubsetProducts.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(stabilizer_module._SubsetProducts, "__init__", counted)
+    secret, scheme = make(6, 64, 8, 1.0)
+    assert built == []
+    stab_expectation(secret.states[0], scheme.register(0).ops()[0])
+    assert built  # a query builds its table, and the count sees it
 
 
 def test_secret_states_keep_no_draw_table_from_gen_scheme():

@@ -594,6 +594,19 @@ def test_generate_rho_sample_mode_statistics():
     assert abs(np.mean(traces) - analysis.trace_h_rho) < 0.1
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 31, 32])
+def test_index_draw_is_integers_on_a_power_of_two(n):
+    # the value and the whole generator state, also between doubles, which
+    # read whole words and leave a buffered half in place
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    draw = phase_module._index_draw(ours, n)
+    for t in range(300):
+        assert draw() == int(theirs.integers(2**n))
+        if t % 3 == 0:
+            assert ours.random() == theirs.random()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_forged_registers_view_the_hamiltonians_eigenbasis(monkeypatch):
     ham = register_hamiltonian(random_duplicate_free_ops(np.random.default_rng(59), 6, 64))
     analysis, _ = generate_rho_with_record(ham, mode="analysis")
