@@ -401,7 +401,8 @@ class _EntryReplay:
     (s = 2p - has_uint32, p the next unread word) takes word (s + 1) // 2
     for its double and reads its uint32s from halves s + 2, s + 3, ...,
     except that the first is the buffered half s when s is odd.  After
-    T uint32s the next entry starts at s + T + 2.
+    T uint32s the next entry starts at s + T + 2, and a redraw reads the
+    T halves from there.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
@@ -450,46 +451,62 @@ class _EntryReplay:
         halves as an operator draw reads.  end is the cursor after the
         last entry, and last the uint32 buffer's value there: the buffered
         half if end is odd, else the last half read, which numpy leaves in
-        place.  Each entry is first walked as if it drew once; a draw found
-        zero costs its entry one more draw and a walk of the entries after it.
+        place.  The entries are walked over each cursor's step to the next
+        entry as if it drew once.  If a walked entry may have drawn zero,
+        every cursor's step is found again with its redraws, which read the
+        next T halves in turn, and the entries are walked again: a walk is
+        one lookup per entry, however many entries redraw.
         """
         k_op, k_key = self.sizes
         self.copy.state = state
-        words = np.zeros(nwords + 2 + k_op // 2, dtype="<u8")  # room for an operator's halves
+        top = 2 * nwords + 2  # the halves read: word 0's high half and nwords words
+        words = np.zeros(nwords + k_op + 2, dtype="<u8")  # room for an operator's halves past top
         words[0] = state["uinteger"] << 32
         words[1 : nwords + 1] = self.copy.random_raw(nwords)
         halves = words.view("<u4")
-        keyed_word = (words >> np.uint64(11)) * 2.0**-53 < p
-        step = np.where(keyed_word[: nwords + 1], k_key + 2, k_op + 2).tolist()
-        offsets = np.arange(2, k_op + 2)
-        starts: list[int] = []
-        redrawn: dict[int, int] = {}  # entry -> halves that its redraws read
-        s, t0 = 2 - state["has_uint32"], 0
-        while True:
-            try:
-                for _ in range(t0, count):
-                    starts.append(s)
-                    s += step[(s + 1) >> 1]
-            except IndexError:
+        keyed = np.repeat((words >> np.uint64(11)) * 2.0**-53 < p, 2)[1 : top + 1]
+        size = np.where(keyed, k_key, k_op)
+        step = size + 2
+        s0 = 2 - state["has_uint32"]
+        if (walked := _walk_steps(step, s0, count, top)) is None:
+            return None
+        # a draw is zero only if its first uint32 is: half s + 2, or s if s is odd
+        head = np.empty(top, dtype=np.uint32)
+        head[0::2], head[1::2] = halves[2 : top + 2 : 2], halves[1:top:2]
+        may_redraw = (head & np.where(keyed, *self.masks[::-1, 0])) == 0
+        if may_redraw[walked[:-1]].any():
+            redraw = np.flatnonzero(may_redraw)
+            at = redraw[:, None] + np.arange(2, k_op + 2)
+            at[:, 0] -= (redraw & 1) << 1
+            while redraw.size:
+                zero = ~(halves[at] & self.masks[keyed[redraw].view(np.uint8)]).any(axis=1)
+                redraw = redraw[zero & (redraw + step[redraw] <= top)]
+                at = (redraw + step[redraw])[:, None] + np.arange(k_op)
+                step[redraw] += size[redraw]
+            if (walked := _walk_steps(step, s0, count, top)) is None:
                 return None
-            if s > 2 * nwords + 2:  # the last entry reads past the words
-                return None
-            first = np.array(starts)
-            keyed = keyed_word[(first + 1) >> 1]
-            idx = first[:, None] + offsets
-            idx[:, 0] -= (first & 1) << 1  # an odd start reads the buffered half s first
-            for t, extra in redrawn.items():
-                idx[t] = first[t] + extra + offsets
-            vals = halves[idx]
-            drawn = (vals & self.masks[keyed.view(np.uint8)]).any(axis=1)
-            if drawn.all():
-                break
-            t = int(np.argmin(drawn))
-            redrawn[t] = redrawn.get(t, 0) + (k_key if keyed[t] else k_op)
-            del starts[t + 1 :]
-            s, t0 = starts[t] + step[(starts[t] + 1) >> 1] + redrawn[t], t + 1
-        last = halves[s] if s & 1 else vals[-1, (k_key if keyed[-1] else k_op) - 1]
-        return keyed, vals, s, int(last)
+        first, s = walked[:-1], walked[-1]
+        size, step = size[first], step[first]
+        at = (first + step - size)[:, None] + np.arange(k_op)  # each entry's last draw
+        at[:, 0] -= (first & 1 & (step == size + 2)) << 1  # an odd start that drew once
+        vals = halves[at]
+        last = halves[s] if s & 1 else vals[-1, size[-1] - 1]
+        return keyed[first], vals, s, int(last)
+
+
+def _walk_steps(step: np.ndarray, s: int, count: int, top: int) -> np.ndarray | None:
+    """The starts of count entries from cursor s, each step[start] after the last, and their end.
+
+    None if an entry starts at top or later, or the last ends past top.
+    """
+    steps, cursors = step.tolist(), [s]
+    try:
+        for _ in range(count):
+            s += steps[s]
+            cursors.append(s)
+    except IndexError:
+        return None
+    return np.array(cursors) if s <= top else None
 
 
 def _anticommuting_rows(block: PauliBlock) -> Iterator[tuple[int, int, np.ndarray]]:

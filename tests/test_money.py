@@ -32,6 +32,7 @@ from qmoney import (
     verify,
 )
 import qmoney.money as money_module
+import qmoney.pauli as pauli_module
 import qmoney.stabilizer as stabilizer_module
 import qmoney.phase as phase_module
 from qmoney.money import BasisMixedRegister, completely_mixed_register
@@ -190,10 +191,13 @@ def test_packed_draw_starts_from_a_buffered_half(n):
         rng.random()
     assert ours.bit_generator.state["has_uint32"] == 1
     assert_draw_is_the_per_entry_draw(params, ours, theirs)
-    # and from a stale half, which the next draws must leave in place
+    # and from an empty buffer that still holds the last half it gave out
     for rng in (ours, theirs):
-        rng.integers(2**32, size=2, dtype=np.uint32)
-    assert ours.bit_generator.state["has_uint32"] == 0
+        rng.integers(2**32, dtype=np.uint32)
+        if rng.bit_generator.state["has_uint32"]:
+            rng.integers(2**32, dtype=np.uint32)
+    state = ours.bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] != 0
     assert_draw_is_the_per_entry_draw(params, ours, theirs)
 
 
@@ -210,6 +214,31 @@ def test_packed_draw_redraws_a_zero_key_shorter_than_an_operator():
     assert zero_keys == [728]
     params = SchemeParams(16, 800, 1, 1.0)
     assert_draw_is_the_per_entry_draw(params, np.random.default_rng(40), np.random.default_rng(40))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_draw_redraws_a_registers_only_entry(n):
+    # at n=1 about 3 in 8 entries draw again; with one entry per register
+    # the entry that does is the first, and the last, that its walk reads
+    params = SchemeParams(n, 1, 64, 0.5)
+    assert_draw_is_the_per_entry_draw(params, np.random.default_rng(n), np.random.default_rng(n))
+
+
+def test_packed_draw_walks_each_register_at_most_twice_however_many_redraw(monkeypatch):
+    # at n=1 a third of the entries draw again; each walk reads every
+    # entry once, and a register is walked once without its redraws and
+    # once with them (twice more only if its words run out)
+    walks = []
+    walk_steps = pauli_module._walk_steps
+
+    def counted(step, s, count, top):
+        walks.append(count)
+        return walk_steps(step, s, count, top)
+
+    monkeypatch.setattr(pauli_module, "_walk_steps", counted)
+    params = SchemeParams(1, 3000, 2, 0.5)
+    assert_draw_is_the_per_entry_draw(params, np.random.default_rng(3), np.random.default_rng(3))
+    assert walks == [3000] * len(walks) and 2 * params.l <= len(walks) <= 4 * params.l
 
 
 def test_gen_scheme_refuses_mt19937():
