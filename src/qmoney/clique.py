@@ -127,13 +127,15 @@ def _degree_order(adjacency: np.ndarray) -> list[int]:
 
 def _greedy_from_order(graph: MeasurementGraph, order: Sequence[int]) -> list[int]:
     # candidates[v]: v is adjacent to every vertex selected so far; the zero
-    # diagonal drops each vertex once it is selected.
+    # diagonal drops each vertex once it is selected.  The adjacency is
+    # validated 0/1 uint8, so its bool view is exact and copies nothing.
+    adjacency = graph.adjacency.view(bool)
     candidates = np.ones(graph.m, dtype=bool)
     selected: list[int] = []
     for v in order:
         if candidates[v]:
             selected.append(v)
-            candidates &= graph.adjacency[v].astype(bool)
+            candidates &= adjacency[v]
     return selected
 
 

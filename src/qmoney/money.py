@@ -14,22 +14,23 @@ A money register is one of:
 - a StabilizerState: its generators, for exact group queries at any n;
 - a DenseMixedRegister: weights and an explicit (k, 2**n) array of
   statevectors, n <= DENSE_LIMIT;
-- a BasisMixedRegister: weights over the computational basis only, a
-  diagonal density matrix.  Nothing of size 2**n x 2**n is stored:
-  <b|P|b> is 0 when P flips a bit, and otherwise its sign times
-  (-1)**popcount(z & b), the exact value a statevector e_b gives.  The
-  completely mixed register is one.
+- a CompletelyMixedRegister: I/2**n, stored as n alone, at any n.  Up
+  to 53 qubits a measurement draws a basis state b and reads <b|P|b>:
+  0 when P flips a bit, and otherwise its sign times
+  (-1)**popcount(z & b), the exact value a statevector e_b gives.  Above
+  53 qubits it reads Tr[P I/2**n] instead.
 
-Measuring a mixed register samples a component first; the marginal
-outcome law is exactly (1 + Tr[P rho])/2 either way.
+Measuring a mixed register draws a component's uniform first; the
+marginal outcome law is exactly (1 + Tr[P rho])/2 either way.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,12 +55,11 @@ __all__ = [
     "SecretKey",
     "MoneyScheme",
     "DenseMixedRegister",
-    "BasisMixedRegister",
+    "CompletelyMixedRegister",
     "MoneyState",
     "VerificationOutcome",
     "gen_scheme",
     "honest_money",
-    "completely_mixed_register",
     "completely_mixed_money",
     "measure_register",
     "register_expectation",
@@ -160,40 +160,8 @@ class MoneyScheme:
         return tuple(self.register(i).ops() for i in range(self.params.l))
 
 
-def _check_dimension(dim: int) -> None:
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValueError(f"vector length {dim} is not a power of two")
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
-
-
-def _check_weights(w: np.ndarray) -> None:
-    # written so that NaN, for which every comparison is False, fails it
-    if not (np.all(w >= -1e-9) and abs(w.sum() - 1.0) <= 1e-9):
-        raise ValueError("weights must be nonnegative and sum to 1")
-
-
-class _Ensemble:
-    """Draws component k with probability weights[k]."""
-
-    weights: np.ndarray
-
-    @cached_property
-    def _cumweights(self) -> np.ndarray:
-        return np.cumsum(self.weights)
-
-    def component(self, u: float) -> int:
-        """The component that the uniform u in [0, 1) draws."""
-        last = len(self.weights) - 1
-        if not last:
-            # the search gives 0 or 1, clamped to 0; most forged registers have one vector
-            return 0
-        return min(int(np.searchsorted(self._cumweights, u, side="right")), last)
-
-
 @dataclass(frozen=True, eq=False)
-class DenseMixedRegister(_Ensemble):
+class DenseMixedRegister:
     """Ensemble sum_k weights[k] |vectors[k]><vectors[k]| on n qubits."""
 
     weights: np.ndarray
@@ -204,8 +172,14 @@ class DenseMixedRegister(_Ensemble):
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or w.shape != (v.shape[0],):
             raise ValueError("need weights (k,) matching vectors (k, 2**n)")
-        _check_dimension(v.shape[1])
-        _check_weights(w)
+        n = v.shape[1].bit_length() - 1
+        if 1 << n != v.shape[1]:
+            raise ValueError(f"vector length {v.shape[1]} is not a power of two")
+        if n > DENSE_LIMIT:
+            raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
+        # written so that NaN, for which every comparison is False, fails it
+        if not (np.all(w >= -1e-9) and abs(w.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be nonnegative and sum to 1")
         if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-9):
             raise ValueError("component statevectors must have unit norm")
         w.setflags(write=False)
@@ -231,28 +205,49 @@ class DenseMixedRegister(_Ensemble):
     def n(self) -> int:
         return self.vectors.shape[1].bit_length() - 1
 
+    @cached_property
+    def _cumweights(self) -> np.ndarray:
+        return np.cumsum(self.weights)
 
-@dataclass(frozen=True, eq=False)
-class BasisMixedRegister(_Ensemble):
-    """Ensemble sum_b weights[b] |b><b| over the 2**n computational basis states."""
+    def component(self, u: float) -> int:
+        """The component k that the uniform u in [0, 1) draws, with probability weights[k]."""
+        last = len(self.weights) - 1
+        if not last:
+            # the search gives 0 or 1, clamped to 0; most forged registers have one vector
+            return 0
+        return min(int(np.searchsorted(self._cumweights, u, side="right")), last)
 
-    weights: np.ndarray
+
+# Bits of a float uniform from rng.random(): a multiple of 2**-53.
+_UNIFORM_BITS = sys.float_info.mant_dig
+
+
+@dataclass(frozen=True)
+class CompletelyMixedRegister:
+    """I/2**n on n qubits, stored as n alone."""
+
+    n: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("need weights (2**n,)")
-        _check_dimension(len(w))
-        _check_weights(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 qubits, got {self.n}")
 
-    @property
-    def n(self) -> int:
-        return len(self.weights).bit_length() - 1
+    def expectation(self, op: PauliOp, u: float) -> float:
+        """<k|op|k> for the basis state k = floor(u * 2**n) that the uniform u in [0, 1) draws.
+
+        Up to 53 qubits k is exact, and it is the draw of the uniform
+        ensemble over the basis: every partial sum of its weights, k/2**n,
+        is exact.  Above 53 qubits u has too few bits for k, whose low bits
+        would always be 0, so the value is Tr[op I/2**n] instead; the
+        outcome's own uniform then makes a non-identity op's +-1 the fair
+        coin that it is on I/2**n.
+        """
+        if self.n > _UNIFORM_BITS:
+            return _mixed_trace(op)
+        return _basis_expectation(op, int(u * (1 << self.n)))
 
 
-Register = StabilizerState | DenseMixedRegister | BasisMixedRegister
+Register = StabilizerState | DenseMixedRegister | CompletelyMixedRegister
 
 
 @dataclass(frozen=True)
@@ -326,18 +321,9 @@ def honest_money(secret: SecretKey) -> MoneyState:
     return MoneyState(secret.states)
 
 
-@lru_cache(maxsize=None)
-def completely_mixed_register(n: int) -> BasisMixedRegister:
-    """I/2**n as a uniform ensemble over the computational basis (shared, read-only)."""
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"dense registers limited to {DENSE_LIMIT} qubits")
-    dim = 1 << n
-    return BasisMixedRegister(np.full(dim, 1.0 / dim))
-
-
 def completely_mixed_money(params: SchemeParams) -> MoneyState:
-    reg = completely_mixed_register(params.n)
-    return MoneyState((reg,) * params.l)
+    """I/2**n in every register: l references to one CompletelyMixedRegister, at any n."""
+    return MoneyState((CompletelyMixedRegister(params.n),) * params.l)
 
 
 def _check_mixed_query(register: Register, op: PauliOp) -> None:
@@ -353,11 +339,11 @@ def measure_register(register: Register, op: PauliOp, rng: np.random.Generator) 
         e = float(stab_expectation(register, op))
     else:
         _check_mixed_query(register, op)
-        k = register.component(rng.random())
+        u = rng.random()
         if isinstance(register, DenseMixedRegister):
-            e = vector_expectation(op, register.vectors[k])
+            e = vector_expectation(op, register.vectors[register.component(u)])
         else:
-            e = _basis_expectation(op, k)
+            e = register.expectation(op, u)
     return 1 if rng.random() < (1.0 + e) / 2.0 else -1
 
 
@@ -367,6 +353,11 @@ def _basis_expectation(op: PauliOp, b: int) -> float:
         return 0.0
     # i**phase is 1 - phase: a Hermitian phase is 0 or 2
     return float((1 - op.phase) * (1 - 2 * ((op.z & b).bit_count() & 1)))
+
+
+def _mixed_trace(op: PauliOp) -> float:
+    """Tr[op I/2**n] for a Hermitian op: the sign of +-I, else 0."""
+    return 0.0 if op.x or op.z else float(1 - op.phase)
 
 
 # Entries of verify's (registers, 2**n) complex temporaries per block of
@@ -413,11 +404,7 @@ def register_expectation(register: Register, op: PauliOp) -> float:
                 for w, v in zip(register.weights, register.vectors)
             )
         )
-    if op.x:
-        return 0.0
-    basis = np.arange(len(register.weights), dtype=np.int64)
-    signs = (1 - op.phase) * (1.0 - 2.0 * (np.bitwise_count(basis & op.z) & 1))
-    return float(register.weights @ signs)
+    return _mixed_trace(op)
 
 
 def verify(
@@ -453,14 +440,14 @@ def verify(
         if isinstance(reg, StabilizerState):
             e = float(stab_expectation(reg, op))
         else:
-            k = reg.component(next(uniforms))
+            u = next(uniforms)
             if isinstance(reg, DenseMixedRegister):
-                block.append((reg.vectors[k], op, next(uniforms)))
+                block.append((reg.vectors[reg.component(u)], op, next(uniforms)))
                 if len(block) == block_size:
                     total += _dense_outcome_sum(block)
                     block = []
                 continue
-            e = _basis_expectation(op, k)
+            e = reg.expectation(op, u)
         total += 1 if next(uniforms) < (1.0 + e) / 2.0 else -1
     total += _dense_outcome_sum(block)
     accepted = Fraction(total, p.l) >= Fraction(str(p.epsilon)) / 2

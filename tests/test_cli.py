@@ -60,6 +60,19 @@ def test_verify_without_secret_checks_mixed_money_only(tmp_path):
         assert row["passed"] == str(1 - int(row["accepted_mixed"]))
 
 
+@pytest.mark.parametrize("secret", [["--include-secret"], []])
+def test_verify_runs_on_a_scheme_beyond_the_dense_limit(secret, tmp_path):
+    # the clique-attack shape: mixed money at n=50 stores n alone
+    scheme_path = str(tmp_path / "n50.scheme")
+    assert main(["gen-scheme", "--n", "50", "--m", "400", "--l", "32", "--epsilon", "0.5",
+                 *secret, "--out", scheme_path]) == 0
+    csv_path = str(tmp_path / "v.csv")
+    assert main(["verify", "--scheme", scheme_path, "--trials", "3", "--out", csv_path]) == 0
+    rows = list(csv.DictReader(open(csv_path)))
+    assert len(rows) == 3
+    assert ("q_honest" in rows[0]) == bool(secret)
+
+
 def test_gen_scheme_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["gen-scheme", "--n", "4", "--m", "8", "--l", "4", "--epsilon", "0.5"])

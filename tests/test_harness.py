@@ -582,6 +582,18 @@ def test_run_experiment_honest_acceptance_deterministic():
     assert all(r.metrics["accepted_honest"] == 1 for r in a)
 
 
+def test_honest_acceptance_runs_at_the_clique_attack_shape():
+    # n=50 is beyond DENSE_LIMIT: the completely mixed money stores n alone
+    config = ExperimentConfig(
+        "honest-acceptance", 20, 7, scheme=SchemeParams(50, 400, 32, 0.5)
+    )
+    records = run_experiment(config)
+    # q averages l=32 outcomes, sigma <= 1/sqrt(32) per trial and 0.04 over
+    # 20 trials: the means lie 5 sigma inside these bounds
+    assert np.mean([r.metrics["q_honest"] for r in records]) > 0.3
+    assert abs(np.mean([r.metrics["q_mixed"] for r in records])) < 0.2
+
+
 def test_run_experiment_eigenvalue_check():
     config = ExperimentConfig(
         "eigenvalue-check", 3, 0, scheme=SchemeParams(16, 64, 1, 0.0)

@@ -1,5 +1,7 @@
 """Scheme generation and thresholded verification."""
 
+import dataclasses
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -35,7 +37,7 @@ import qmoney.money as money_module
 import qmoney.pauli as pauli_module
 import qmoney.stabilizer as stabilizer_module
 import qmoney.phase as phase_module
-from qmoney.money import BasisMixedRegister, completely_mixed_register
+from qmoney.money import CompletelyMixedRegister, _basis_expectation
 from qmoney.pauli import _random_bits
 
 
@@ -363,12 +365,13 @@ def test_mixed_money_mean_q_near_zero():
     assert abs(np.mean(qs)) < 0.04
 
 
-def test_completely_mixed_register_is_shared_and_uniform():
-    a = completely_mixed_register(6)
-    assert a is completely_mixed_register(6)  # cached, one copy in memory
-    assert np.allclose(a.weights, 1 / 64)
+def test_completely_mixed_money_is_one_register_of_n_alone():
     money = completely_mixed_money(SchemeParams(6, 4, 5, 0.5))
+    a = money.registers[0]
     assert all(reg is a for reg in money.registers)
+    assert a == CompletelyMixedRegister(6) and dataclasses.astuple(a) == (6,)
+    with pytest.raises(ValueError):
+        CompletelyMixedRegister(0)
 
 
 def eye_register(n):
@@ -382,7 +385,7 @@ def test_completely_mixed_verify_matches_the_eye_ensemble():
     _, scheme = make(8, 64, 1024, 0.25, seed=1002)
     params = scheme.params
     mixed = completely_mixed_money(params)
-    assert isinstance(mixed.registers[0], BasisMixedRegister)
+    assert isinstance(mixed.registers[0], CompletelyMixedRegister)
     oracle = MoneyState((eye_register(8),) * params.l)
     rng, replay = np.random.default_rng(2002), np.random.default_rng(2002)
     for _ in range(50):
@@ -393,7 +396,7 @@ def test_completely_mixed_verify_matches_the_eye_ensemble():
 def test_basis_register_expectation_matches_the_eye_ensemble():
     rng = np.random.default_rng(11)
     for n in range(1, 7):
-        basis, oracle = completely_mixed_register(n), eye_register(n)
+        basis, oracle = CompletelyMixedRegister(n), eye_register(n)
         ops = [random_pauli(n, rng) for _ in range(60)]
         ops += [PauliOp(n, 0, int(rng.integers(1 << n)), 2 * int(rng.integers(2))) for _ in range(20)]
         for op in ops + [PauliOp.identity(n), -PauliOp.identity(n)]:
@@ -404,42 +407,66 @@ def test_basis_register_expectation_matches_the_eye_ensemble():
                 continue
             got, want = register_expectation(basis, op), register_expectation(oracle, op)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()  # signed zeros too
+    for n in (53, 54):
+        register = CompletelyMixedRegister(n)
+        assert register_expectation(register, -PauliOp.identity(n)) == -1.0
+        op = random_pauli(n, rng, allow_identity=False)
+        assert register_expectation(register, op) == 0.0
     with pytest.raises(DimensionError):
-        register_expectation(completely_mixed_register(3), PauliOp.identity(4))
+        register_expectation(CompletelyMixedRegister(3), PauliOp.identity(4))
     with pytest.raises(DimensionError):
-        measure_register(completely_mixed_register(3), PauliOp.identity(4), rng)
+        measure_register(CompletelyMixedRegister(3), PauliOp.identity(4), rng)
 
 
 def test_basis_register_measures_each_basis_state_as_its_vector():
+    # the uniform u draws basis state k = floor(u * 2**n); at both ends of
+    # k's interval the register reads <k|op|k> off e_k exactly
     rng = np.random.default_rng(12)
     for n in (1, 3, 5):
         dim = 1 << n
+        register = CompletelyMixedRegister(n)
         for k in range(dim):
-            one = BasisMixedRegister(np.eye(dim)[k])
             vec = DenseMixedRegister([1.0], np.eye(dim, dtype=complex)[k : k + 1])
-            for _ in range(8):
-                op = random_pauli(n, rng)
-                op = PauliOp(n, op.x, op.z, op.phase & 2)
-                assert register_expectation(one, op) == register_expectation(vec, op)
-                seed = int(rng.integers(2**32))
-                got = measure_register(one, op, np.random.default_rng(seed))
+            for u in (k / dim, np.nextafter((k + 1) / dim, 0)):
+                for _ in range(8):
+                    op = random_pauli(n, rng)
+                    op = PauliOp(n, op.x, op.z, op.phase & 2)
+                    want = register_expectation(vec, op)
+                    assert register.expectation(op, u) == _basis_expectation(op, k) == want
+    for n in (1, 3, 5, 53):
+        register = CompletelyMixedRegister(n)
+        for i in range(64):
+            op = random_pauli(n, rng)
+            op = PauliOp(n, op.x if i % 2 else 0, op.z, op.phase & 2)  # half of them diagonal
+            seed = int(rng.integers(2**32))
+            k = int(np.random.default_rng(seed).random() * 2**n)  # the component's uniform
+            if n <= 5:
+                vec = DenseMixedRegister([1.0], np.eye(1 << n, dtype=complex)[k : k + 1])
+                got = measure_register(register, op, np.random.default_rng(seed))
                 assert got == measure_register(vec, op, np.random.default_rng(seed))
+            e = _basis_expectation(op, k)
+            outcome = np.random.default_rng(seed)
+            outcome.random()
+            want = 1 if outcome.random() < (1.0 + e) / 2.0 else -1
+            assert measure_register(register, op, np.random.default_rng(seed)) == want
 
 
-def test_completely_mixed_money_at_the_dense_limit_is_small():
+@pytest.mark.parametrize("n", [12, 64, 1000])
+def test_completely_mixed_money_is_small_at_every_n(n):
     # n=12: the eye(2**12) ensemble was 256 MiB, kept for the life of the process
-    completely_mixed_register.cache_clear()
     tracemalloc.start()
     try:
-        money = completely_mixed_money(SchemeParams(12, 4, 8, 0.5))
-        measure_register(money.registers[0], PauliOp.from_string("+" + "Z" * 12), np.random.default_rng(0))
+        money = completely_mixed_money(SchemeParams(n, 4, 8, 0.5))
+        measure_register(money.registers[0], PauliOp.from_string("+" + "Z" * n), np.random.default_rng(0))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert money.registers[0].n == 12
+    assert money.registers[0].n == n
 
 
+# The uniform ensemble over the basis as a dense register, with the weight
+# validation it shares with every DenseMixedRegister.
 @pytest.mark.parametrize(
     "weights",
     [
@@ -449,12 +476,40 @@ def test_completely_mixed_money_at_the_dense_limit_is_small():
         [np.inf, 1.0],
         [1 / 3] * 3,  # not a power of two
         [[0.5, 0.5]],  # not one axis
-        np.full(1 << 13, 1.0 / (1 << 13)),  # beyond DENSE_LIMIT
     ],
 )
 def test_basis_register_validation(weights):
-    with pytest.raises((ValueError, CapacityError)):
-        BasisMixedRegister(np.array(weights))
+    w = np.array(weights)
+    with pytest.raises(ValueError):
+        DenseMixedRegister(w, np.eye(w.shape[-1], dtype=complex))
+
+
+def test_dense_register_refuses_more_than_the_dense_limit():
+    vector = np.zeros((1, 1 << 13), dtype=complex)
+    vector[0, 0] = 1.0
+    with pytest.raises(CapacityError):
+        DenseMixedRegister([1.0], vector)
+
+
+# n <= 53 draws the basis state from all of u's bits; above, u is too short
+# and the register reads Tr[op I/2**n].  Either way each outcome is a fair
+# coin: with N = 20,000 draws the +1 count has sigma = sqrt(N)/2 ~ 70.7, and
+# it must lie within 4.5 sigma of N/2 (a false failure once in ~150,000 runs).
+_FAIR_DRAWS = 20_000
+_FAIR_BOUND = 4.5 * math.sqrt(_FAIR_DRAWS) / 2
+
+
+@pytest.mark.parametrize("n", [53, 54, 64, 65])
+def test_completely_mixed_z_outcomes_are_fair_coins_beyond_53_qubits(n):
+    register = CompletelyMixedRegister(n)
+    rng = np.random.default_rng(n)
+    for qubit in (0, n - 1):
+        z = PauliOp(n, 0, 1 << qubit, 0)
+        plus = sum(measure_register(register, z, rng) == 1 for _ in range(_FAIR_DRAWS))
+        assert abs(plus - _FAIR_DRAWS / 2) <= _FAIR_BOUND, (qubit, plus)
+    # +-I keeps its sign with probability 1
+    for sign, op in ((1, PauliOp.identity(n)), (-1, -PauliOp.identity(n))):
+        assert {measure_register(register, op, rng) for _ in range(1000)} == {sign}
 
 
 def test_measure_register_stabilizer_vs_dense_agree_exactly():
