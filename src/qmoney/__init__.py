@@ -5,9 +5,11 @@ scheme generation and thresholded verification, clique and phase for the
 two attacks, postselect for the collision-free construction with its
 Markov-chain verifier, harness/cli for seeded experiments and files.
 
-Importing the package loads numpy only.  clique (scipy.linalg) and phase
-(scipy.special) are imported on first use: ``qmoney.clique``,
-``qmoney.phase`` and their re-exported names below resolve through the
+The package re-exports the names that the runs, the demos and the CLI
+call; the dense and exhaustive oracles that only check them live beside
+the tests.  Importing the package loads numpy only.  clique (scipy.linalg)
+and phase (scipy.special) are imported on first use: ``qmoney.clique``,
+``qmoney.phase`` and the names listed in ``_LAZY`` resolve through the
 module ``__getattr__`` (PEP 562), so ``from qmoney import spectral_clique``
 still works.
 """
@@ -25,20 +27,14 @@ from .pauli import (
     PauliOp,
     apply_pauli,
     commutation_matrix,
-    commutes,
-    dense_matrix,
     expectation,
     pauli_mul,
     random_pauli,
-    symplectic_ip,
 )
 from .stabilizer import (
     StabilizerState,
     complete_to_stabilizer_state,
-    dense_projector,
-    dense_statevector,
     greedy_consistent_subset,
-    random_stabilizer_element,
     random_stabilizer_state,
     stab_expectation,
 )
@@ -51,7 +47,6 @@ from .money import (
     gen_scheme,
     honest_money,
     measure_register,
-    register_expectation,
     verify,
 )
 from .postselect import (
@@ -95,7 +90,6 @@ _LAZY = {
         "bootstrap_clique",
         "build_graph",
         "degree_sort_clique",
-        "exact_max_clique",
         "max_eigenvalue_check",
         "run_clique_attack",
         "second_eigenvector",
@@ -107,7 +101,6 @@ _LAZY = {
         "eigenvalue_phases",
         "forge_low_eps_with_records",
         "moments",
-        "pe_distribution",
         "pe_sample",
         "register_fractions",
         "register_hamiltonian",

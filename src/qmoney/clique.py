@@ -58,7 +58,6 @@ __all__ = [
     "second_eigenvector",
     "spectral_clique",
     "bootstrap_clique",
-    "exact_max_clique",
     "max_eigenvalue_check",
     "attack_register",
     "run_clique_attack",
@@ -270,42 +269,6 @@ def bootstrap_clique(graph: MeasurementGraph, c: float) -> CliqueResult:
             if len(best) >= target:
                 break
     return CliqueResult(best, "bootstrap")
-
-
-def exact_max_clique(graph: MeasurementGraph) -> tuple[int, ...]:
-    """Brute-force maximum clique (branch and bound with pivoting); m <= 48."""
-    a = graph.adjacency
-    m = a.shape[0]
-    if m == 0:
-        return ()
-    if m > 48:
-        raise ValueError("exhaustive clique search is an oracle for m <= 48 only")
-    nbr = [sum(1 << u for u in range(m) if a[v, u]) for v in range(m)]
-    best: list[int] = []
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def expand(r: list[int], p: int) -> None:
-        nonlocal best
-        if p == 0:
-            if len(r) > len(best):
-                best = r.copy()
-            return
-        if len(r) + p.bit_count() <= len(best):
-            return
-        pivot = max(bits(p), key=lambda v: (p & nbr[v]).bit_count())
-        for v in bits(p & ~nbr[pivot]):
-            r.append(v)
-            expand(r, p & nbr[v])
-            r.pop()
-            p &= ~(1 << v)
-
-    expand([], (1 << m) - 1)
-    return tuple(sorted(best))
 
 
 def _sign_matrix(ops: Sequence[PauliOp] | PauliBlock) -> np.ndarray:

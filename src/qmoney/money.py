@@ -26,6 +26,7 @@ marginal outcome law is exactly (1 + Tr[P rho])/2 either way.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -62,7 +63,6 @@ __all__ = [
     "honest_money",
     "completely_mixed_money",
     "measure_register",
-    "register_expectation",
     "verify",
 ]
 
@@ -277,27 +277,42 @@ class VerificationOutcome:
     accepted: bool
 
 
+# Largest pass probability of completely mixed money that gen_scheme
+# accepts without a SoundnessWarning.
+_MIXED_PASS_LIMIT = 0.01
+
+
 def gen_scheme(
     params: SchemeParams, rng: np.random.Generator
 ) -> tuple[SecretKey, MoneyScheme]:
     """Draw the secret states and the public table.
 
     Each entry is a fresh Bernoulli(epsilon) choice: a uniform stabilizer
-    element of its register's state (resampled if +I, the group's only
-    identity) or a uniform non-identity signed Pauli.  The draws are
-    random_stabilizer_element's and random_pauli(..., allow_identity=False)'s,
-    made in the same order from the same generator, and the generator's
-    state after them is theirs.  A register's m entries are found in one
-    pass over the generator's raw words (pauli._EntryReplay), its element
-    draws are computed together as products of its state's generators
+    element of its register's state, the ordered product of the
+    generators that n uniform key bits select (redrawn while the key is 0,
+    the group's only identity +I), or a uniform non-identity signed Pauli,
+    random_pauli(..., allow_identity=False)'s draw.  The draws are made in
+    that order from the one generator, and the generator's state after
+    them is theirs.  A register's m entries are found in one pass over the
+    generator's raw words (pauli._EntryReplay), its element draws are
+    computed together as products of its state's generators
     (stabilizer._signed_products), and its entries are written into the
     table's block as packed words; no entry is built as a PauliOp and no
-    secret state keeps a draw table.  The bit generator must be PCG64,
+    secret state builds a table.  The bit generator must be PCG64,
     PCG64DXSM, SFC64 or Philox (TypeError otherwise, before any draw).
+
+    Completely mixed money passes verify with probability
+    P(Bin(l, 1/2) >= l(1 + epsilon/2)/2), at most exp(-l epsilon**2/8) by
+    Hoeffding.  SoundnessWarning flags a scheme whose bound exceeds
+    _MIXED_PASS_LIMIT, or with l/epsilon**2 < n; epsilon = 0 is exempt.
     """
-    if params.epsilon > 0 and params.l / params.epsilon**2 < params.n:
+    eps, l = params.epsilon, params.l
+    bound = math.exp(-l * eps**2 / 8)  # Hoeffding's, on mixed money's pass probability
+    if eps > 0 and (bound > _MIXED_PASS_LIMIT or l / eps**2 < params.n):
         warnings.warn(
-            f"l/epsilon^2 = {params.l / params.epsilon ** 2:.3g} < n = {params.n}; "
+            f"completely mixed money passes with probability up to exp(-l*epsilon^2/8) = "
+            f"{bound:.3g} (flagged above {_MIXED_PASS_LIMIT}), and "
+            f"l/epsilon^2 = {l / eps**2:.3g} against n = {params.n}; "
             "verification statistics are too weak for soundness",
             SoundnessWarning,
             stacklevel=2,
@@ -390,21 +405,6 @@ def _dense_outcome_sum(block: list[tuple[np.ndarray, PauliOp, float]]) -> int:
         e = float(min(1.0, max(-1.0, np.vdot(a, b).real)))
         total += 1 if u < (1.0 + e) / 2.0 else -1
     return total
-
-
-def register_expectation(register: Register, op: PauliOp) -> float:
-    """Exact Tr[P rho] for the register (no sampling)."""
-    if isinstance(register, StabilizerState):
-        return float(stab_expectation(register, op))
-    _check_mixed_query(register, op)
-    if isinstance(register, DenseMixedRegister):
-        return float(
-            sum(
-                w * vector_expectation(op, v)
-                for w, v in zip(register.weights, register.vectors)
-            )
-        )
-    return _mixed_trace(op)
 
 
 def verify(

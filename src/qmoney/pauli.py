@@ -39,12 +39,9 @@ __all__ = [
     "DENSE_LIMIT",
     "PauliOp",
     "PauliBlock",
-    "symplectic_ip",
-    "commutes",
     "pauli_mul",
     "random_pauli",
     "random_pauli_block",
-    "dense_matrix",
     "apply_pauli",
     "expectation",
     "commutation_matrix",
@@ -57,13 +54,6 @@ _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
-
-_DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,16 +145,6 @@ def _check_same_n(a: PauliOp, b: PauliOp) -> None:
         raise DimensionError(f"operand qubit counts differ: {a.n} != {b.n}")
 
 
-def symplectic_ip(a: PauliOp, b: PauliOp) -> int:
-    """Symplectic inner product of the GF(2) vectors; 0 iff the pair commutes."""
-    _check_same_n(a, b)
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
-
-
-def commutes(a: PauliOp, b: PauliOp) -> bool:
-    return symplectic_ip(a, b) == 0
-
-
 def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
     """Product ``a * b`` with the exact power of i.
 
@@ -218,16 +198,6 @@ def random_pauli(
 def _check_capacity(n: int) -> None:
     if n > DENSE_LIMIT:
         raise CapacityError(f"dense objects limited to {DENSE_LIMIT} qubits, got n={n}")
-
-
-def dense_matrix(op: PauliOp) -> np.ndarray:
-    """The 2**n x 2**n complex matrix of ``op`` (little-endian qubit order)."""
-    _check_capacity(op.n)
-    out = np.array([[1j ** op.phase]])
-    for j in reversed(range(op.n)):
-        letter = _BITS_LETTER[(op.x >> j) & 1, (op.z >> j) & 1]
-        out = np.kron(out, _DENSE_1Q[letter])
-    return out
 
 
 def apply_pauli(op: PauliOp, vec: np.ndarray) -> np.ndarray:
@@ -411,6 +381,14 @@ class _EntryReplay:
             raise TypeError(
                 "the scheme draw replays the words of PCG64, PCG64DXSM, SFC64 or "
                 f"Philox, not of {type(bitgen).__name__}"
+            )
+        state = bitgen.state
+        missing = [key for key in ("has_uint32", "uinteger") if key not in state]
+        if missing:
+            raise TypeError(
+                "the scheme draw reads and sets the uint32 buffer fields has_uint32 and "
+                f"uinteger of the bit generator's state; {type(bitgen).__name__}'s state "
+                f"has no {' or '.join(missing)}"
             )
         self.bitgen, self.copy, self.n = bitgen, type(bitgen)(), n
         k_op = (2 * n + 32) // 32

@@ -63,7 +63,6 @@ __all__ = [
     "register_hamiltonian",
     "moments",
     "register_fractions",
-    "pe_distribution",
     "pe_sample",
     "window_probability",
     "accept_window",
@@ -240,21 +239,6 @@ def ancilla_qubits(r: int, delta: float) -> int:
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
     return r + math.ceil(math.log2(2 + 2 / delta))
-
-
-def pe_distribution(phi: float, q: int) -> np.ndarray:
-    """Exact outcome distribution over z in [0, 2**q); enumerates, so q <= 20."""
-    if not 0 <= phi < 1:
-        raise ValueError("phase must lie in [0, 1)")
-    if q > 20:
-        raise CapacityError("pe_distribution enumerates 2**q outcomes; use q <= 20")
-    size = 1 << q
-    a = phi * size
-    if a == round(a):
-        out = np.zeros(size)
-        out[int(a) % size] = 1.0
-        return out
-    return _kernel(a, np.arange(size), size)
 
 
 def _kernel(a: float, z: np.ndarray, size: int) -> np.ndarray:

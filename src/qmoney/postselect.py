@@ -57,7 +57,6 @@ __all__ = [
     "matrix_M",
     "verify_money",
     "kraus_equivalence_check",
-    "class_markov_matrix",
     "component_analysis",
     "default_iteration_count",
     "find_frozen_strings",
@@ -406,12 +405,6 @@ def _class_matrix(local: np.ndarray) -> np.ndarray:
     for target in local:
         mat[target, cols] += 1.0 / len(local)
     return mat
-
-
-def class_markov_matrix(scheme: LabelScheme, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(members, M restricted to the class {x : L(x) = ell}); rules never leave it."""
-    members, local = _nonempty_class_rules(scheme, ell)
-    return members, _class_matrix(local)
 
 
 def _component_roots(local: np.ndarray) -> np.ndarray:

@@ -9,23 +9,20 @@ Aaronson-Gottesman, quant-ph/0406196), whose element j is zero at the
 lowest set bit (pivot) of every element before it, leaves i**k * I exactly
 when the operator is +-(a span element), with the sign in i**k.
 
-Queries and draws read lazily built tables instead of walking all n
-elements ("Four Russians" subset products, Arlazarov et al., 1970).  The
-query table holds the fully reduced echelon (no element touches another's
+Queries read a lazily built table instead of walking all n elements
+("Four Russians" subset products, Arlazarov et al., 1970).  The query
+table holds the fully reduced echelon (no element touches another's
 pivot), grouped by pivot into chunks of _CHUNK bits of the row [x | z]:
 for each chunk, the product of every subset of its elements.  An
 operator's chunks of bits select one entry each; the entries' rows XOR to
 the operator's own row iff it is +-(a group element), and the entries also
-carry what the sign needs (see ``_SubsetProducts``).  The draw table holds
-the same products over chunks of consecutive generators, keyed by the
-random generator mask, so a draw is the exact ordered product.  Each table
-is built on first use, so states that are never queried or drawn from pay
-nothing.  gen_scheme builds no table: it computes a register's drawn
-elements all at once, as GF(2) matrix products of the generators
-(``_signed_products``), with the draw table's signs.  The symplectic
-inner product of rows v, w is
-popcount(v & swap_halves(w)) mod 2, so "all operators commuting with a
-set" is a GF(2) null space.
+carry what the sign needs (see ``_SubsetProducts``).  The table is built
+on first query, so states that are never queried pay nothing.  gen_scheme
+builds no table: it computes a register's drawn elements all at once, as
+GF(2) matrix products of the generators (``_signed_products``), each the
+exact ordered product of the generators its key selects.  The symplectic
+inner product of rows v, w is popcount(v & swap_halves(w)) mod 2, so "all
+operators commuting with a set" is a GF(2) null space.
 
 Work is done once per group.  Sampled and completed states are built
 commuting and independent, so they skip the constructor's checks
@@ -56,18 +53,15 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .errors import CapacityError, DimensionError, InconsistentGeneratorsError
-from .pauli import DENSE_LIMIT, PauliOp, _random_bits, dense_matrix
+from .errors import DimensionError, InconsistentGeneratorsError
+from .pauli import PauliOp, _random_bits
 
 __all__ = [
     "StabilizerState",
     "random_stabilizer_state",
-    "random_stabilizer_element",
     "stab_expectation",
     "greedy_consistent_subset",
     "complete_to_stabilizer_state",
-    "dense_projector",
-    "dense_statevector",
 ]
 
 
@@ -190,17 +184,6 @@ class _SubsetProducts:
         for shift, entries in self.chunks:
             acc ^= entries[(key >> shift) & _CHUNK_MASK]
         return acc
-
-    def element(self, key: int) -> PauliOp:
-        """The product that key selects, with its exact sign."""
-        row, phase = self.signed_row(key)
-        return _op_from_row(row, self.n, phase)
-
-    def signed_row(self, key: int) -> tuple[int, int]:
-        """(row, phase) of the product that key selects: the operator i**phase of the row."""
-        acc = self.lookup(key)
-        row = acc >> self.key_bits
-        return row, (self.phase(key, acc) - (row & (row >> self.n)).bit_count()) & 3
 
     def phase(self, key: int, acc: int) -> int:
         """Folded phase (mod 4, unreduced) of the product that key selects; acc is lookup(key)."""
@@ -383,23 +366,6 @@ class StabilizerState:
             basis.append(_element(*_reduce(basis, *_folded(g))))
         return _echelon_table(basis, self.n)
 
-    @cached_property
-    def _draw_table(self) -> _SubsetProducts:
-        """Subset products of the generators, keyed by generator index; built on first draw."""
-        return _SubsetProducts([(g.row, _folded(g)[2]) for g in self.generators], self.n)
-
-    def canonical_generators(self) -> tuple[PauliOp, ...]:
-        """Signed RREF of the generator rows; unique per group.
-
-        Two states are equal as states iff this tuple matches, regardless
-        of which generating set they were built from.
-        """
-        rows, _ = gf2.rref(self.rows)
-        return tuple(self._query_table.element(r) for r in rows)
-
-    def group_equal(self, other: "StabilizerState") -> bool:
-        return self.n == other.n and self.canonical_generators() == other.canonical_generators()
-
 
 def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState:
     """Uniformly random stabilizer state on n qubits.
@@ -421,11 +387,6 @@ def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState
         gens.append(_op_from_row(v, n, 2 * _random_bits(rng, 1)))
         ext.add(c)
     return StabilizerState._trusted(n, tuple(gens))
-
-
-def random_stabilizer_element(state: StabilizerState, rng: np.random.Generator) -> PauliOp:
-    """Uniform element of the 2**n-element stabilizer group (sign included)."""
-    return state._draw_table.element(_random_bits(rng, state.n))
 
 
 def stab_expectation(state: StabilizerState, op: PauliOp) -> int:
@@ -532,22 +493,3 @@ def complete_to_stabilizer_state(
         else:  # complement dim 2n-t always exceeds span dim t for t < n
             raise AssertionError("symplectic complement exhausted early")
     return StabilizerState._trusted(n, tuple(gens)), dropped
-
-
-def dense_projector(state: StabilizerState) -> np.ndarray:
-    """Rank-1 projector onto the stabilized state, as a dense matrix."""
-    if state.n > DENSE_LIMIT:
-        raise CapacityError(f"dense projector limited to {DENSE_LIMIT} qubits")
-    dim = 1 << state.n
-    proj = np.eye(dim, dtype=complex)
-    for g in state.generators:
-        proj = proj @ (np.eye(dim, dtype=complex) + dense_matrix(g)) / 2
-    return proj
-
-
-def dense_statevector(state: StabilizerState) -> np.ndarray:
-    """A statevector of the stabilized state (global phase unspecified)."""
-    proj = dense_projector(state)
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    vec = proj[:, col]
-    return vec / np.linalg.norm(vec)

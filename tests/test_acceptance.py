@@ -21,11 +21,8 @@ from qmoney import (
     apply_M,
     beta_chain_mixing,
     build_verifier,
-    commutes,
     completely_mixed_money,
     component_analysis,
-    dense_matrix,
-    exact_max_clique,
     find_frozen_strings,
     forge_low_eps_with_records,
     gen_scheme,
@@ -36,7 +33,6 @@ from qmoney import (
     max_eigenvalue_check,
     mint,
     moments,
-    pe_distribution,
     pe_sample,
     random_pauli,
     register_hamiltonian,
@@ -44,6 +40,7 @@ from qmoney import (
     spectral_clique,
     verify,
 )
+from oracles import commutes, dense_matrix, exact_max_clique, pe_distribution
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -20,15 +20,12 @@ from qmoney import (
     SoundnessWarning,
     StabilizerState,
     completely_mixed_money,
-    dense_statevector,
     forge_low_eps_with_records,
     gen_scheme,
     honest_money,
     measure_register,
     random_pauli,
-    random_stabilizer_element,
     random_stabilizer_state,
-    register_expectation,
     register_hamiltonian,
     stab_expectation,
     verify,
@@ -39,6 +36,7 @@ import qmoney.stabilizer as stabilizer_module
 import qmoney.phase as phase_module
 from qmoney.money import CompletelyMixedRegister, _basis_expectation
 from qmoney.pauli import _random_bits
+from oracles import dense_statevector, random_stabilizer_element, register_expectation
 
 
 def make(n, m, l, eps, seed=0):
@@ -63,9 +61,16 @@ def test_params_validation():
 def test_soundness_warning_fires_exactly_when_underpowered():
     with pytest.warns(SoundnessWarning):
         gen_scheme(SchemeParams(16, 8, 1, 0.5), np.random.default_rng(0))
+    # l/eps^2 = 4 >= n, but mixed money may pass with probability exp(-1/32)
+    with pytest.warns(SoundnessWarning, match=r"exp\(-l\*epsilon\^2/8\) = 0\.969"):
+        gen_scheme(SchemeParams(4, 8, 1, 0.5), np.random.default_rng(0))
+    # the clique-attack shape: l/eps^2 = 128 >= n, and mixed money passes
+    # with probability P(Bin(32, 1/2) >= 20) = 0.1077 <= exp(-1)
+    with pytest.warns(SoundnessWarning, match=r"= 0\.368"):
+        gen_scheme(SchemeParams(50, 400, 32, 0.5), np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gen_scheme(SchemeParams(4, 8, 1, 0.5), np.random.default_rng(0))  # l/eps^2 = 4 >= n
+        gen_scheme(SchemeParams(4, 8, 256, 0.5), np.random.default_rng(0))  # bound e^-8
         gen_scheme(SchemeParams(16, 8, 4, 0.0), np.random.default_rng(0))  # eps = 0 exempt
 
 
@@ -252,6 +257,22 @@ def test_gen_scheme_refuses_mt19937():
     assert same_state(rng.bit_generator.state, state)  # refused before any draw
 
 
+class _PCG64WithoutBuffer(np.random.PCG64):
+    """A PCG64 whose state dict lacks the uint32 buffer's value."""
+
+    @property
+    def state(self):
+        state = super().state
+        del state["uinteger"]
+        return state
+
+
+def test_gen_scheme_names_the_stream_fields_its_bit_generator_lacks():
+    rng = np.random.Generator(_PCG64WithoutBuffer(0))
+    with pytest.raises(TypeError, match="has_uint32 and uinteger.*has no uinteger$"):
+        gen_scheme(SchemeParams(4, 8, 256, 0.5), rng)
+
+
 def test_gen_scheme_builds_no_subset_products(monkeypatch):
     built = []
     init = stabilizer_module._SubsetProducts.__init__
@@ -273,7 +294,7 @@ def test_secret_states_keep_no_draw_table_from_gen_scheme():
         assert all(stab_expectation(state, op) == 1 for op in ops)
     assert all("_draw_table" not in vars(state) for state in secret.states)
     random_stabilizer_element(secret.states[0], np.random.default_rng(0))
-    assert "_draw_table" in vars(secret.states[0])  # the public draw keeps its table
+    assert "_draw_table" in vars(secret.states[0])  # the oracle draw keeps its table on the state
 
 
 def test_drawn_scheme_keeps_packed_words_at_the_bench_shape():

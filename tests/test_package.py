@@ -1,5 +1,6 @@
 """The package's names, and what importing and running it loads, in fresh processes."""
 
+import ast
 import importlib
 import json
 import types
@@ -10,36 +11,34 @@ import pytest
 import qmoney
 from test_demos import run_python
 
-# Every name the package exported when it still imported clique and phase
-# eagerly, by home module.  Serving some of them lazily adds and loses none.
+# Every name the package exports, by home module.  clique and phase are
+# served lazily, which adds and loses none.
 EXPORTS = {
     "errors": (
         "AttackFailure", "CapacityError", "DimensionError", "InconsistentGeneratorsError",
         "QMoneyError", "SchemeFormatError", "SoundnessWarning",
     ),
     "pauli": (
-        "PauliOp", "apply_pauli", "commutation_matrix", "commutes", "dense_matrix",
-        "expectation", "pauli_mul", "random_pauli", "symplectic_ip",
+        "PauliOp", "apply_pauli", "commutation_matrix", "expectation", "pauli_mul",
+        "random_pauli",
     ),
     "stabilizer": (
-        "StabilizerState", "complete_to_stabilizer_state", "dense_projector",
-        "dense_statevector", "greedy_consistent_subset", "random_stabilizer_element",
+        "StabilizerState", "complete_to_stabilizer_state", "greedy_consistent_subset",
         "random_stabilizer_state", "stab_expectation",
     ),
     "money": (
         "DenseMixedRegister", "MoneyScheme", "MoneyState", "SchemeParams",
-        "completely_mixed_money", "gen_scheme", "honest_money", "measure_register",
-        "register_expectation", "verify",
+        "completely_mixed_money", "gen_scheme", "honest_money", "measure_register", "verify",
     ),
     "clique": (
         "MeasurementGraph", "attack_register", "bootstrap_clique", "build_graph",
-        "degree_sort_clique", "exact_max_clique", "max_eigenvalue_check",
-        "run_clique_attack", "second_eigenvector", "spectral_clique",
+        "degree_sort_clique", "max_eigenvalue_check", "run_clique_attack",
+        "second_eigenvector", "spectral_clique",
     ),
     "phase": (
         "accept_window", "ancilla_qubits", "eigenvalue_phases", "forge_low_eps_with_records",
-        "moments", "pe_distribution", "pe_sample", "register_fractions",
-        "register_hamiltonian", "window_probability",
+        "moments", "pe_sample", "register_fractions", "register_hamiltonian",
+        "window_probability",
     ),
     "postselect": (
         "LabelScheme", "apply_M", "beta_chain_mixing", "build_verifier", "component_analysis",
@@ -52,6 +51,18 @@ EXPORTS = {
         "load_scheme", "run_experiment", "save_note", "save_scheme", "summarize",
     ),
 }
+
+# The oracles in tests/oracles.py, by the module that must not export them:
+# the package keeps no public name that only tests call.
+MOVED = {
+    "pauli": ("commutes", "dense_matrix", "symplectic_ip"),
+    "stabilizer": ("dense_projector", "dense_statevector", "random_stabilizer_element"),
+    "money": ("register_expectation",),
+    "clique": ("exact_max_clique",),
+    "phase": ("pe_distribution",),
+    "postselect": ("class_markov_matrix",),
+}
+MOVED_METHODS = ("canonical_generators", "group_equal", "_draw_table")
 
 PRINT_STATE = (
     "print(json.dumps({'scipy': sorted(m for m in sys.modules"
@@ -87,6 +98,19 @@ def test_the_package_exports_no_other_name():
         if not name.startswith("_") and not isinstance(getattr(qmoney, name), types.ModuleType)
     }
     assert public == set().union(*EXPORTS.values())
+
+
+def test_no_moved_oracle_is_reachable_from_the_package_or_its_old_module():
+    for module, names in MOVED.items():
+        home = importlib.import_module(f"qmoney.{module}")
+        for name in names:
+            assert not hasattr(qmoney, name), name
+            assert not hasattr(home, name), f"{module}.{name}"
+            assert name not in dir(qmoney) and name not in home.__all__, name
+            with pytest.raises(ImportError):
+                exec(f"from qmoney import {name}", {})
+    for name in MOVED_METHODS:
+        assert not hasattr(qmoney.StabilizerState, name), name
 
 
 def test_an_unknown_attribute_raises_attribute_error():
@@ -178,3 +202,29 @@ def test_only_pauli_knows_the_packed_word_count():
     for pattern in ("+ 63) // 64", "64 * w"):
         assert pattern in sources["pauli.py"], pattern
         assert [name for name, text in sources.items() if pattern in text] == ["pauli.py"], pattern
+
+
+# The benchmark's tracer: its traced mode wraps qmoney functions by name.
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def layer_functions() -> dict[str, tuple[str, ...]]:
+    """LAYER_FUNCTIONS, read from the tracer's source without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.Assign):
+            continue
+        if [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYER_FUNCTIONS assignment in {TRACER}")
+
+
+def test_every_traced_name_resolves_in_its_qmoney_module():
+    layers = layer_functions()
+    assert layers  # the parse found the table
+    missing = [
+        f"{module}.{name}"
+        for module, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"qmoney.{module}"), name, None))
+    ]
+    assert not missing

@@ -12,15 +12,13 @@ from qmoney import (
     PauliOp,
     apply_pauli,
     commutation_matrix,
-    commutes,
-    dense_matrix,
     expectation,
     pauli_mul,
     random_pauli,
-    symplectic_ip,
 )
 from qmoney.errors import CapacityError
 from qmoney.pauli import PauliBlock, _random_bits, random_pauli_block
+from oracles import commutes, dense_matrix, symplectic_ip
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -15,15 +15,12 @@ from qmoney import (
     SoundnessWarning,
     accept_window,
     ancilla_qubits,
-    dense_matrix,
     eigenvalue_phases,
     forge_low_eps_with_records,
     gen_scheme,
     moments,
-    pe_distribution,
     pe_sample,
     random_pauli,
-    register_expectation,
     register_fractions,
     register_hamiltonian,
     verify,
@@ -39,6 +36,7 @@ from qmoney.phase import (
     _tail_offset,
     generate_rho_with_record,
 )
+from oracles import dense_matrix, pe_distribution, register_expectation
 
 
 def random_duplicate_free_ops(rng, n, m):

@@ -29,10 +29,10 @@ from qmoney.postselect import (
     LabeledMoney,
     MarkovVerifier,
     _walk,
-    class_markov_matrix,
     matrix_M,
     money_from_label,
 )
+from oracles import class_markov_matrix
 
 
 @pytest.fixture
